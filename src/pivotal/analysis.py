@@ -1,9 +1,10 @@
 """Effects, influences, pivotality, and the minimal-support Fourier engine.
 
-Conditional expectations are accumulated in a single pass over the
-support, so per-player reports on product grids stay linear in the grid
-size. Everything is exact; the only floats are Hoeffding half-widths on
-Monte Carlo estimates.
+Conditional expectations come from the grouped-sum kernel
+``Distribution.sums``: one pass over the support yields E[f] and the
+conditional sums for every player group a report needs, so per-player
+reports on product grids stay linear in the grid size. Everything is
+exact; the only floats are Hoeffding half-widths on Monte Carlo estimates.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .dist import (
     ProductDist,
     ZERO,
 )
+
+Table = dict[Outcome, tuple[Fraction, Fraction]]
 
 HALF = Fraction(1, 2)
 
@@ -70,35 +73,30 @@ class PivotalReport:
     rows: tuple[PivotalRow, ...]
 
 
-def _cond_sums(f: PlayerFunction, d: Distribution):
-    """One pass: E[f] plus per-(player, symbol) mass and weighted f-sum."""
-    n, m = d.n, len(d.alphabet)
-    mass = [[ZERO] * m for _ in range(n)]
-    wsum = [[ZERO] * m for _ in range(n)]
-    total = ZERO
-    for x, w in d.items():
-        fx = f.evaluate(x)
-        total += w * fx
-        for i, s in enumerate(x):
-            mass[i][s] += w
-            wsum[i][s] += w * fx
-    return total, mass, wsum
+def _singletons(n: int) -> list[tuple[int]]:
+    return [(i,) for i in range(n)]
+
+
+def _signed(table: Table, i: int) -> Fraction:
+    """E[f | X_i = 1] - E[f | X_i = 0] from player i's kernel table."""
+    for b in (0, 1):
+        if (b,) not in table:
+            raise NullConditionError(f"player {i} never takes value {b}")
+    (m0, s0), (m1, s1) = table[(0,)], table[(1,)]
+    return s1 / m1 - s0 / m0
+
+
+def _deviating_mass(table: Table, mean: Fraction, alpha: Fraction) -> Fraction:
+    """Mass of the joint symbols whose conditional mean strays past alpha."""
+    return sum((m for m, s in table.values() if abs(s / m - mean) > alpha), ZERO)
 
 
 def signed_effect(f: PlayerFunction, d: Distribution, i: int) -> Fraction:
     """E[f | X_i = 1] - E[f | X_i = 0], exact. Binary alphabet only."""
     if d.alphabet != BINARY:
         raise DistributionError("effect is defined for the binary alphabet only")
-    d._check_player(i)
-    mass = [ZERO, ZERO]
-    wsum = [ZERO, ZERO]
-    for x, w in d.items():
-        mass[x[i]] += w
-        wsum[x[i]] += w * f.evaluate(x)
-    for b in (0, 1):
-        if mass[b] == 0:
-            raise NullConditionError(f"player {i} never takes value {b}")
-    return wsum[1] / mass[1] - wsum[0] / mass[0]
+    (table,) = d.sums([(i,)], f).tables
+    return _signed(table, i)
 
 
 def effect(f: PlayerFunction, d: Distribution, i: int) -> Fraction:
@@ -109,14 +107,8 @@ def effect_report(f: PlayerFunction, d: Distribution) -> EffectReport:
     """Signed and absolute effects for every player, in one support pass."""
     if d.alphabet != BINARY:
         raise DistributionError("effect is defined for the binary alphabet only")
-    _, mass, wsum = _cond_sums(f, d)
-    rows = []
-    for i in range(d.n):
-        for b in (0, 1):
-            if mass[i][b] == 0:
-                raise NullConditionError(f"player {i} never takes value {b}")
-        rows.append(EffectRow(i, wsum[i][1] / mass[i][1] - wsum[i][0] / mass[i][0]))
-    return EffectReport(tuple(rows))
+    tables = d.sums(_singletons(d.n), f).tables
+    return EffectReport(tuple(EffectRow(i, _signed(t, i)) for i, t in enumerate(tables)))
 
 
 def influence(f: PlayerFunction, d: Distribution, i: int) -> Fraction:
@@ -132,6 +124,14 @@ def influence(f: PlayerFunction, d: Distribution, i: int) -> Fraction:
     return total
 
 
+def _pivotal_row(i: int, table: Table, mean: Fraction,
+                 p: Fraction, alpha: Fraction) -> PivotalRow:
+    devs = tuple(SymbolDeviation(key[0], m, s / m - mean)
+                 for key, (m, s) in sorted(table.items()))
+    q = _deviating_mass(table, mean, alpha)
+    return PivotalRow(i, devs, q, q > p)
+
+
 def pivotal_report(f: PlayerFunction, d: Distribution,
                    p: Fraction, alpha: Fraction) -> PivotalReport:
     """Per-player deviation masses against the (p, alpha) thresholds.
@@ -141,27 +141,15 @@ def pivotal_report(f: PlayerFunction, d: Distribution,
     strictly exceeds p. Comparisons are exact and strict.
     """
     p, alpha = Fraction(p), Fraction(alpha)
-    total, mass, wsum = _cond_sums(f, d)
-    rows = []
-    for i in range(d.n):
-        devs = []
-        q = ZERO
-        for s in range(len(d.alphabet)):
-            if mass[i][s] == 0:
-                continue
-            dev = wsum[i][s] / mass[i][s] - total
-            devs.append(SymbolDeviation(s, mass[i][s], dev))
-            if abs(dev) > alpha:
-                q += mass[i][s]
-        rows.append(PivotalRow(i, tuple(devs), q, q > p))
-    return PivotalReport(total, p, alpha, tuple(rows))
+    sums = d.sums(_singletons(d.n), f)
+    rows = tuple(_pivotal_row(i, t, sums.mean, p, alpha) for i, t in enumerate(sums.tables))
+    return PivotalReport(sums.mean, p, alpha, rows)
 
 
 def pivotal_player(f: PlayerFunction, d: Distribution, i: int,
                    p: Fraction, alpha: Fraction) -> tuple[bool, PivotalRow]:
-    d._check_player(i)
-    report = pivotal_report(f, d, p, alpha)
-    row = report.rows[i]
+    sums = d.sums([(i,)], f)
+    row = _pivotal_row(i, sums.tables[0], sums.mean, Fraction(p), Fraction(alpha))
     return row.pivotal, row
 
 
@@ -171,23 +159,8 @@ def pivotal_set(f: PlayerFunction, d: Distribution, players: Sequence[int],
     T = sorted(set(players))
     if not T:
         raise PivotalError("pivotal set must be non-empty")
-    for i in T:
-        d._check_player(i)
-    p, alpha = Fraction(p), Fraction(alpha)
-    mass: dict[Outcome, Fraction] = {}
-    wsum: dict[Outcome, Fraction] = {}
-    total = ZERO
-    for x, w in d.items():
-        key = tuple(x[i] for i in T)
-        fx = f.evaluate(x)
-        mass[key] = mass.get(key, ZERO) + w
-        wsum[key] = wsum.get(key, ZERO) + w * fx
-        total += w * fx
-    deviating = ZERO
-    for key, m in mass.items():
-        if abs(wsum[key] / m - total) > alpha:
-            deviating += m
-    return deviating > p
+    sums = d.sums([T], f)
+    return _deviating_mass(sums.tables[0], sums.mean, Fraction(alpha)) > Fraction(p)
 
 
 def count_effect(f: PlayerFunction, d: Distribution, alpha: Fraction) -> int:
@@ -243,44 +216,19 @@ def _require_minimal_space(d: Distribution) -> tuple[int, ExplicitDist]:
     if not res.ok:
         raise PreconditionError("support is not pairwise independent",
                                 witness=res.witness)
+    # The characters chi_y(x) = 1 - 2 x_y are then orthonormal under the
+    # uniform weights: fair marginals give E[chi_y] = 0, and pairwise
+    # independence gives E[chi_a chi_b] = -1 + 4 * 1/4 = 0 for a != b.
     return k, mu
-
-
-def _verify_orthonormality(mu: ExplicitDist) -> None:
-    """Characters must form an orthonormal basis under the uniform inner product."""
-    pts = [x for x, _ in mu.support]
-    size = len(pts)
-    n = mu.n
-    cols = [[1] * size] + [[1 - 2 * x[y] for x in pts] for y in range(n)]
-    for a in range(n + 1):
-        for b in range(a, n + 1):
-            dot = sum(cols[a][z] * cols[b][z] for z in range(size))
-            expected = size if a == b else 0
-            if dot != expected:
-                raise PreconditionError(
-                    f"characters {a} and {b} are not orthonormal (inner product {Fraction(dot, size)})")
-
-
-_ORTHONORMAL_CACHE: set[tuple] = set()
 
 
 def fourier(f: PlayerFunction, mu: Distribution) -> FourierTable:
     """Exact character coefficients of f over a minimal-support space."""
     k, mu = _require_minimal_space(mu)
-    key = (mu.alphabet, mu.n, mu.support)
-    if key not in _ORTHONORMAL_CACHE:
-        _verify_orthonormality(mu)
-        _ORTHONORMAL_CACHE.add(key)
-    pts = [x for x, _ in mu.support]
-    size = len(pts)
-    values = [f.evaluate(x) for x in pts]
-    coeffs = [sum(values, ZERO) / size]
-    for y in range(mu.n):
-        acc = ZERO
-        for x, v in zip(pts, values):
-            acc += v if x[y] == 0 else -v
-        coeffs.append(acc / size)
-    return FourierTable(k, tuple(pts), tuple(coeffs))
+    sums = mu.sums(_singletons(mu.n), f)
+    # E[f chi_y] is the f-weighted sum on x_y = 0 minus that on x_y = 1.
+    coeffs = [sums.mean] + [t[(0,)][1] - t[(1,)][1] for t in sums.tables]
+    return FourierTable(k, tuple(x for x, _ in mu.support), tuple(coeffs))
 
 
 # Ratio of the squared-effect sum to the variance on minimal-support
@@ -304,14 +252,9 @@ def effect_identity(f: PlayerFunction, mu: Distribution) -> EffectIdentity:
     character table.
     """
     _, mu = _require_minimal_space(mu)
-    total = ZERO
-    sq = ZERO
-    for x, w in mu.items():
-        v = f.evaluate(x)
-        total += w * v
-        sq += w * v * v
-    variance = sq - total * total
-    ssq = sum((r.effect ** 2 for r in effect_report(f, mu).rows), ZERO)
+    sums = mu.sums(_singletons(mu.n), f)
+    variance = sum((v * v * m for v, m in sums.law.items()), ZERO) - sums.mean ** 2
+    ssq = sum((_signed(t, i) ** 2 for i, t in enumerate(sums.tables)), ZERO)
     ratio = ssq / variance if variance != 0 else None
     return EffectIdentity(ssq, variance, ratio)
 

@@ -227,10 +227,6 @@ class MajPFn(PlayerFunction):
         return Fraction(1) if ones > zeros else ZERO
 
 
-def majp_fn(n: int) -> MajPFn:
-    return MajPFn(n)
-
-
 class UpwardClosure(PlayerFunction):
     """Indicator of the upward closure of a generator set on the binary cube.
 

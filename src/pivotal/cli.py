@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -33,21 +32,6 @@ from .serialize import (
     save_dist,
     save_fn,
 )
-
-
-def _thread_cap() -> int | None:
-    """Optional cap from PIVOTAL_THREADS; the engine is sequential, so any
-    positive cap is trivially respected."""
-    raw = os.environ.get("PIVOTAL_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise PivotalError(f"PIVOTAL_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise PivotalError(f"PIVOTAL_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -88,7 +72,12 @@ def _load_function(spec: str, d: Distribution) -> PlayerFunction:
         elif name == "majority":
             f = boolfn.MajorityFn(d.n)
         elif name == "dictator":
-            f = boolfn.DictatorFn(d.n, int(param))
+            try:
+                player = int(param)
+            except ValueError:
+                raise PivotalError(
+                    f"dictator needs an integer player index, got {param!r}") from None
+            f = boolfn.DictatorFn(d.n, player)
         elif name == "constant":
             f = boolfn.ConstantFn(d.n, parse_rational(param), d.alphabet)
         else:
@@ -396,7 +385,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_cap()
         return args.func(args)
     except PivotalError as exc:
         print(f"pivotal: error: {exc}", file=sys.stderr)

@@ -6,6 +6,10 @@ is carried by ``fractions.Fraction``, so marginals, conditionals,
 expectations, and independence checks are exact computations; floats
 appear only when a report is rendered.
 
+Every grouped sum over the support goes through one kernel,
+``Distribution.sums``. It accumulates integer weights over a common
+denominator and builds each ``Fraction`` once, after the pass.
+
 Values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no coordination.
 Sampling takes its seed and draw index explicitly.
@@ -19,7 +23,8 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Protocol, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 Outcome = tuple[int, ...]
 
@@ -103,6 +108,21 @@ class KwiseResult:
         return self.ok
 
 
+@dataclass(frozen=True)
+class GroupedSums:
+    """Result of one ``Distribution.sums`` pass over the support.
+
+    ``law`` maps each value of f to its mass and ``mean`` is E[f]. Table g
+    maps the joint symbols of group g (in the group's player order) to
+    (mass, sum of weight * f) over the outcomes showing them; symbol tuples
+    of mass zero are absent.
+    """
+
+    law: dict[Fraction, Fraction]
+    mean: Fraction
+    tables: tuple[dict[Outcome, tuple[Fraction, Fraction]], ...]
+
+
 def _rng_for(seed: int | str, index: int) -> random.Random:
     # One generator per (seed, index) pair keeps parallel draws reproducible.
     return random.Random(f"{seed}|{index}")
@@ -132,6 +152,10 @@ class Distribution(ABC):
         """Iterate (outcome, weight) over the support, weights > 0."""
 
     @abstractmethod
+    def scaled_items(self) -> tuple[int, Iterable[tuple[Outcome, int]]]:
+        """A common denominator D and (outcome, D * weight) over the support."""
+
+    @abstractmethod
     def weight(self, x: Outcome) -> Fraction:
         """Exact probability of a single outcome (0 off support)."""
 
@@ -159,35 +183,77 @@ class Distribution(ABC):
         if not 0 <= i < self.n:
             raise DistributionError(f"player index {i} out of range for n={self.n}")
 
+    def sums(self, groups: Sequence[Sequence[int]],
+             f: Evaluable | None = None) -> GroupedSums:
+        """Law of f and per-group conditional sums, in one support pass.
+
+        ``f=None`` stands for the constant 1, so the tables carry masses.
+        Weights are summed as integers per (joint symbols, value of f) and
+        turned into fractions only at the end.
+        """
+        groups = [tuple(T) for T in groups]
+        for T in groups:
+            if not T:
+                raise DistributionError("player group must be non-empty")
+            for i in T:
+                self._check_player(i)
+        getters = [itemgetter(*T) for T in groups]
+        accs: list[dict] = [{} for _ in groups]
+        slots = {ONE: 0} if f is None else {}
+        value_mass = [0] if f is None else []
+        denom, points = self.scaled_items()
+        for x, w in points:
+            if f is None:
+                j = 0
+            else:
+                v = f.evaluate(x)
+                j = slots.get(v)
+                if j is None:
+                    j = slots[v] = len(value_mass)
+                    value_mass.append(0)
+            value_mass[j] += w
+            for get, acc in zip(getters, accs):
+                key = get(x), j
+                acc[key] = acc.get(key, 0) + w
+        # f-weighted sums share the denominator denom * vden.
+        vden = math.lcm(*(v.denominator for v in slots))
+        scaled = [v.numerator * (vden // v.denominator) for v in slots]
+        law = {v: Fraction(value_mass[j], denom) for v, j in slots.items()}
+        mean = Fraction(sum(map(int.__mul__, value_mass, scaled)), denom * vden)
+        tables = []
+        for T, acc in zip(groups, accs):
+            ints: dict = {}
+            for (key, j), w in acc.items():
+                m, s = ints.get(key, (0, 0))
+                ints[key] = (m + w, s + w * scaled[j])
+            tables.append({(key if len(T) > 1 else (key,)):
+                           (Fraction(m, denom), Fraction(s, denom * vden))
+                           for key, (m, s) in ints.items()})
+        return GroupedSums(law, mean, tuple(tables))
+
     def marginal(self, players: Sequence[int]) -> "ExplicitDist":
         """Joint law of the given players, as an explicit distribution.
 
         Coordinates of the result follow the sorted player order.
         """
         T = sorted(set(players))
-        for i in T:
-            self._check_player(i)
         if not T:
             raise DistributionError("marginal requires at least one player")
-        masses: dict[Outcome, Fraction] = {}
-        for x, w in self.items():
-            key = tuple(x[i] for i in T)
-            masses[key] = masses.get(key, ZERO) + w
-        return ExplicitDist(self.alphabet, len(T), tuple(sorted(masses.items())))
+        (table,) = self.sums([T]).tables
+        return ExplicitDist(self.alphabet, len(T),
+                            [(key, mass) for key, (mass, _) in table.items()])
 
     def expectation(self, f: Evaluable) -> Fraction:
         """Exact sum of weight * f over the support."""
-        total = ZERO
-        for x, w in self.items():
-            total += w * f.evaluate(x)
-        return total
+        return self.sums([], f).mean
 
     def check_kwise(self, k: int) -> KwiseResult:
         """Exact k-wise independence test.
 
         True iff every subset of at most k players factorizes over every
         assignment. Subsets are scanned by size then lexicographically, so
-        the witness is canonical.
+        the witness is canonical. Each subset is one pass, and the scan
+        stops at the first failure.
         """
         if not 1 <= k <= self.n:
             raise DistributionError(f"k={k} out of range 1..{self.n}")
@@ -195,16 +261,14 @@ class Distribution(ABC):
         m = len(self.alphabet)
         for size in range(2, k + 1):
             for T in itertools.combinations(range(self.n), size):
-                joint: dict[Outcome, Fraction] = {}
-                for x, w in self.items():
-                    key = tuple(x[i] for i in T)
-                    joint[key] = joint.get(key, ZERO) + w
+                (joint,) = self.sums([T]).tables
                 for a in itertools.product(range(m), repeat=size):
                     prod = ONE
                     for i, s in zip(T, a):
                         prod *= singles[i][s]
-                    if joint.get(a, ZERO) != prod:
-                        return KwiseResult(False, KwiseWitness(T, a, joint.get(a, ZERO), prod))
+                    mass = joint[a][0] if a in joint else ZERO
+                    if mass != prod:
+                        return KwiseResult(False, KwiseWitness(T, a, mass, prod))
         return KwiseResult(True, None)
 
 
@@ -257,6 +321,11 @@ class ExplicitDist(Distribution):
     def items(self) -> Iterator[tuple[Outcome, Fraction]]:
         return iter(self.support)
 
+    def scaled_items(self) -> tuple[int, Iterator[tuple[Outcome, int]]]:
+        denom = math.lcm(*(w.denominator for _, w in self.support))
+        return denom, ((x, w.numerator * (denom // w.denominator))
+                       for x, w in self.support)
+
     def weight(self, x: Outcome) -> Fraction:
         x = tuple(x)
         for y, w in self.support:
@@ -265,11 +334,9 @@ class ExplicitDist(Distribution):
         return ZERO
 
     def single_marginal(self, i: int) -> tuple[Fraction, ...]:
-        self._check_player(i)
-        acc = [ZERO] * len(self.alphabet)
-        for x, w in self.support:
-            acc[x[i]] += w
-        return tuple(acc)
+        (table,) = self.sums([(i,)]).tables
+        return tuple(table[(s,)][0] if (s,) in table else ZERO
+                     for s in range(len(self.alphabet)))
 
     def condition(self, assignment: Mapping[int, int]) -> "ExplicitDist":
         for i in assignment:
@@ -336,12 +403,20 @@ class ProductDist(Distribution):
         return f"ProductDist(n={self.n}, |S|={len(self.alphabet)})"
 
     def items(self) -> Iterator[tuple[Outcome, Fraction]]:
-        nonzero = [[(s, p) for s, p in enumerate(row) if p > 0] for row in self.marginals]
-        for combo in itertools.product(*nonzero):
-            w = ONE
-            for _, p in combo:
-                w *= p
-            yield tuple(s for s, _ in combo), w
+        denom, points = self.scaled_items()
+        return ((x, Fraction(w, denom)) for x, w in points)
+
+    def scaled_items(self) -> tuple[int, Iterator[tuple[Outcome, int]]]:
+        # Row i is scaled by the lcm of its denominators, so every grid
+        # weight is an integer product over the product of those lcms.
+        symbols, ints, denom = [], [], 1
+        for row in self.marginals:
+            row_den = math.lcm(*(p.denominator for p in row))
+            symbols.append([s for s, p in enumerate(row) if p > 0])
+            ints.append([p.numerator * (row_den // p.denominator) for p in row if p > 0])
+            denom *= row_den
+        return denom, zip(itertools.product(*symbols),
+                          map(math.prod, itertools.product(*ints)))
 
     def weight(self, x: Outcome) -> Fraction:
         if len(x) != self.n:
@@ -362,14 +437,8 @@ class ProductDist(Distribution):
             self._check_player(i)
         if not T:
             raise DistributionError("marginal requires at least one player")
-        rows = [[(s, p) for s, p in enumerate(self.marginals[i]) if p > 0] for i in T]
-        support = []
-        for combo in itertools.product(*rows):
-            w = ONE
-            for _, p in combo:
-                w *= p
-            support.append((tuple(s for s, _ in combo), w))
-        return ExplicitDist(self.alphabet, len(T), support)
+        rows = [self.marginals[i] for i in T]
+        return ProductDist(self.alphabet, len(T), rows).to_explicit()
 
     def condition(self, assignment: Mapping[int, int]) -> "ProductDist":
         # Pinning a player keeps the product form.

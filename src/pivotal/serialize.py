@@ -86,6 +86,9 @@ def dist_to_obj(d: Distribution) -> dict:
 
 
 def dist_from_obj(obj: dict) -> Distribution:
+    if not isinstance(obj, dict):
+        raise DistributionError(
+            f"distribution must be a JSON object, got {type(obj).__name__}")
     try:
         kind = obj["kind"]
         alphabet = Alphabet(tuple(obj["alphabet"]))
@@ -99,6 +102,8 @@ def dist_from_obj(obj: dict) -> Distribution:
             return ProductDist(alphabet, n, marginals)
     except KeyError as exc:
         raise DistributionError(f"distribution object missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DistributionError(f"malformed distribution object: {exc}") from None
     raise DistributionError(f"unknown distribution kind {obj.get('kind')!r}")
 
 
@@ -143,35 +148,42 @@ def fn_to_obj(f: PlayerFunction) -> dict:
 
 
 def fn_from_obj(obj: dict) -> PlayerFunction:
-    kind = obj.get("kind")
-    if kind == "table":
-        alphabet = Alphabet(tuple(obj["alphabet"]))
-        if any(len(s) != 1 for s in alphabet.symbols):
-            raise PivotalError("table parsing needs single-character symbols")
-        index = {s: i for i, s in enumerate(alphabet.symbols)}
-        values = {}
-        for key, v in obj["values"].items():
-            try:
-                outcome = tuple(index[ch] for ch in key)
-            except KeyError as exc:
-                raise PivotalError(f"unknown symbol {exc} in table key {key!r}") from None
-            values[outcome] = parse_rational(v)
-        return DenseTable(alphabet, int(obj["n"]), values)
-    if kind == "upward":
-        return UpwardClosure(int(obj["n"]), [tuple(g) for g in obj["generators"]])
-    if kind == "builtin":
-        name = obj.get("name")
-        params = obj.get("params", {})
-        n = int(params["n"])
-        if name in _BUILTIN_NAMES:
-            return _BUILTIN_NAMES[name](n)
-        if name == "dictator":
-            return DictatorFn(n, int(params["i"]))
-        if name == "constant":
-            alphabet = Alphabet(tuple(params.get("alphabet", ("0", "1"))))
-            return ConstantFn(n, parse_rational(params["c"]), alphabet)
-        raise PivotalError(f"unknown builtin {name!r}")
-    raise PivotalError(f"unknown function kind {kind!r}")
+    if not isinstance(obj, dict):
+        raise PivotalError(f"function must be a JSON object, got {type(obj).__name__}")
+    try:
+        kind = obj.get("kind")
+        if kind == "table":
+            alphabet = Alphabet(tuple(obj["alphabet"]))
+            if any(len(s) != 1 for s in alphabet.symbols):
+                raise PivotalError("table parsing needs single-character symbols")
+            index = {s: i for i, s in enumerate(alphabet.symbols)}
+            values = {}
+            for key, v in obj["values"].items():
+                try:
+                    outcome = tuple(index[ch] for ch in key)
+                except KeyError as exc:
+                    raise PivotalError(f"unknown symbol {exc} in table key {key!r}") from None
+                values[outcome] = parse_rational(v)
+            return DenseTable(alphabet, int(obj["n"]), values)
+        if kind == "upward":
+            return UpwardClosure(int(obj["n"]), [tuple(g) for g in obj["generators"]])
+        if kind == "builtin":
+            name = obj.get("name")
+            params = obj.get("params", {})
+            n = int(params["n"])
+            if name in _BUILTIN_NAMES:
+                return _BUILTIN_NAMES[name](n)
+            if name == "dictator":
+                return DictatorFn(n, int(params["i"]))
+            if name == "constant":
+                alphabet = Alphabet(tuple(params.get("alphabet", ("0", "1"))))
+                return ConstantFn(n, parse_rational(params["c"]), alphabet)
+            raise PivotalError(f"unknown builtin {name!r}")
+        raise PivotalError(f"unknown function kind {kind!r}")
+    except KeyError as exc:
+        raise PivotalError(f"function object missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise PivotalError(f"malformed function object: {exc}") from None
 
 
 # ----------------------------------------------------------------------

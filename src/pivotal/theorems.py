@@ -14,12 +14,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .analysis import (
+    _deviating_mass,
     count_effect,
     count_pivotal,
     effect_report,
     estimate_expectation,
     pivotal_report,
-    pivotal_set,
     signed_effect,
 )
 from .boolfn import DenseTable, MajPFn, PlayerFunction, PreconditionError
@@ -202,31 +202,23 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
     p, alpha = _positive("p", p), _positive("alpha", alpha)
     _require_pairwise(d)
 
-    cached = [(x, w, f.evaluate(x)) for x, w in d.items()]
-    total = sum((w * fx for _, w, fx in cached), ZERO)
-    m = len(d.alphabet)
-    mass = [[ZERO] * m for _ in range(d.n)]
-    wsum = [[ZERO] * m for _ in range(d.n)]
-    for x, w, fx in cached:
-        for i, s in enumerate(x):
-            mass[i][s] += w
-            wsum[i][s] += w * fx
+    sums = d.sums([(i,) for i in range(d.n)], f)
+    total = sums.mean
+    # Per player: each symbol's mass and deviation from E[f].
+    devs = [{key[0]: (m, s / m - total) for key, (m, s) in t.items()} for t in sums.tables]
 
     # Per player: mass deviating upward, downward, and either way.
     up = [ZERO] * d.n
     down = [ZERO] * d.n
     both = [ZERO] * d.n
     for i in range(d.n):
-        for s in range(m):
-            if mass[i][s] == 0:
-                continue
-            dev = wsum[i][s] / mass[i][s] - total
+        for mass, dev in devs[i].values():
             if dev > alpha:
-                up[i] += mass[i][s]
+                up[i] += mass
             if -dev > alpha:
-                down[i] += mass[i][s]
+                down[i] += mass
             if abs(dev) > alpha:
-                both[i] += mass[i][s]
+                both[i] += mass
 
     pivotal = [i for i in range(d.n) if both[i] > p]
     if not pivotal:
@@ -242,7 +234,7 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
         raise PivotalError(
             f"reduction would enumerate 2^{len(selected)} indicator vectors")
 
-    zero_one = all(fx in (0, 1) for _, _, fx in cached)
+    zero_one = all(v in (0, 1) for v in sums.law)
 
     def flip(v: Fraction) -> Fraction:
         if not flipped:
@@ -253,16 +245,10 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
     dev_syms: list[set[int]] = []
     p_values = []
     for i in selected:
-        syms = set()
-        for s in range(m):
-            if mass[i][s] == 0:
-                continue
-            dev = wsum[i][s] / mass[i][s] - total
-            if sign * dev > alpha:
-                syms.add(s)
-        dev_syms.append(syms)
+        dev_syms.append({s for s, (_, dev) in devs[i].items() if sign * dev > alpha})
         p_values.append(up[i] if not flipped else down[i])
 
+    cached = [(x, w, f.evaluate(x)) for x, w in d.items()]
     k = len(selected)
     y_mass = [ZERO] * (1 << k)
     y_wsum = [ZERO] * (1 << k)
@@ -360,12 +346,6 @@ class EliminationResult:
     certificate_witness: tuple[int, ...] | None = None
 
 
-def _small_subsets(n: int, m: int):
-    # Canonical scan order: by size, then lexicographic.
-    for size in range(1, m + 1):
-        yield from itertools.combinations(range(n), size)
-
-
 def elimination_set(f: PlayerFunction, d: Distribution, m: int,
                     p: Fraction, alpha: Fraction) -> EliminationResult:
     """Greedy maximal disjoint family of pivotal sets of size at most m."""
@@ -378,25 +358,23 @@ def elimination_set(f: PlayerFunction, d: Distribution, m: int,
     if not res.ok:
         raise PreconditionError(f"distribution is not {2 * m}-wise independent",
                                 witness=res.witness)
+    # Canonical scan order: by size, then lexicographic. One support pass
+    # yields the table of every small subset.
+    subsets = [T for size in range(1, m + 1)
+               for T in itertools.combinations(range(d.n), size)]
+    sums = d.sums(subsets, f)
+    pivotal = [T for T, t in zip(subsets, sums.tables)
+               if _deviating_mass(t, sums.mean, alpha) > p]
     family: list[tuple[int, ...]] = []
     union: set[int] = set()
-    for T in _small_subsets(d.n, m):
-        if union.intersection(T):
-            continue
-        if pivotal_set(f, d, T, p, alpha):
+    for T in pivotal:
+        if not union.intersection(T):
             family.append(T)
             union.update(T)
-    cert_ok = True
-    cert_witness = None
-    for T in _small_subsets(d.n, m):
-        if union.intersection(T):
-            continue
-        if pivotal_set(f, d, T, p, alpha):
-            cert_ok = False
-            cert_witness = T
-            break
+    # Certificate: re-scan for a pivotal small subset disjoint from the union.
+    witness = next((T for T in pivotal if not union.intersection(T)), None)
     return EliminationResult(tuple(family), tuple(sorted(union)),
-                             len(family), cert_ok, cert_witness)
+                             len(family), witness is None, witness)
 
 
 def verify_elimination(f: PlayerFunction, d: Distribution, m: int,

@@ -24,7 +24,6 @@ from pivotal import (
     UpwardClosure,
     effect_counterexample,
     influence_counterexample,
-    majp_fn,
     monotone_check,
     monotone_extend,
 )
@@ -75,20 +74,20 @@ class TestEvaluate:
 
 class TestMajP:
     def test_single_participant_wins(self):
-        assert majp_fn(3).evaluate((1, 2, 2)) == 1
+        assert MajPFn(3).evaluate((1, 2, 2)) == 1
 
     def test_tie_breaks_to_zero(self):
-        assert majp_fn(3).evaluate((1, 0, 2)) == 0
+        assert MajPFn(3).evaluate((1, 0, 2)) == 0
 
     def test_zero_majority(self):
-        assert majp_fn(3).evaluate((0, 0, 1)) == 0
+        assert MajPFn(3).evaluate((0, 0, 1)) == 0
 
     def test_all_abstain(self):
-        assert majp_fn(3).evaluate((2, 2, 2)) == 0
+        assert MajPFn(3).evaluate((2, 2, 2)) == 0
 
     def test_vote_flip_never_decreases(self):
         # Flipping a participant's 0 to 1, participation fixed, is monotone.
-        f = majp_fn(4)
+        f = MajPFn(4)
         for x in itertools.product((0, 1, 2), repeat=4):
             vx = f.evaluate(x)
             for i, s in enumerate(x):

@@ -18,13 +18,16 @@ from pivotal import (
     ProductDist,
     mixture,
 )
-from pivotal.boolfn import ConstantFn, MajorityFn, ParityFn
+from pivotal.analysis import effect_report, pivotal_set
+from pivotal.boolfn import ConstantFn, DenseTable, MajorityFn, ParityFn
 
 from oracles import (
     brute_conditional,
     brute_event_mass,
     brute_expectation,
     brute_kwise,
+    brute_set_deviating_mass,
+    brute_signed_effect,
 )
 
 F = Fraction
@@ -233,17 +236,42 @@ def small_products(draw):
     return ProductDist(alphabet, n, rows)
 
 
+# Values in [-1, 1] over denominators 1..7, so integer scaling meets mixed lcms.
+mixed_values = st.integers(1, 7).flatmap(lambda b: st.integers(-b, b).map(lambda a: F(a, b)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_products(), st.data())
 def test_product_queries_match_explicit_expansion(d, data):
     ex = d.to_explicit()
     assert sum(w for _, w in ex.items()) == 1
+    assert all(w == d.weight(x) for x, w in ex.items())
     f = ConstantFn(d.n, F(1, 3), d.alphabet)
     assert d.expectation(f) == ex.expectation(f)
     T = data.draw(st.sets(st.integers(0, d.n - 1), min_size=1).map(sorted))
     assert d.marginal(T) == ex.marginal(T)
     k = data.draw(st.integers(1, d.n))
     assert d.check_kwise(k).ok == ex.check_kwise(k).ok
+
+    # The grouped-sum kernel against the brute-force oracles, on both forms.
+    grid = itertools.product(range(len(d.alphabet)), repeat=d.n)
+    g = DenseTable(d.alphabet, d.n, {x: data.draw(mixed_values) for x in grid})
+    p = data.draw(st.sampled_from([F(0), F(1, 4), F(1, 2)]))
+    alpha = data.draw(st.sampled_from([F(0), F(1, 5), F(1, 3), F(1, 2)]))
+    for dist in (d, ex):
+        assert dist.expectation(g) == brute_expectation(g, dist)
+        for key, mass in dist.marginal(T).items():
+            assert mass == brute_event_mass(dist, dict(zip(T, key)))
+        assert pivotal_set(g, dist, T, p, alpha) == (
+            brute_set_deviating_mass(g, dist, T, alpha) > p)
+        if d.alphabet != BINARY:
+            continue
+        if all(0 < row[1] < 1 for row in d.marginals):
+            assert [r.signed for r in effect_report(g, dist).rows] == [
+                brute_signed_effect(g, dist, i) for i in range(d.n)]
+        else:
+            with pytest.raises(NullConditionError):
+                effect_report(g, dist)
 
 
 @settings(max_examples=40, deadline=None)

@@ -326,13 +326,24 @@ class TestCliSweep:
         assert capsys.readouterr().out == first
 
 
-class TestThreadEnvVar:
-    def test_invalid_cap_rejected(self, monkeypatch, mu_file, capsys):
-        monkeypatch.setenv("PIVOTAL_THREADS", "zero")
-        assert main(["analyze", "--dist", mu_file, "--fn", "majority",
-                     "--what", "effects"]) == 2
-
-    def test_valid_cap_accepted(self, monkeypatch, mu_file, capsys):
-        monkeypatch.setenv("PIVOTAL_THREADS", "4")
-        assert main(["analyze", "--dist", mu_file, "--fn", "majority",
-                     "--what", "effects"]) == 0
+@pytest.mark.parametrize("dist_obj, fn", [
+    (None, "dictator:abc"),
+    (None, {"kind": "builtin", "name": "dictator", "params": {"n": 3}}),
+    ([1, 2], "majority"),
+    ({"kind": "product", "alphabet": ["0", "1"], "n": "x",
+      "marginals": [["1/2", "1/2"]]}, "majority"),
+])
+def test_malformed_input_is_input_error(tmp_path, mu_file, capsys, dist_obj, fn):
+    """Exit 2 with a one-line diagnostic, never a traceback and exit 1."""
+    dist = mu_file
+    if dist_obj is not None:
+        dist = tmp_path / "bad_dist.json"
+        dist.write_text(json.dumps(dist_obj), encoding="utf-8")
+    if not isinstance(fn, str):
+        path = tmp_path / "bad_fn.json"
+        path.write_text(json.dumps(fn), encoding="utf-8")
+        fn = str(path)
+    assert main(["analyze", "--dist", str(dist), "--fn", fn, "--what", "effects"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("pivotal: error:")
