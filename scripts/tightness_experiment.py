@@ -51,12 +51,7 @@ def main() -> int:
     print("alpha,alpha_dec,count,bound,bound_dec")
     for alpha in (alpha_star / 4, alpha_star / 2, alpha_star,
                   2 * alpha_star, Fraction(1, 2), Fraction(1)):
-        count = 0
-        for r in report.rows:
-            mass = sum((sd.mass for sd in r.deviations
-                        if abs(sd.deviation) > alpha), Fraction(0))
-            if mass > p_prime:
-                count += 1
+        count = report.count(p_prime, alpha)
         bound = 8 / (p_prime * alpha ** 2)
         print(f"{rational_str(alpha)},{float(alpha)},{count},"
               f"{rational_str(bound)},{float(bound)}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .boolfn import PlayerFunction, PreconditionError
 from .dist import (
@@ -57,12 +57,25 @@ class SymbolDeviation:
     deviation: Fraction  # E[f | X_i = s] - E[f]
 
 
+def _mass_past(pairs: Iterable[tuple[Fraction, Fraction]], alpha: Fraction,
+               sign: int = 0) -> Fraction:
+    """Mass of the (mass, deviation) pairs whose deviation strays past alpha.
+
+    sign 0 counts both ways, else only the direction of sign. The (p, alpha)
+    rule compares this mass strictly with p.
+    """
+    return sum((m for m, dev in pairs if (sign * dev if sign else abs(dev)) > alpha), ZERO)
+
+
 @dataclass(frozen=True)
 class PivotalRow:
     player: int
     deviations: tuple[SymbolDeviation, ...]
     deviating_mass: Fraction
     pivotal: bool
+
+    def mass_past(self, alpha: Fraction, sign: int = 0) -> Fraction:
+        return _mass_past(((sd.mass, sd.deviation) for sd in self.deviations), alpha, sign)
 
 
 @dataclass(frozen=True)
@@ -71,6 +84,10 @@ class PivotalReport:
     p: Fraction
     alpha: Fraction
     rows: tuple[PivotalRow, ...]
+
+    def count(self, p: Fraction, alpha: Fraction) -> int:
+        """Number of (p, alpha)-pivotal players; deviations do not depend on alpha."""
+        return sum(1 for r in self.rows if r.mass_past(alpha) > p)
 
 
 def _singletons(n: int) -> list[tuple[int]]:
@@ -88,7 +105,7 @@ def _signed(table: Table, i: int) -> Fraction:
 
 def _deviating_mass(table: Table, mean: Fraction, alpha: Fraction) -> Fraction:
     """Mass of the joint symbols whose conditional mean strays past alpha."""
-    return sum((m for m, s in table.values() if abs(s / m - mean) > alpha), ZERO)
+    return _mass_past(((m, s / m - mean) for m, s in table.values()), alpha)
 
 
 def signed_effect(f: PlayerFunction, d: Distribution, i: int) -> Fraction:

@@ -24,6 +24,7 @@ from .dist import (
     UndefinedPointError,
     ZERO,
     ONE,
+    as_exact,
 )
 from .generators import complement_mu, hadamard_mu, mixture_D
 
@@ -92,7 +93,8 @@ class DenseTable(PlayerFunction):
         self.alphabet = alphabet
         self.n = int(n)
         pairs = values.items() if isinstance(values, Mapping) else values
-        self.entries = tuple(sorted((tuple(x), Fraction(v)) for x, v in pairs))
+        self.entries = tuple(sorted((tuple(x), as_exact(v, "value", PivotalError))
+                                    for x, v in pairs))
         self._lookup = dict(self.entries)
         m = len(alphabet)
         if len(self._lookup) != len(self.entries):
@@ -130,7 +132,8 @@ class PartialTable(PlayerFunction):
         self.alphabet = alphabet
         self.n = int(n)
         pairs = values.items() if isinstance(values, Mapping) else values
-        self.entries = tuple(sorted((tuple(x), Fraction(v)) for x, v in pairs))
+        self.entries = tuple(sorted((tuple(x), as_exact(v, "value", PivotalError))
+                                    for x, v in pairs))
         self._lookup = dict(self.entries)
         if len(self._lookup) != len(self.entries):
             raise PivotalError("outcome mapped twice in partial table")
@@ -201,6 +204,7 @@ class ConstantFn(PlayerFunction):
     alphabet: Alphabet = BINARY
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "value", as_exact(self.value, "value", PivotalError))
         _check_value_range((), self.value)
 
     def evaluate(self, x: Outcome) -> Fraction:

@@ -389,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     except PivotalError as exc:
         print(f"pivotal: error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"pivotal: error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

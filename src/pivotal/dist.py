@@ -123,6 +123,13 @@ class GroupedSums:
     tables: tuple[dict[Outcome, tuple[Fraction, Fraction]], ...]
 
 
+def as_exact(value: object, what: str, error: type = DistributionError) -> Fraction:
+    """value as a Fraction; only int and Fraction are accepted, never floats."""
+    if not isinstance(value, (int, Fraction)):
+        raise error(f"{what} must be an int or Fraction, got {value!r}")
+    return Fraction(value)
+
+
 def _rng_for(seed: int | str, index: int) -> random.Random:
     # One generator per (seed, index) pair keeps parallel draws reproducible.
     return random.Random(f"{seed}|{index}")
@@ -281,7 +288,7 @@ class ExplicitDist(Distribution):
                  support: Sequence[tuple[Outcome, Fraction]]):
         self.alphabet = alphabet
         self.n = int(n)
-        self.support = tuple(sorted((tuple(x), Fraction(w)) for x, w in support))
+        self.support = tuple(sorted((tuple(x), as_exact(w, "weight")) for x, w in support))
         self.validate()
 
     def validate(self) -> None:
@@ -370,7 +377,7 @@ class ProductDist(Distribution):
                  marginals: Sequence[Sequence[Fraction]]):
         self.alphabet = alphabet
         self.n = int(n)
-        self.marginals = tuple(tuple(Fraction(p) for p in row) for row in marginals)
+        self.marginals = tuple(tuple(as_exact(p, "marginal") for p in row) for row in marginals)
         self.validate()
 
     def validate(self) -> None:

@@ -190,12 +190,20 @@ def fn_from_obj(obj: dict) -> PlayerFunction:
 # File helpers
 
 
+def _read_json(path: str | Path) -> object:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PivotalError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return json.loads(text)
+
+
 def save_dist(path: str | Path, d: Distribution) -> None:
     Path(path).write_text(canonical_dumps(dist_to_obj(d)) + "\n", encoding="utf-8")
 
 
 def load_dist(path: str | Path) -> Distribution:
-    return dist_from_obj(json.loads(Path(path).read_text(encoding="utf-8")))
+    return dist_from_obj(_read_json(path))
 
 
 def save_fn(path: str | Path, f: PlayerFunction) -> None:
@@ -203,4 +211,4 @@ def save_fn(path: str | Path, f: PlayerFunction) -> None:
 
 
 def load_fn(path: str | Path) -> PlayerFunction:
-    return fn_from_obj(json.loads(Path(path).read_text(encoding="utf-8")))
+    return fn_from_obj(_read_json(path))

@@ -15,6 +15,8 @@ from typing import Sequence
 
 from .analysis import (
     _deviating_mass,
+    _mass_past,
+    _pivotal_row,
     count_effect,
     count_pivotal,
     effect_report,
@@ -190,11 +192,16 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
                      p: Fraction, alpha: Fraction) -> ReductionResult:
     """Collapse every pivotal player to a skewed indicator bit.
 
-    Working on the sign side where at least half the pivotal players
-    deviate, each selected player's bit is 0 exactly when his symbol
-    deviates upward and an auxiliary coin of rate p / (2 p_i) fires; the
-    joint indicator law and the conditional-expectation table are then
-    exact sums over the support.
+    On the sign side where more pivotal players have mass p_j > p / 2 of
+    symbols deviating past alpha, selected player j's bit is 0 exactly when
+    the player's symbol deviates that way and an independent coin of rate
+    p / (2 p_j) fires, so Pr[Y_j = 0] = p / 2.
+
+    The law is exact. One kernel pass over the selected players gives the
+    mass and f-weighted mass of each deviation pattern (bit j clear when
+    player j deviates), as if every coin fired. Each coin is then applied
+    once per coordinate: from every vector with bit j clear, the fraction
+    1 - p / (2 p_j) of both sums moves to the vector with bit j set.
 
     A 0/1-valued function is flipped as 1 - f, anything else as -f, so the
     reduced function stays inside [-1, 1] either way.
@@ -204,84 +211,50 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
 
     sums = d.sums([(i,) for i in range(d.n)], f)
     total = sums.mean
-    # Per player: each symbol's mass and deviation from E[f].
-    devs = [{key[0]: (m, s / m - total) for key, (m, s) in t.items()} for t in sums.tables]
-
-    # Per player: mass deviating upward, downward, and either way.
-    up = [ZERO] * d.n
-    down = [ZERO] * d.n
-    both = [ZERO] * d.n
-    for i in range(d.n):
-        for mass, dev in devs[i].values():
-            if dev > alpha:
-                up[i] += mass
-            if -dev > alpha:
-                down[i] += mass
-            if abs(dev) > alpha:
-                both[i] += mass
-
-    pivotal = [i for i in range(d.n) if both[i] > p]
+    rows = [_pivotal_row(i, t, total, p, alpha) for i, t in enumerate(sums.tables)]
+    pivotal = [r for r in rows if r.pivotal]
     if not pivotal:
         return ReductionResult((), False, (), None, None, total)
 
-    half_p = p / 2
-    plus_side = [i for i in pivotal if up[i] > half_p]
-    minus_side = [i for i in pivotal if down[i] > half_p]
+    plus_side = [r for r in pivotal if r.mass_past(alpha, 1) > p / 2]
+    minus_side = [r for r in pivotal if r.mass_past(alpha, -1) > p / 2]
     flipped = len(minus_side) > len(plus_side)
-    selected = tuple(minus_side if flipped else plus_side)
     sign = -1 if flipped else 1
-    if len(selected) > _REDUCTION_ARITY_LIMIT:
-        raise PivotalError(
-            f"reduction would enumerate 2^{len(selected)} indicator vectors")
-
-    zero_one = all(v in (0, 1) for v in sums.law)
-
-    def flip(v: Fraction) -> Fraction:
-        if not flipped:
-            return v
-        return 1 - v if zero_one else -v
-
-    # Deviating symbol sets and their masses under the chosen sign.
-    dev_syms: list[set[int]] = []
-    p_values = []
-    for i in selected:
-        dev_syms.append({s for s, (_, dev) in devs[i].items() if sign * dev > alpha})
-        p_values.append(up[i] if not flipped else down[i])
-
-    cached = [(x, w, f.evaluate(x)) for x, w in d.items()]
+    chosen = minus_side if flipped else plus_side
+    selected = tuple(r.player for r in chosen)
     k = len(selected)
-    y_mass = [ZERO] * (1 << k)
-    y_wsum = [ZERO] * (1 << k)
-    rates = [p / (2 * pi) for pi in p_values]
-    for x, w, fx in cached:
-        # Chance of each indicator being 0 for this outcome, else it is 1.
-        zero_chance = [rates[j] if x[selected[j]] in dev_syms[j] else ZERO
-                       for j in range(k)]
-        for y in range(1 << k):
-            prob = w
-            for j in range(k):
-                c = zero_chance[j]
-                prob *= c if not y & (1 << j) else 1 - c
-                if prob == 0:
-                    break
-            if prob == 0:
-                continue
-            y_mass[y] += prob
-            y_wsum[y] += prob * flip(fx)
+    if k > _REDUCTION_ARITY_LIMIT:
+        raise PivotalError(f"reduction would enumerate 2^{k} indicator vectors")
+    p_values = tuple(r.mass_past(alpha, sign) for r in chosen)
+    dev_syms = [{sd.symbol for sd in r.deviations if sign * sd.deviation > alpha}
+                for r in chosen]
 
-    g_expect = flip(total) if flipped else total
-    support = []
-    g_values = {}
-    for y in range(1 << k):
-        outcome = tuple((y >> j) & 1 for j in range(k))
-        if y_mass[y] > 0:
-            support.append((outcome, y_mass[y]))
-            g_values[outcome] = y_wsum[y] / y_mass[y]
-        else:
-            g_values[outcome] = g_expect  # carries no mass; keeps g total
-    y_dist = ExplicitDist(BINARY, k, support)
-    g = DenseTable(BINARY, k, g_values)
-    return ReductionResult(selected, flipped, tuple(p_values), y_dist, g, g_expect)
+    mass = [ZERO] * (1 << k)
+    wsum = [ZERO] * (1 << k)
+    (table,) = d.sums([selected], f).tables
+    for key, (m, s) in table.items():
+        y = sum(1 << j for j, sym in enumerate(key) if sym not in dev_syms[j])
+        mass[y] += m
+        wsum[y] += s
+    for j, pj in enumerate(p_values):
+        rate, bit = 1 - p / (2 * pj), 1 << j
+        for y in range(1 << k):
+            if not y & bit:
+                dm, ds = rate * mass[y], rate * wsum[y]
+                mass[y] -= dm
+                wsum[y] -= ds
+                mass[y | bit] += dm
+                wsum[y | bit] += ds
+
+    if flipped:
+        zero_one = all(v in (0, 1) for v in sums.law)
+        wsum = [m - s if zero_one else -s for m, s in zip(mass, wsum)]
+        total = 1 - total if zero_one else -total
+    vectors = [tuple((y >> j) & 1 for j in range(k)) for y in range(1 << k)]
+    y_dist = ExplicitDist(BINARY, k, [(v, m) for v, m in zip(vectors, mass) if m > 0])
+    # A vector without mass gets E[g], which keeps g's total.
+    g = DenseTable(BINARY, k, {v: s / m if m else total for v, m, s in zip(vectors, mass, wsum)})
+    return ReductionResult(selected, flipped, p_values, y_dist, g, total)
 
 
 def verify_reduction(f: PlayerFunction, d: Distribution,
@@ -476,32 +449,19 @@ def majp_tightness(n: int, p: Fraction, alpha_grid: Sequence[Fraction],
     """
     p = Fraction(p)
     alphas = [Fraction(a) for a in alpha_grid]
-    rows = []
     if samples is None:
         if n > _TIGHTNESS_EXACT_LIMIT:
             raise PivotalError(
                 f"n={n} exceeds the exact enumeration limit {_TIGHTNESS_EXACT_LIMIT};"
                 " pass samples= for Monte Carlo mode")
-        d = majp_dist(n, p)
-        f = MajPFn(n)
-        report = pivotal_report(f, d, p, alphas[0])  # thresholds re-derived per alpha below
-        for alpha in alphas:
-            count = 0
-            for row in report.rows:
-                mass = sum((sd.mass for sd in row.deviations if abs(sd.deviation) > alpha),
-                           ZERO)
-                if mass > p:
-                    count += 1
-            rows.append(TightnessRow(alpha, Fraction(count), 8 / (p * alpha ** 2), "exact"))
-        return rows
+        report = pivotal_report(MajPFn(n), majp_dist(n, p), p, alphas[0])
+        return [TightnessRow(alpha, Fraction(report.count(p, alpha)),
+                             8 / (p * alpha ** 2), "exact") for alpha in alphas]
     if seed is None:
         raise PivotalError("Monte Carlo mode needs an explicit seed")
     devs = estimate_majp_deviations(n, p, samples, seed)
     marginal = majp_dist(n, p).single_marginal(0)
-    for alpha in alphas:
-        mass = sum((marginal[s] for s, (dev, _) in devs.items() if abs(dev) > alpha),
-                   ZERO)
-        count = Fraction(n) if mass > p else ZERO
-        hw = max(hw for _, hw in devs.values())
-        rows.append(TightnessRow(alpha, count, 8 / (p * alpha ** 2), "monte-carlo", hw))
-    return rows
+    pairs = [(marginal[s], dev) for s, (dev, _) in devs.items()]
+    hw = max(hw for _, hw in devs.values())
+    return [TightnessRow(alpha, Fraction(n) if _mass_past(pairs, alpha) > p else ZERO,
+                         8 / (p * alpha ** 2), "monte-carlo", hw) for alpha in alphas]

@@ -123,3 +123,49 @@ def majp_conditional_oracle(n: int, p: Fraction, symbol: int) -> Fraction:
         else:
             total += pm * _majority_wins(m, 0, 1)
     return total
+
+
+# ----------------------------------------------------------------------
+# Indicator law of the pivotal-to-binary reduction, coin by coin
+
+
+def brute_indicator_law(f, d, selected, flipped: bool, p: Fraction, alpha: Fraction):
+    """Indicator-vector law and g of the reduction, by direct enumeration.
+
+    Selected player j's bit is 0 when the player's symbol deviates past
+    alpha on the chosen side and coin j, of rate p / (2 p_j), fires. Every
+    support point is paired with every one of the 2^k coin outcomes.
+    Returns the sorted positive-mass (vector, mass) pairs and the sorted
+    (vector, g) pairs over all 2^k vectors; g is 1 - f or -f when flipped.
+    """
+    sign = -1 if flipped else 1
+    ef = brute_expectation(f, d)
+    zero_one = all(f.evaluate(x) in (0, 1) for x, _ in d.items())
+
+    def h(v):
+        if not flipped:
+            return v
+        return 1 - v if zero_one else -v
+
+    devs, rates = [], []
+    for i in selected:
+        seen = {x[i] for x, _ in d.items()}
+        syms = {s for s in seen if sign * (brute_conditional(f, d, {i: s}) - ef) > alpha}
+        devs.append(syms)
+        rates.append(p / (2 * sum((brute_event_mass(d, {i: s}) for s in syms), F(0))))
+    k = len(selected)
+    mass: dict = {}
+    wsum: dict = {}
+    for x, w in d.items():
+        for fires in itertools.product((False, True), repeat=k):
+            prob = w
+            for rate, fired in zip(rates, fires):
+                prob *= rate if fired else 1 - rate
+            y = tuple(0 if fired and x[i] in syms else 1
+                      for i, syms, fired in zip(selected, devs, fires))
+            mass[y] = mass.get(y, F(0)) + prob
+            wsum[y] = wsum.get(y, F(0)) + prob * h(f.evaluate(x))
+    support = sorted((y, m) for y, m in mass.items() if m > 0)
+    g = sorted((y, wsum[y] / mass[y] if mass.get(y, 0) > 0 else h(ef))
+               for y in itertools.product((0, 1), repeat=k))
+    return support, g

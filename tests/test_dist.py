@@ -19,7 +19,8 @@ from pivotal import (
     mixture,
 )
 from pivotal.analysis import effect_report, pivotal_set
-from pivotal.boolfn import ConstantFn, DenseTable, MajorityFn, ParityFn
+from pivotal.boolfn import ConstantFn, DenseTable, MajorityFn, ParityFn, PartialTable
+from pivotal.dist import PivotalError
 
 from oracles import (
     brute_conditional,
@@ -33,6 +34,19 @@ from oracles import (
 F = Fraction
 HALF = F(1, 2)
 QUARTER = F(1, 4)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: ExplicitDist(BINARY, 1, [((0,), 0.5), ((1,), HALF)]), DistributionError),
+    (lambda: ProductDist(BINARY, 1, [(0.1, F(9, 10))]), DistributionError),
+    (lambda: DenseTable(BINARY, 1, {(0,): 0.5, (1,): F(0)}), PivotalError),
+    (lambda: PartialTable(BINARY, 1, {(0,): 0.5}), PivotalError),
+    (lambda: ConstantFn(2, 0.5), PivotalError),
+], ids=["explicit", "product", "dense", "partial", "constant"])
+def test_constructors_reject_floats(build, error):
+    """Only int and Fraction are exact; a float is refused, never converted."""
+    with pytest.raises(error, match="int or Fraction"):
+        build()
 
 
 class TestAlphabet:

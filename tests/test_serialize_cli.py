@@ -326,24 +326,50 @@ class TestCliSweep:
         assert capsys.readouterr().out == first
 
 
+DIRECTORY = object()  # the input path names a directory
+NOT_UTF8 = b"\xff\xfe"
+
+
+def _input_path(tmp_path, name, content) -> str:
+    """A directory, a raw-bytes file, or a JSON file holding content."""
+    path = tmp_path / name
+    if content is DIRECTORY:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content), encoding="utf-8")
+    return str(path)
+
+
 @pytest.mark.parametrize("dist_obj, fn", [
     (None, "dictator:abc"),
     (None, {"kind": "builtin", "name": "dictator", "params": {"n": 3}}),
     ([1, 2], "majority"),
     ({"kind": "product", "alphabet": ["0", "1"], "n": "x",
       "marginals": [["1/2", "1/2"]]}, "majority"),
+    pytest.param(DIRECTORY, "majority", id="dist-directory"),
+    pytest.param(NOT_UTF8, "majority", id="dist-not-utf8"),
+    pytest.param(None, DIRECTORY, id="fn-directory"),
+    pytest.param(None, NOT_UTF8, id="fn-not-utf8"),
 ])
 def test_malformed_input_is_input_error(tmp_path, mu_file, capsys, dist_obj, fn):
     """Exit 2 with a one-line diagnostic, never a traceback and exit 1."""
-    dist = mu_file
-    if dist_obj is not None:
-        dist = tmp_path / "bad_dist.json"
-        dist.write_text(json.dumps(dist_obj), encoding="utf-8")
+    dist = mu_file if dist_obj is None else _input_path(tmp_path, "bad_dist.json", dist_obj)
     if not isinstance(fn, str):
-        path = tmp_path / "bad_fn.json"
-        path.write_text(json.dumps(fn), encoding="utf-8")
-        fn = str(path)
-    assert main(["analyze", "--dist", str(dist), "--fn", fn, "--what", "effects"]) == 2
+        fn = _input_path(tmp_path, "bad_fn.json", fn)
+    assert main(["analyze", "--dist", dist, "--fn", fn, "--what", "effects"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("pivotal: error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "uniform-product", "--n", "3", "--out"],
+    ["counterexample", "--which", "effect", "--k", "3", "--out-fn"],
+], ids=["gen-out", "counterexample-out-fn"])
+def test_unwritable_output_is_input_error(tmp_path, capsys, argv):
+    assert main(argv + [str(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("pivotal: error:")

@@ -14,8 +14,10 @@ from pivotal import (
     ExplicitDist,
     MajorityFn,
     MajPFn,
+    PARTICIPATION,
     PartialTable,
     PreconditionError,
+    ProductDist,
     UpwardClosure,
     complement_mu,
     convex_decomposition_check,
@@ -37,7 +39,7 @@ from pivotal import (
 )
 from pivotal.dist import mixture
 
-from oracles import brute_deviating_mass, brute_signed_effect
+from oracles import brute_deviating_mass, brute_indicator_law, brute_signed_effect
 
 F = Fraction
 HALF = F(1, 2)
@@ -237,6 +239,41 @@ class TestReduction:
 def _pivotal_row(f, d):
     from pivotal import pivotal_report
     return pivotal_report(f, d, F(1, 2), F(1, 100)).rows[0].deviations
+
+
+def _reduction_cases():
+    skewed = ProductDist(BINARY, 3, [(F(1, 3), F(2, 3)), (F(1, 4), F(3, 4)),
+                                     (F(2, 5), F(3, 5))])
+    yield pytest.param(DictatorFn(3, 1), skewed, F(1, 4), F(1, 8), False,
+                       id="dictator-product")
+    d, f = majp_dist(5, F(1, 4)), MajPFn(5)
+    alpha = min(abs(sd.deviation) for sd in _pivotal_row(f, d) if sd.mass > 0) / 2
+    yield pytest.param(f, d, F(1, 4), alpha, True, id="majp-one-minus-f")
+    # Points (a, b, a + b mod 3): pairwise independent, uniform ternary marginals.
+    lat = ExplicitDist(PARTICIPATION, 3, [((a, b, (a + b) % 3), F(1, 9))
+                                          for a in range(3) for b in range(3)])
+    vals = (0, F(-1, 2), HALF, -1, -1, 1, -1, 0, 1)
+    f = PartialTable(PARTICIPATION, 3, dict(zip((x for x, _ in lat.items()), vals)))
+    yield pytest.param(f, lat, F(1, 4), F(1, 8), True, id="signed-minus-f")
+    # Fair binary marginals make the up and down masses equal, so the
+    # Hadamard and mixture spaces never flip.
+    mu = hadamard_mu(3)
+    rng = random.Random(4)
+    f = PartialTable(BINARY, mu.n, {x: F(rng.randint(-3, 3), 3) for x, _ in mu.items()})
+    yield pytest.param(f, mu, F(1, 16), F(1, 4), False, id="signed-hadamard")
+    mu = mixture_D(2)
+    f = PartialTable(BINARY, mu.n, {x: F(rng.getrandbits(1)) for x, _ in mu.items()})
+    yield pytest.param(f, mu, F(1, 8), F(1, 8), False, id="mixture")
+
+
+@pytest.mark.parametrize("f, d, p, alpha, flipped", _reduction_cases())
+def test_indicator_law_matches_oracle(f, d, p, alpha, flipped):
+    result = reduce_to_binary(f, d, p, alpha)
+    assert result.flipped is flipped
+    assert len(result.i_plus) >= 1
+    support, g = brute_indicator_law(f, d, result.i_plus, flipped, p, alpha)
+    assert result.y_dist.support == tuple(support)
+    assert result.g.entries == tuple(g)
 
 
 class TestElimination:
