@@ -17,7 +17,6 @@ from .dist import (
     BINARY,
     PARTICIPATION,
     Alphabet,
-    DistributionError,
     ExplicitDist,
     Outcome,
     PivotalError,

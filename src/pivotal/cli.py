@@ -23,7 +23,6 @@ from .dist import Distribution, PivotalError
 from .serialize import (
     canonical_dumps,
     dist_to_obj,
-    fn_to_obj,
     jsonable,
     load_dist,
     load_fn,
@@ -60,30 +59,33 @@ def _grid_arg(text: str) -> tuple[Fraction, ...]:
 
 
 def _load_function(spec: str, d: Distribution) -> PlayerFunction:
-    """A function file path, or a builtin spec like majp / dictator:0 / constant:1/2."""
-    if Path(spec).exists():
+    """A builtin spec like majp / dictator:0 / constant:1/2, or a function file path.
+
+    A spec whose name before ":" is a builtin name always means the builtin,
+    even when a file of that name exists; write ./majority for the file.
+    """
+    name, _, param = spec.partition(":")
+    if name == "majp":
+        f = boolfn.MajPFn(d.n)
+    elif name == "parity":
+        f = boolfn.ParityFn(d.n)
+    elif name == "majority":
+        f = boolfn.MajorityFn(d.n)
+    elif name == "dictator":
+        try:
+            player = int(param)
+        except ValueError:
+            raise PivotalError(
+                f"dictator needs an integer player index, got {param!r}") from None
+        f = boolfn.DictatorFn(d.n, player)
+    elif name == "constant":
+        f = boolfn.ConstantFn(d.n, parse_rational(param), d.alphabet)
+    elif Path(spec).exists():
         f = load_fn(spec)
     else:
-        name, _, param = spec.partition(":")
-        if name == "majp":
-            f = boolfn.MajPFn(d.n)
-        elif name == "parity":
-            f = boolfn.ParityFn(d.n)
-        elif name == "majority":
-            f = boolfn.MajorityFn(d.n)
-        elif name == "dictator":
-            try:
-                player = int(param)
-            except ValueError:
-                raise PivotalError(
-                    f"dictator needs an integer player index, got {param!r}") from None
-            f = boolfn.DictatorFn(d.n, player)
-        elif name == "constant":
-            f = boolfn.ConstantFn(d.n, parse_rational(param), d.alphabet)
-        else:
-            raise PivotalError(
-                f"{spec!r} is neither a file nor a builtin "
-                "(majp | parity | majority | dictator:I | constant:R)")
+        raise PivotalError(
+            f"{spec!r} is neither a file nor a builtin "
+            "(majp | parity | majority | dictator:I | constant:R)")
     if f.alphabet != d.alphabet:
         raise PivotalError(
             f"function alphabet {f.alphabet.symbols} does not match "

@@ -12,11 +12,14 @@ denominator and builds each ``Fraction`` once, after the pass.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no coordination.
-Sampling takes its seed and draw index explicitly.
+Sampling takes its seed and draw index explicitly. Its integer cumulative
+tables are cached on the instance at the first draw; whichever caller
+builds them builds the same tables.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -135,17 +138,34 @@ def _rng_for(seed: int | str, index: int) -> random.Random:
     return random.Random(f"{seed}|{index}")
 
 
-def _draw(rng: random.Random, weights: Sequence[Fraction]) -> int:
-    """Pick an index with probability exactly proportional to weights."""
+def _cumulative(weights: Sequence[Fraction]) -> list[int]:
+    """Integer cumulative table for ``_draw``.
+
+    With D the lcm of the weights' denominators, entry i is
+    D * (w_0 + ... + w_i), so the last entry is the total D * sum(w). A
+    zero weight repeats the entry before it.
+    """
     denom = math.lcm(*(w.denominator for w in weights))
-    scaled = [w.numerator * (denom // w.denominator) for w in weights]
-    r = rng.randrange(sum(scaled))
-    acc = 0
-    for i, s in enumerate(scaled):
-        acc += s
-        if r < acc:
-            return i
-    raise AssertionError("weights exhausted before cumulative mass reached")
+    return list(itertools.accumulate(w.numerator * (denom // w.denominator)
+                                     for w in weights))
+
+
+def _draw(rng: random.Random, cum: Sequence[int]) -> int:
+    """Pick index i with probability exactly (cum[i] - cum[i-1]) / cum[-1].
+
+    Stream contract: rng sees the same ``getrandbits`` calls as
+    ``rng.randrange(cum[-1])`` makes (k-bit draws with k the total's bit
+    length, redrawn while at or past the total), then r maps to the first
+    index whose cumulative entry exceeds it. Draws therefore match a linear
+    scan over the lcm-scaled weights, and a total of 1 still consumes its
+    one-bit draws.
+    """
+    total = cum[-1]
+    k = total.bit_length()
+    r = rng.getrandbits(k)
+    while r >= total:
+        r = rng.getrandbits(k)
+    return bisect.bisect_right(cum, r)
 
 
 class Distribution(ABC):
@@ -282,13 +302,14 @@ class Distribution(ABC):
 class ExplicitDist(Distribution):
     """Distribution given by an explicit (outcome, weight) support list."""
 
-    __slots__ = ("alphabet", "n", "support")
+    __slots__ = ("alphabet", "n", "support", "_cum")
 
     def __init__(self, alphabet: Alphabet, n: int,
                  support: Sequence[tuple[Outcome, Fraction]]):
         self.alphabet = alphabet
         self.n = int(n)
         self.support = tuple(sorted((tuple(x), as_exact(w, "weight")) for x, w in support))
+        self._cum: list[int] | None = None  # built by the first sample()
         self.validate()
 
     def validate(self) -> None:
@@ -359,9 +380,9 @@ class ExplicitDist(Distribution):
         return self
 
     def sample(self, seed: int | str, index: int = 0) -> Outcome:
-        rng = _rng_for(seed, index)
-        pos = _draw(rng, [w for _, w in self.support])
-        return self.support[pos][0]
+        if self._cum is None:
+            self._cum = _cumulative([w for _, w in self.support])
+        return self.support[_draw(_rng_for(seed, index), self._cum)][0]
 
 
 class ProductDist(Distribution):
@@ -371,13 +392,14 @@ class ProductDist(Distribution):
     queries on e.g. a 3^12 grid keep memory flat.
     """
 
-    __slots__ = ("alphabet", "n", "marginals")
+    __slots__ = ("alphabet", "n", "marginals", "_cums")
 
     def __init__(self, alphabet: Alphabet, n: int,
                  marginals: Sequence[Sequence[Fraction]]):
         self.alphabet = alphabet
         self.n = int(n)
         self.marginals = tuple(tuple(as_exact(p, "marginal") for p in row) for row in marginals)
+        self._cums: list[list[int]] | None = None  # built by the first sample()
         self.validate()
 
     def validate(self) -> None:
@@ -475,8 +497,10 @@ class ProductDist(Distribution):
         return ExplicitDist(self.alphabet, self.n, list(self.items()))
 
     def sample(self, seed: int | str, index: int = 0) -> Outcome:
+        if self._cums is None:
+            self._cums = [_cumulative(row) for row in self.marginals]
         rng = _rng_for(seed, index)
-        return tuple(_draw(rng, row) for row in self.marginals)
+        return tuple([_draw(rng, cum) for cum in self._cums])
 
 
 def mixture(d1: Distribution, d2: Distribution, q: Fraction) -> ExplicitDist:

@@ -182,6 +182,7 @@ class ReductionResult:
     y_dist: ExplicitDist | None
     g: DenseTable | None
     expectation: Fraction  # of the function actually reduced (after any flip)
+    count_pivotal: int  # (p, alpha)-pivotal players of the original function
 
     @property
     def is_empty(self) -> bool:
@@ -214,7 +215,7 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
     rows = [_pivotal_row(i, t, total, p, alpha) for i, t in enumerate(sums.tables)]
     pivotal = [r for r in rows if r.pivotal]
     if not pivotal:
-        return ReductionResult((), False, (), None, None, total)
+        return ReductionResult((), False, (), None, None, total, 0)
 
     plus_side = [r for r in pivotal if r.mass_past(alpha, 1) > p / 2]
     minus_side = [r for r in pivotal if r.mass_past(alpha, -1) > p / 2]
@@ -254,7 +255,7 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
     y_dist = ExplicitDist(BINARY, k, [(v, m) for v, m in zip(vectors, mass) if m > 0])
     # A vector without mass gets E[g], which keeps g's total.
     g = DenseTable(BINARY, k, {v: s / m if m else total for v, m, s in zip(vectors, mass, wsum)})
-    return ReductionResult(selected, flipped, p_values, y_dist, g, total)
+    return ReductionResult(selected, flipped, p_values, y_dist, g, total, len(pivotal))
 
 
 def verify_reduction(f: PlayerFunction, d: Distribution,
@@ -262,7 +263,7 @@ def verify_reduction(f: PlayerFunction, d: Distribution,
     """Run the reduction and check its three guarantees exactly."""
     p, alpha = Fraction(p), Fraction(alpha)
     result = reduce_to_binary(f, d, p, alpha)
-    count_f = count_pivotal(f, d, p, alpha)
+    count_f = result.count_pivotal
     if result.is_empty:
         return Verdict(
             which="reduction",

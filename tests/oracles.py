@@ -4,14 +4,17 @@ Everything here recomputes probability logic from first principles
 (filter, renormalize, sum), independently of the library's accumulation
 passes, so a test comparing the two exercises genuinely different code
 paths. The participation-majority oracle works through binomial sums
-rather than grid enumeration.
+rather than grid enumeration. The sampling oracle draws with
+``randrange`` over lcm-scaled weights and a linear scan, without the
+library's cumulative tables.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 F = Fraction
 
@@ -169,3 +172,32 @@ def brute_indicator_law(f, d, selected, flipped: bool, p: Fraction, alpha: Fract
     g = sorted((y, wsum[y] / mass[y] if mass.get(y, 0) > 0 else h(ef))
                for y in itertools.product((0, 1), repeat=k))
     return support, g
+
+
+# ----------------------------------------------------------------------
+# Sampling: the draw stream of (seed, index), one linear scan per draw
+
+
+def _scan_draw(rng: random.Random, weights) -> int:
+    denom = lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (denom // w.denominator) for w in weights]
+    r = rng.randrange(sum(scaled))
+    acc = 0
+    for i, s in enumerate(scaled):
+        acc += s
+        if r < acc:
+            return i
+    raise AssertionError("weights exhausted before cumulative mass reached")
+
+
+def brute_sample(d, seed, index: int):
+    """The outcome d.sample(seed, index) must return.
+
+    One generator seeded with "seed|index" draws each product row in player
+    order, or one index into an explicit support in its sorted order.
+    """
+    rng = random.Random(f"{seed}|{index}")
+    if hasattr(d, "marginals"):
+        return tuple(_scan_draw(rng, row) for row in d.marginals)
+    support = list(d.items())
+    return support[_scan_draw(rng, [w for _, w in support])][0]

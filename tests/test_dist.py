@@ -18,15 +18,18 @@ from pivotal import (
     ProductDist,
     mixture,
 )
+from pivotal import dist as dist_module
 from pivotal.analysis import effect_report, pivotal_set
 from pivotal.boolfn import ConstantFn, DenseTable, MajorityFn, ParityFn, PartialTable
-from pivotal.dist import PivotalError
+from pivotal.dist import PivotalError, _cumulative, _draw
+from pivotal.generators import hadamard_mu, majp_dist, mixture_D
 
 from oracles import (
     brute_conditional,
     brute_event_mass,
     brute_expectation,
     brute_kwise,
+    brute_sample,
     brute_set_deviating_mass,
     brute_signed_effect,
 )
@@ -231,6 +234,69 @@ class TestSampling:
             counts[x] = counts.get(x, 0) + 1
         for x, _ in even_parity3.items():
             assert 400 < counts[x] < 600  # expect 500 each
+
+
+SAMPLED = {
+    "majp-9": lambda: majp_dist(9, F(2, 5)),
+    "majp-9-conditioned": lambda: majp_dist(9, F(2, 5)).condition({0: 2, 3: 1}),
+    "zero-first-middle-last": lambda: ProductDist(PARTICIPATION, 3, [
+        (F(0), F(1, 3), F(2, 3)), (QUARTER, F(0), F(3, 4)), (HALF, HALF, F(0))]),
+    "mixed-denominators": lambda: ProductDist(PARTICIPATION, 2, [
+        (F(1, 3), QUARTER, F(5, 12)), (F(2, 7), F(3, 5), F(4, 35))]),
+    "hadamard-3": lambda: hadamard_mu(3),
+    "mixture-3": lambda: mixture_D(3),
+    "skewed-explicit": lambda: ProductDist(PARTICIPATION, 3, [
+        (F(1, 6), F(1, 3), HALF), (F(1, 10), F(7, 10), F(1, 5)),
+        (F(0), F(4, 9), F(5, 9))]).to_explicit(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED))
+def test_sample_stream_matches_oracle(name, monkeypatch):
+    d = SAMPLED[name]()
+    built = []
+
+    def counted(weights):
+        built.append(weights)
+        return _cumulative(weights)
+
+    monkeypatch.setattr(dist_module, "_cumulative", counted)
+    for seed in (0, "a", 123456789):
+        for j in range(200):
+            assert d.sample(seed, j) == brute_sample(d, seed, j), (seed, j)
+    # Tables are built once per instance, at the first draw.
+    assert len(built) == (d.n if isinstance(d, ProductDist) else 1)
+
+
+class _ScriptedRng:
+    def __init__(self, values):
+        self.values = list(values)
+        self.widths = []
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return self.values.pop(0)
+
+
+def test_draw_maps_cumulative_boundaries_and_redraws():
+    cum = _cumulative([QUARTER, F(0), QUARTER, HALF])
+    assert cum == [1, 1, 2, 4]
+
+    def draw(*values):
+        rng = _ScriptedRng(values)
+        i = _draw(rng, cum)
+        assert not rng.values and rng.widths == [3] * len(values)
+        return i
+
+    for i in (0, 2, 3):  # r = cum[i] - 1 lands on i
+        assert draw(cum[i] - 1) == i
+    assert draw(cum[0]) == 2  # r = cum[i] skips the zero weight
+    assert draw(cum[2]) == 3
+    assert draw(6, 4, 1) == 2  # draws at or past the total are redrawn
+    # A point mass still consumes its one-bit draws.
+    rng = _ScriptedRng([1, 0])
+    assert _draw(rng, _cumulative([F(0), F(1), F(0)])) == 1
+    assert rng.widths == [1, 1]
 
 
 # ----------------------------------------------------------------------

@@ -208,6 +208,19 @@ class TestCliAnalyze:
         obj = json.loads(capsys.readouterr().out)
         assert obj["players"][2]["effect"] == "0"
 
+    def test_builtin_name_wins_over_file_of_that_name(self, tmp_path, uniform3_file,
+                                                      monkeypatch, capsys):
+        save_fn(tmp_path / "majority", UpwardClosure(3, [(1, 1, 0)]))
+        monkeypatch.chdir(tmp_path)
+        effects = {}
+        for spec in ("majority", "./majority"):
+            assert main(["analyze", "--dist", uniform3_file, "--fn", spec,
+                         "--what", "effects"]) == 0
+            obj = json.loads(capsys.readouterr().out)
+            effects[spec] = [row["effect"] for row in obj["players"]]
+        assert effects == {"majority": ["1/2", "1/2", "1/2"],
+                           "./majority": ["1/2", "1/2", "0"]}
+
     def test_alphabet_mismatch_rejected(self, mu_file, capsys):
         assert main(["analyze", "--dist", mu_file, "--fn", "majp",
                      "--what", "effects"]) == 2

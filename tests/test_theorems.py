@@ -276,6 +276,21 @@ def test_indicator_law_matches_oracle(f, d, p, alpha, flipped):
     assert result.g.entries == tuple(g)
 
 
+@pytest.mark.parametrize("case", ["majp-one-minus-f", "mixture", "empty"])
+def test_reduction_carries_the_pivotal_count(case):
+    # count_pivotal makes its own kernel pass, which checks the rows the
+    # reduction shares with the verdict.
+    if case == "empty":
+        f, d, p, alpha = ConstantFn(3, HALF), uniform_product(3), F(1, 4), F(1, 4)
+    else:
+        (param,) = [c for c in _reduction_cases() if c.id == case]
+        f, d, p, alpha, _ = param.values
+    count = count_pivotal(f, d, p, alpha)
+    assert (count > 0) is (case != "empty")
+    assert reduce_to_binary(f, d, p, alpha).count_pivotal == count
+    assert verify_reduction(f, d, p, alpha).computed["count_pivotal"] == count
+
+
 class TestElimination:
     def test_constant_empty_family(self):
         res = elimination_set(ConstantFn(4, F(1)), uniform_product(4), 2, F(1, 4), F(1, 4))
