@@ -238,7 +238,7 @@ class UpwardClosure(PlayerFunction):
     so equal closures compare equal.
     """
 
-    __slots__ = ("alphabet", "n", "generators")
+    __slots__ = ("alphabet", "n", "generators", "_columns")
 
     def __init__(self, n: int, generators: Iterable[Sequence[int]]):
         self.alphabet = BINARY
@@ -250,23 +250,35 @@ class UpwardClosure(PlayerFunction):
                 raise PivotalError(f"generator {x} is not a length-{self.n} bit vector")
             masks.add(outcome_to_mask(x))
         self.generators = self._minimize(masks)
+        self._columns: list[int] | None = None  # built by the first first_dominated()
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "UpwardClosure":
         obj = cls.__new__(cls)
         obj.alphabet = BINARY
         obj.n = int(n)
-        bad = [m for m in masks if not 0 <= m < (1 << n)]
+        masks = set(masks)
+        bad = sorted(m for m in masks if not 0 <= m < (1 << n))
         if bad:
             raise PivotalError(f"generator mask {bad[0]} out of range for n={n}")
-        obj.generators = cls._minimize(set(masks))
+        obj.generators = cls._minimize(masks)
+        obj._columns = None
         return obj
 
     @staticmethod
     def _minimize(masks: set[int]) -> tuple[int, ...]:
         # Keep only minimal elements: a generator above another is redundant.
-        kept = [g for g in masks
-                if not any(h != g and h & g == h for h in masks)]
+        # A mask can only lie above masks of smaller popcount, so in
+        # (popcount, mask) order each mask is checked against the kept
+        # masks of the levels below its own.
+        kept: list[int] = []
+        below: tuple[int, ...] = ()
+        level = -1
+        for count, g in sorted((m.bit_count(), m) for m in masks):
+            if count != level:
+                level, below = count, tuple(kept)
+            if not any(h & g == h for h in below):
+                kept.append(g)
         return tuple(sorted(kept))
 
     def evaluate(self, x: Outcome) -> Fraction:
@@ -280,6 +292,37 @@ class UpwardClosure(PlayerFunction):
             if g & mask == g:
                 return ONE
         return ZERO
+
+    def first_dominated(self, masks: Iterable[int]) -> list[int | None]:
+        """For each mask, the index of the first generator it dominates, or None.
+
+        The mask is in the closure iff the answer is not None. A generator
+        lies under a mask iff it sets no coordinate the mask leaves clear,
+        so each mask ORs the generator bitsets of its clear coordinates and
+        takes the lowest generator left out. The bitsets are built at the
+        first call; for a single point, ``evaluate_mask`` scans directly.
+        """
+        if self._columns is None:
+            columns = [0] * self.n
+            for i, g in enumerate(self.generators):
+                for j in range(self.n):
+                    if g >> j & 1:
+                        columns[j] |= 1 << i
+            self._columns = columns
+        columns = self._columns
+        every = (1 << len(self.generators)) - 1
+        full = (1 << self.n) - 1
+        out: list[int | None] = []
+        for m in masks:
+            blocked = 0
+            clear = full & ~m
+            while clear:
+                low = clear & -clear
+                blocked |= columns[low.bit_length() - 1]
+                clear ^= low
+            left = every & ~blocked
+            out.append((left & -left).bit_length() - 1 if left else None)
+        return out
 
     def generator_outcomes(self) -> tuple[Outcome, ...]:
         return tuple(mask_to_outcome(g, self.n) for g in self.generators)
@@ -397,14 +440,16 @@ def effect_counterexample(k: int) -> tuple[UpwardClosure, ExplicitDist, Certific
 
     checks = []
     violation = None
-    bad = [x for x, _ in mu.items() if f.evaluate(x) != 0]
+    base = [x for x, _ in mu.items()]
+    bad = [(x, i) for x, i in zip(base, f.first_dominated(map(outcome_to_mask, base)))
+           if i is not None]
     if bad:
-        g = next(g for g in f.generators
-                 if g & outcome_to_mask(bad[0]) == g)
-        violation = (bad[0], mask_to_outcome(g, f.n))
+        violation = (bad[0][0], mask_to_outcome(f.generators[bad[0][1]], f.n))
     checks.append(CertCheck("zero_on_base_support", not bad,
-                            f"violating point {bad[0]}" if bad else f"{len(mu.support)} points"))
-    bad1 = [x for x, _ in mubar.items() if f.evaluate(x) != 1]
+                            f"violating point {bad[0][0]}" if bad else f"{len(mu.support)} points"))
+    top = [x for x, _ in mubar.items()]
+    bad1 = [x for x, i in zip(top, f.first_dominated(map(outcome_to_mask, top)))
+            if i is None]
     checks.append(CertCheck("one_on_complement_support", not bad1,
                             f"violating point {bad1[0]}" if bad1 else f"{len(mubar.support)} points"))
     exp = d.expectation(f)
@@ -449,20 +494,16 @@ def influence_counterexample(k: int) -> tuple[UpwardClosure, ExplicitDist, Certi
     checks = []
     violation = None
 
-    ball_bar = _neighborhood([outcome_to_mask(x) for x, _ in mubar.items()], n)
-    bad1 = [m for m in sorted(ball_bar) if f.evaluate_mask(m) != 1]
+    ball_bar = sorted(_neighborhood([outcome_to_mask(x) for x, _ in mubar.items()], n))
+    bad1 = [m for m, i in zip(ball_bar, f.first_dominated(ball_bar)) if i is None]
     checks.append(CertCheck(
         "one_on_complement_ball", not bad1,
         f"point {mask_to_outcome(bad1[0], n)} not in closure" if bad1
         else f"{len(ball_bar)} points"))
 
-    ball_mu = _neighborhood([outcome_to_mask(x) for x, _ in mu.items()], n)
-    bad0 = []
-    for m in sorted(ball_mu):
-        for g in f.generators:
-            if g & m == g:
-                bad0.append((m, g))
-                break
+    ball_mu = sorted(_neighborhood([outcome_to_mask(x) for x, _ in mu.items()], n))
+    bad0 = [(m, f.generators[i]) for m, i in zip(ball_mu, f.first_dominated(ball_mu))
+            if i is not None]
     if bad0:
         violation = (mask_to_outcome(bad0[0][0], n), mask_to_outcome(bad0[0][1], n))
     checks.append(CertCheck(

@@ -8,13 +8,16 @@ appear only when a report is rendered.
 
 Every grouped sum over the support goes through one kernel,
 ``Distribution.sums``. It accumulates integer weights over a common
-denominator and builds each ``Fraction`` once, after the pass.
+denominator and builds each ``Fraction`` once, after the pass. An
+explicit support keeps its lcm denominator and integer weights, built at
+its first kernel pass, so later passes skip the rescaling.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no coordination.
 Sampling takes its seed and draw index explicitly. Its integer cumulative
-tables are cached on the instance at the first draw; whichever caller
-builds them builds the same tables.
+tables are cached on the instance at the first draw (for an explicit
+support, the running sums of its cached integer weights); whichever caller
+builds a cache builds the same one.
 """
 
 from __future__ import annotations
@@ -138,16 +141,21 @@ def _rng_for(seed: int | str, index: int) -> random.Random:
     return random.Random(f"{seed}|{index}")
 
 
-def _cumulative(weights: Sequence[Fraction]) -> list[int]:
+def _scale(weights: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm D of the weights' denominators and D * w for each weight w."""
+    denom = math.lcm(*(w.denominator for w in weights))
+    return denom, [w.numerator * (denom // w.denominator) for w in weights]
+
+
+def _cumulative(weights: Sequence[Fraction | int]) -> list[int]:
     """Integer cumulative table for ``_draw``.
 
     With D the lcm of the weights' denominators, entry i is
     D * (w_0 + ... + w_i), so the last entry is the total D * sum(w). A
-    zero weight repeats the entry before it.
+    zero weight repeats the entry before it. Integer weights, such as a
+    support's already scaled ones, have D = 1 and are summed as they are.
     """
-    denom = math.lcm(*(w.denominator for w in weights))
-    return list(itertools.accumulate(w.numerator * (denom // w.denominator)
-                                     for w in weights))
+    return list(itertools.accumulate(_scale(weights)[1]))
 
 
 def _draw(rng: random.Random, cum: Sequence[int]) -> int:
@@ -302,13 +310,14 @@ class Distribution(ABC):
 class ExplicitDist(Distribution):
     """Distribution given by an explicit (outcome, weight) support list."""
 
-    __slots__ = ("alphabet", "n", "support", "_cum")
+    __slots__ = ("alphabet", "n", "support", "_scaled", "_cum")
 
     def __init__(self, alphabet: Alphabet, n: int,
                  support: Sequence[tuple[Outcome, Fraction]]):
         self.alphabet = alphabet
         self.n = int(n)
         self.support = tuple(sorted((tuple(x), as_exact(w, "weight")) for x, w in support))
+        self._scaled: tuple[int, list[int]] | None = None  # built by the first scaled_items()
         self._cum: list[int] | None = None  # built by the first sample()
         self.validate()
 
@@ -349,10 +358,15 @@ class ExplicitDist(Distribution):
     def items(self) -> Iterator[tuple[Outcome, Fraction]]:
         return iter(self.support)
 
+    def _scaled_weights(self) -> tuple[int, list[int]]:
+        # The lcm denominator and the integer weights aligned with support.
+        if self._scaled is None:
+            self._scaled = _scale([w for _, w in self.support])
+        return self._scaled
+
     def scaled_items(self) -> tuple[int, Iterator[tuple[Outcome, int]]]:
-        denom = math.lcm(*(w.denominator for _, w in self.support))
-        return denom, ((x, w.numerator * (denom // w.denominator))
-                       for x, w in self.support)
+        denom, ints = self._scaled_weights()
+        return denom, zip(map(itemgetter(0), self.support), ints)
 
     def weight(self, x: Outcome) -> Fraction:
         x = tuple(x)
@@ -381,7 +395,7 @@ class ExplicitDist(Distribution):
 
     def sample(self, seed: int | str, index: int = 0) -> Outcome:
         if self._cum is None:
-            self._cum = _cumulative([w for _, w in self.support])
+            self._cum = _cumulative(self._scaled_weights()[1])
         return self.support[_draw(_rng_for(seed, index), self._cum)][0]
 
 
@@ -440,9 +454,9 @@ class ProductDist(Distribution):
         # weight is an integer product over the product of those lcms.
         symbols, ints, denom = [], [], 1
         for row in self.marginals:
-            row_den = math.lcm(*(p.denominator for p in row))
-            symbols.append([s for s, p in enumerate(row) if p > 0])
-            ints.append([p.numerator * (row_den // p.denominator) for p in row if p > 0])
+            row_den, row_ints = _scale(row)
+            symbols.append([s for s, w in enumerate(row_ints) if w])
+            ints.append([w for w in row_ints if w])
             denom *= row_den
         return denom, zip(itertools.product(*symbols),
                           map(math.prod, itertools.product(*ints)))

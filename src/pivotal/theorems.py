@@ -129,6 +129,8 @@ def verify_sum_bound(f: PlayerFunction, d: Distribution,
     T = sorted(set(players))
     if not T:
         raise PreconditionError("player subset must be non-empty")
+    for i in T:
+        d._check_player(i)
     q = _equal_binary_marginals(d)
     _require_pairwise(d)
     p = min(q, 1 - q)
@@ -449,7 +451,9 @@ def majp_tightness(n: int, p: Fraction, alpha_grid: Sequence[Fraction],
     by n.
     """
     p = Fraction(p)
-    alphas = [Fraction(a) for a in alpha_grid]
+    alphas = [_positive("alpha", a) for a in alpha_grid]
+    if not alphas:
+        raise PivotalError("alpha grid must be non-empty")
     if samples is None:
         if n > _TIGHTNESS_EXACT_LIMIT:
             raise PivotalError(

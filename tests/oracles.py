@@ -6,7 +6,8 @@ passes, so a test comparing the two exercises genuinely different code
 paths. The participation-majority oracle works through binomial sums
 rather than grid enumeration. The sampling oracle draws with
 ``randrange`` over lcm-scaled weights and a linear scan, without the
-library's cumulative tables.
+library's cumulative tables. The closure oracles compare every pair of
+raw bitmasks, with no ordering by popcount and no per-coordinate bitsets.
 """
 
 from __future__ import annotations
@@ -201,3 +202,19 @@ def brute_sample(d, seed, index: int):
         return tuple(_scan_draw(rng, row) for row in d.marginals)
     support = list(d.items())
     return support[_scan_draw(rng, [w for _, w in support])][0]
+
+
+# ----------------------------------------------------------------------
+# Upward closures on raw bitmasks (bit j = player j), pairwise comparison
+
+
+def brute_minimal_generators(masks) -> tuple[int, ...]:
+    """Sorted minimal masks: those lying above no other mask of the set."""
+    pool = set(masks)
+    return tuple(sorted(g for g in pool
+                        if not any(h != g and h & g == h for h in pool)))
+
+
+def brute_closure_value(masks, mask: int) -> int:
+    """1 iff mask sets every bit of some mask of the set, else 0."""
+    return int(any(g & mask == g for g in masks))

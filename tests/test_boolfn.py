@@ -1,5 +1,6 @@
 """Player functions, monotonicity machinery, and the certified counterexamples."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -29,7 +30,13 @@ from pivotal import (
 )
 from pivotal.boolfn import mask_to_outcome, outcome_to_mask
 
-from oracles import brute_expectation, brute_influence, brute_signed_effect
+from oracles import (
+    brute_closure_value,
+    brute_expectation,
+    brute_influence,
+    brute_minimal_generators,
+    brute_signed_effect,
+)
 
 F = Fraction
 
@@ -143,6 +150,28 @@ class TestUpwardClosure:
             for m in range(1 << n):
                 assert outcome_to_mask(mask_to_outcome(m, n)) == m
 
+    def test_from_masks_accepts_one_shot_iterator(self):
+        assert UpwardClosure.from_masks(3, (m for m in [3, 5])).generators == (3, 5)
+        with pytest.raises(PivotalError, match="out of range"):
+            UpwardClosure.from_masks(3, (m for m in [3, 8]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_closure_matches_pairwise_oracle(self, n, data):
+        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+        masks += data.draw(st.lists(st.sampled_from(masks), max_size=4) if masks
+                           else st.just([]))  # repeats
+        f = UpwardClosure.from_masks(n, (m for m in masks))
+        oracle = brute_minimal_generators(masks)
+        assert f.generators == oracle
+        assert UpwardClosure(n, [mask_to_outcome(m, n) for m in masks]) == f
+        cube = range(1 << n)
+        assert [f.evaluate_mask(m) for m in cube] == [brute_closure_value(masks, m)
+                                                     for m in cube]
+        first = [next((i for i, g in enumerate(oracle) if g & m == g), None) for m in cube]
+        assert f.first_dominated(iter(cube)) == first
+        assert f.first_dominated(cube) == first  # bitsets reused
+
 
 class TestMonotoneExtend:
     def test_threshold_at_top(self):
@@ -198,6 +227,41 @@ class TestEffectCounterexample:
             effect_counterexample(2)
 
 
+def _digest(generators):
+    return hashlib.sha256(",".join(map(str, generators)).encode()).hexdigest()
+
+
+# (builder, k) -> (generator count, sha256 of the comma-joined generator
+# masks, CertCheck details). Any change to the minimization or to the
+# certificate scans must leave these byte-identical.
+PINNED_CERTIFICATES = {
+    ("effect", 3): (7, "ae6ded0a5d9ee1268b6fe08fdd88843d01b5edaad1911d772c259f33b0337aa9",
+                    ["8 points", "8 points", "expectation 1/2"]),
+    ("effect", 4): (15, "8c820328d7a3cb61f09ebbab3306719ddc38b8fe0fcadb74a9133129acf9492e",
+                    ["16 points", "16 points", "expectation 1/2"]),
+    ("effect", 5): (31, "9ab5660b205e197e66d2801bdc2dbd9c8b0508fb6bc35a69bca8a1cc72d1a3d2",
+                    ["32 points", "32 points", "expectation 1/2"]),
+    ("effect", 6): (63, "bf7190abcdba2c95adf6727179b78842a86715f4c12db7cae2f82c9ee8ebab41",
+                    ["64 points", "64 points", "expectation 1/2"]),
+    ("influence", 4): (105, "e673551fbd2612a81d5706bda0883e8c5f00ed6d009baa356ea6881e6d1e51f5",
+                       ["256 points", "256 points", "upward closure", "expectation 1/2"]),
+    ("influence", 5): (465, "00749028c2dbc20e14ddc7dd2b3ad2bb4a0523555c87653a9f243a0637960e08",
+                       ["1024 points", "1024 points", "upward closure", "expectation 1/2"]),
+    ("influence", 6): (1953, "4aa077b3400d202b28424755ebc2bb76fe5a58dd66edfdfb0af8f91b09866021",
+                       ["4096 points", "4096 points", "upward closure", "expectation 1/2"]),
+}
+
+
+@pytest.mark.parametrize("kind,k", sorted(PINNED_CERTIFICATES))
+def test_certificates_pinned(kind, k):
+    build = effect_counterexample if kind == "effect" else influence_counterexample
+    f, _, cert = build(k)
+    count, digest, details = PINNED_CERTIFICATES[kind, k]
+    assert (len(f.generators), _digest(f.generators)) == (count, digest)
+    assert [c.detail for c in cert.checks] == details
+    assert cert.ok
+
+
 class TestInfluenceCounterexample:
     def test_k4_locally_constant(self):
         f, d, cert = influence_counterexample(4)
@@ -225,6 +289,13 @@ class TestInfluenceCounterexample:
         # The named pair really is a domination: every set bit of gen is set in point.
         assert all(g <= x for g, x in zip(gen, point))
         assert not exc.value.certificate.ok
+        # The first ball point in mask order, with its first sorted generator.
+        assert exc.value.violation == ((1, 1, 0, 1, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0))
+        assert [(c.ok, c.detail) for c in exc.value.certificate.checks] == [
+            (True, "64 points"),
+            (False, "point (1, 1, 0, 1, 0, 0, 0) dominates generator (1, 1, 0, 0, 0, 0, 0)"),
+            (True, "upward closure"),
+            (False, "expectation 15/16")]
 
     def test_smallest_working_k_is_4(self):
         with pytest.raises(CertificateError):

@@ -1,6 +1,7 @@
 """Distribution invariants, queries, and their agreement with brute force."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from pivotal import (
 from pivotal import dist as dist_module
 from pivotal.analysis import effect_report, pivotal_set
 from pivotal.boolfn import ConstantFn, DenseTable, MajorityFn, ParityFn, PartialTable
-from pivotal.dist import PivotalError, _cumulative, _draw
+from pivotal.dist import PivotalError, _cumulative, _draw, _scale
 from pivotal.generators import hadamard_mu, majp_dist, mixture_D
 
 from oracles import (
@@ -266,6 +267,27 @@ def test_sample_stream_matches_oracle(name, monkeypatch):
             assert d.sample(seed, j) == brute_sample(d, seed, j), (seed, j)
     # Tables are built once per instance, at the first draw.
     assert len(built) == (d.n if isinstance(d, ProductDist) else 1)
+
+
+@pytest.mark.parametrize("name", ["hadamard-3", "mixture-3", "skewed-explicit"])
+def test_explicit_scaled_items_built_once(name, monkeypatch):
+    d = SAMPLED[name]()
+    built = []
+
+    def counted(weights):
+        built.append(weights)
+        return _scale(weights)
+
+    monkeypatch.setattr(dist_module, "_scale", counted)
+    denom = math.lcm(*(w.denominator for _, w in d.support))
+    want = [(x, (w * denom).numerator) for x, w in d.support]
+    for _ in range(3):
+        got, points = d.scaled_items()
+        assert (got, list(points)) == (denom, want)
+    d.expectation(ParityFn(d.n))
+    d.check_kwise(2)
+    # The lcm and the integer weights are computed at the first call only.
+    assert len(built) == 1
 
 
 class _ScriptedRng:

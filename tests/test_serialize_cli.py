@@ -378,6 +378,19 @@ def test_malformed_input_is_input_error(tmp_path, mu_file, capsys, dist_obj, fn)
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "--which", "sum-bound", "--dist", "MU", "--fn", "majority", "--players", "7"],
+    ["verify", "--which", "sum-bound", "--dist", "MU", "--fn", "majority", "--players", "-1"],
+    ["sweep", "--majp-tightness", "--n", "5", "--p", "1/2", "--alpha-grid", "0"],
+    ["sweep", "--majp-tightness", "--n", "5", "--p", "1/2", "--alpha-grid=1/8,-1/4"],
+], ids=["players-past-n", "players-negative", "alpha-zero", "alpha-negative"])
+def test_out_of_range_argument_is_input_error(mu_file, capsys, argv):
+    assert main([mu_file if a == "MU" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("pivotal: error:")
+
+
+@pytest.mark.parametrize("argv", [
     ["gen", "uniform-product", "--n", "3", "--out"],
     ["counterexample", "--which", "effect", "--k", "3", "--out-fn"],
 ], ids=["gen-out", "counterexample-out-fn"])

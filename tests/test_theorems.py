@@ -427,3 +427,12 @@ class TestMajpTightness:
         from pivotal import PivotalError
         with pytest.raises(PivotalError, match="Monte Carlo"):
             majp_tightness(20, HALF, [F(1, 4)])
+
+    @pytest.mark.parametrize("grid,samples", [
+        ([F(0)], None), ([F(1, 8), F(-1, 4)], None), ([F(-1, 4)], 50),
+        ([], None), ([], 50),
+    ], ids=["zero-exact", "negative-exact", "negative-mc", "empty-exact", "empty-mc"])
+    def test_rejects_bad_alpha_grid(self, grid, samples):
+        from pivotal import PivotalError
+        with pytest.raises(PivotalError, match="alpha"):
+            majp_tightness(5, HALF, grid, samples=samples, seed=1)
