@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Tightness experiment for the participation-majority space.
 
-Exact mode enumerates the 3^n grid, derives the per-symbol deviations for
-a representative player, and tabulates pivotal counts against the
-8/(p a^2) bound over an alpha grid anchored at the derived deviations.
-With --mc-sizes it also estimates the participating-symbol deviation at
-larger n and reports how it tracks 1/sqrt(pn).
+Exact mode derives the per-symbol deviations for a representative player
+(the kernel sums over symbol-count vectors, not the 3^n grid) and
+tabulates pivotal counts against the 8/(p a^2) bound over an alpha grid
+anchored at the derived deviations. With --mc-sizes it also estimates the
+participating-symbol deviation at larger n, reports how it tracks
+1/sqrt(pn), and prints the exact deviation times sqrt(pn) beside it.
 
 Example:
     python scripts/tightness_experiment.py --n 9 --p 1/2 --mc-sizes 25,49 --samples 20000 --seed 7
@@ -16,7 +17,7 @@ import math
 import sys
 from fractions import Fraction
 
-from pivotal import MajPFn, majp_dist, pivotal_report
+from pivotal import MajPFn, majp_dist, pivotal_player, pivotal_report
 from pivotal.serialize import parse_rational, rational_str
 from pivotal.theorems import estimate_majp_deviations
 
@@ -59,12 +60,14 @@ def main() -> int:
     if args.mc_sizes:
         print()
         print("# Monte Carlo deviation of the vote-1 symbol vs 1/sqrt(pn)")
-        print("n,estimate,halfwidth,one_over_sqrt_pn")
+        print("n,estimate,halfwidth,one_over_sqrt_pn,exact_times_sqrt_pn")
         for big in (int(s) for s in args.mc_sizes.split(",")):
             devs = estimate_majp_deviations(big, p, args.samples, args.seed)
             est, hw = devs[1]
             scale = 1.0 / math.sqrt(float(p) * big)
-            print(f"{big},{float(abs(est)):.5f},{hw:.5f},{scale:.5f}")
+            _, exact_row = pivotal_player(MajPFn(big), majp_dist(big, p), 0, p, Fraction(1))
+            exact = next(sd.deviation for sd in exact_row.deviations if sd.symbol == 1)
+            print(f"{big},{float(abs(est)):.5f},{hw:.5f},{scale:.5f},{float(exact) / scale:.5f}")
     return 0
 
 

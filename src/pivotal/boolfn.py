@@ -64,6 +64,10 @@ class PlayerFunction:
 
     alphabet: Alphabet
     n: int
+    # True only when the value depends on how many players show each symbol,
+    # not on which players: evaluate(x) == evaluate(sorted(x)). Product
+    # distributions with identical rows then sum over count vectors.
+    symmetric = False
 
     def evaluate(self, x: Outcome) -> Fraction:
         raise NotImplementedError
@@ -162,6 +166,7 @@ class ParityFn(PlayerFunction):
 
     n: int
     alphabet: Alphabet = BINARY
+    symmetric = True
 
     def evaluate(self, x: Outcome) -> Fraction:
         self._check_arity(x)
@@ -174,6 +179,7 @@ class MajorityFn(PlayerFunction):
 
     n: int
     alphabet: Alphabet = BINARY
+    symmetric = True
 
     def evaluate(self, x: Outcome) -> Fraction:
         self._check_arity(x)
@@ -201,6 +207,7 @@ class ConstantFn(PlayerFunction):
     n: int
     value: Fraction
     alphabet: Alphabet = BINARY
+    symmetric = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", as_exact(self.value, "value", PivotalError))
@@ -222,11 +229,11 @@ class MajPFn(PlayerFunction):
 
     n: int
     alphabet: Alphabet = PARTICIPATION
+    symmetric = True
 
     def evaluate(self, x: Outcome) -> Fraction:
         self._check_arity(x)
-        ones = sum(1 for s in x if s == 1)
-        zeros = sum(1 for s in x if s == 0)
+        ones, zeros = x.count(1), x.count(0)
         return Fraction(1) if ones > zeros else ZERO
 
 

@@ -12,6 +12,17 @@ denominator and builds each ``Fraction`` once, after the pass. An
 explicit support keeps its lcm denominator and integer weights, built at
 its first kernel pass, so later passes skip the rescaling.
 
+A product form whose rows are all equal has a symmetric path. When f is
+None or declares ``symmetric = True`` (its value depends only on how many
+players show each symbol) and no group names a player twice, the kernel
+sums over the C(n + |S| - 1, |S| - 1) symbol-count vectors instead of the
+|S|^n grid points. It evaluates f once per count vector, at the sorted
+outcome, and weighs each vector by its multinomial coefficient times the
+row's integer weights, over the grid walk's denominator. Every sum is the
+grid walk's integer sum regrouped by count vector, so both paths return
+equal ``GroupedSums``, with the same dict order. Any other input walks
+the grid.
+
 Values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no coordination.
 Sampling takes its seed and draw index explicitly. Its integer cumulative
@@ -176,6 +187,37 @@ def _draw(rng: random.Random, cum: Sequence[int]) -> int:
     return bisect.bisect_right(cum, r)
 
 
+def _law_and_mean(slots: dict[Fraction, int], value_mass: list[int],
+                  denom: int) -> tuple[dict[Fraction, Fraction], Fraction, int, list[int]]:
+    """Law and mean of f from the integer mass of each value slot.
+
+    Also returns the lcm vden of the values' denominators and each value
+    times vden: f-weighted sums share the denominator denom * vden.
+    """
+    vden = math.lcm(*(v.denominator for v in slots))
+    scaled = [v.numerator * (vden // v.denominator) for v in slots]
+    law = {v: Fraction(value_mass[j], denom) for v, j in slots.items()}
+    mean = Fraction(sum(map(int.__mul__, value_mass, scaled)), denom * vden)
+    return law, mean, vden, scaled
+
+
+def _count_weights(ints: Sequence[int], total: int) -> list[tuple[tuple[int, ...], int]]:
+    """(c, multinomial(total; c) * prod r_s^c_s) for each count vector c.
+
+    ints are one row's integer weights r_s, so the weights sum to
+    sum(ints) ** total. Count vectors come first count descending, then the
+    next: read as counts of ascending symbols, the lexicographic order of
+    the sorted outcomes they stand for.
+    """
+    partial = [((), total, 1)]  # (counts so far, players left, weight so far)
+    for t, r in enumerate(ints):
+        last = t == len(ints) - 1
+        partial = [(c + (k,), left - k, w * math.comb(left, k) * r ** k)
+                   for c, left, w in partial
+                   for k in ((left,) if last else range(left, -1, -1))]
+    return [(c, w) for c, _, w in partial]
+
+
 class Distribution(ABC):
     """Shared query interface over explicit and product representations."""
 
@@ -218,6 +260,15 @@ class Distribution(ABC):
         if not 0 <= i < self.n:
             raise DistributionError(f"player index {i} out of range for n={self.n}")
 
+    def _check_groups(self, groups: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+        groups = [tuple(T) for T in groups]
+        for T in groups:
+            if not T:
+                raise DistributionError("player group must be non-empty")
+            for i in T:
+                self._check_player(i)
+        return groups
+
     def sums(self, groups: Sequence[Sequence[int]],
              f: Evaluable | None = None) -> GroupedSums:
         """Law of f and per-group conditional sums, in one support pass.
@@ -226,12 +277,7 @@ class Distribution(ABC):
         Weights are summed as integers per (joint symbols, value of f) and
         turned into fractions only at the end.
         """
-        groups = [tuple(T) for T in groups]
-        for T in groups:
-            if not T:
-                raise DistributionError("player group must be non-empty")
-            for i in T:
-                self._check_player(i)
+        groups = self._check_groups(groups)
         getters = [itemgetter(*T) for T in groups]
         accs: list[dict] = [{} for _ in groups]
         slots = {ONE: 0} if f is None else {}
@@ -250,11 +296,7 @@ class Distribution(ABC):
             for get, acc in zip(getters, accs):
                 key = get(x), j
                 acc[key] = acc.get(key, 0) + w
-        # f-weighted sums share the denominator denom * vden.
-        vden = math.lcm(*(v.denominator for v in slots))
-        scaled = [v.numerator * (vden // v.denominator) for v in slots]
-        law = {v: Fraction(value_mass[j], denom) for v, j in slots.items()}
-        mean = Fraction(sum(map(int.__mul__, value_mass, scaled)), denom * vden)
+        law, mean, vden, scaled = _law_and_mean(slots, value_mass, denom)
         tables = []
         for T, acc in zip(groups, accs):
             ints: dict = {}
@@ -460,6 +502,87 @@ class ProductDist(Distribution):
             denom *= row_den
         return denom, zip(itertools.product(*symbols),
                           map(math.prod, itertools.product(*ints)))
+
+    def sums(self, groups: Sequence[Sequence[int]],
+             f: Evaluable | None = None) -> GroupedSums:
+        """``Distribution.sums``, over count vectors when that is exact.
+
+        When every row is equal, f is None or declares ``symmetric = True``,
+        and no group names a player twice, the weight and the value of an
+        outcome depend only on how many players show each symbol. The
+        symmetric path then sums over count vectors; otherwise the grid is
+        walked as for any distribution.
+        """
+        groups = self._check_groups(groups)
+        row = self.marginals[0]
+        if ((f is None or getattr(f, "symmetric", False))
+                and all(r == row for r in self.marginals)
+                and all(len(set(T)) == len(T) for T in groups)):
+            return self._symmetric_sums(groups, f)
+        return super().sums(groups, f)
+
+    def _symmetric_sums(self, groups: list[tuple[int, ...]],
+                        f: Evaluable | None) -> GroupedSums:
+        # Weights stay integers over row_den ** n. A count vector v of the n
+        # players weighs W(v) = multinomial(n; v) * prod r_s^v_s, with the
+        # row's zero-weight symbols left out, as the grid walk leaves them
+        # out. Count vectors come in the order of their sorted outcomes and
+        # table keys in lexicographic order of the sorted players' symbols,
+        # so every dict has the grid walk's insertion order.
+        n = self.n
+        row_den, row_ints = _scale(self.marginals[0])
+        symbols = [s for s, w in enumerate(row_ints) if w]
+        slots = {ONE: 0} if f is None else {}
+        value_mass = [0] if f is None else []
+        points = []  # (v, W(v), value slot)
+        for v, w in _count_weights([w for w in row_ints if w], n):
+            if f is None:
+                j = 0
+            else:
+                # f is evaluated once per count vector, at its sorted outcome.
+                x = tuple(itertools.chain.from_iterable(map(itertools.repeat, symbols, v)))
+                val = f.evaluate(x)
+                j = slots.get(val)
+                if j is None:
+                    j = slots[val] = len(value_mass)
+                    value_mass.append(0)
+            points.append((v, w, j))
+            value_mass[j] += w
+        denom = row_den ** n
+        law, mean, vden, scaled = _law_and_mean(slots, value_mass, denom)
+
+        # Joint symbols a of k distinct players, with symbol counts b, show
+        # together with count vector v on a share prod_s perm(v_s, b_s) /
+        # perm(n, k) of W(v): the mass multinomial(n - k; v - b) * prod r^v
+        # of the other players' arrangements, an integer. So an entry
+        # depends only on b, and a group's table only on its size up to
+        # the order of its players.
+        by_size: dict[int, dict[Outcome, tuple[Fraction, Fraction]]] = {}
+        tables = []
+        for T in groups:
+            k = len(T)
+            if k not in by_size:
+                ways = math.perm(n, k)
+                entry: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}
+                table = by_size[k] = {}
+                for a in itertools.product(symbols, repeat=k):
+                    b = tuple(map(a.count, symbols))
+                    if b not in entry:
+                        acc = [0] * len(value_mass)
+                        for v, w, j in points:
+                            acc[j] += w * math.prod(map(math.perm, v, b))
+                        entry[b] = (Fraction(sum(acc) // ways, denom),
+                                    Fraction(sum(map(int.__mul__, acc, scaled)) // ways,
+                                             denom * vden))
+                    table[a] = entry[b]
+            order = sorted(range(k), key=T.__getitem__)
+            if order == list(range(k)):
+                tables.append(dict(by_size[k]))
+            else:
+                # Position p of T's key holds the symbol of its rank[p]-th player.
+                rank = [order.index(p) for p in range(k)]
+                tables.append({tuple(a[r] for r in rank): e for a, e in by_size[k].items()})
+        return GroupedSums(law, mean, tuple(tables))
 
     def weight(self, x: Outcome) -> Fraction:
         if len(x) != self.n:

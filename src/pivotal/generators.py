@@ -22,6 +22,13 @@ from .dist import (
 
 HALF = Fraction(1, 2)
 
+# The Hadamard space holds 2^k outcomes of length 2^k - 1, so its memory
+# grows as 4^k. At k = 10 it is 1,024 outcomes of 1,023 symbols (about
+# 8 MiB of tuples, built in 0.3 s); every size used by the tests, the
+# benchmark and the examples is k <= 6. Past the limit the constructor
+# refuses before building anything.
+_HADAMARD_K_LIMIT = 10
+
 
 def hadamard_mu(k: int) -> ExplicitDist:
     """Uniform distribution on the 2^k inner-product strings in {0,1}^n, n = 2^k - 1.
@@ -31,8 +38,8 @@ def hadamard_mu(k: int) -> ExplicitDist:
     (0, ..., 0, 1). Seed z = 0 contributes the all-zeros string; every
     other string has exactly (n+1)/2 ones.
     """
-    if k < 1:
-        raise DistributionError(f"k must be >= 1, got {k}")
+    if not 1 <= k <= _HADAMARD_K_LIMIT:
+        raise DistributionError(f"k must be in 1..{_HADAMARD_K_LIMIT}, got {k}")
     n = (1 << k) - 1
     w = Fraction(1, 1 << k)
     support = []

@@ -299,9 +299,21 @@ def test_criterion_08_majp_tightness():
         assert float(est) + hw <= scale
         estimates[big_n] = float(est)
     assert estimates[49] < estimates[25]
+
+    # The same windows, exactly: the vote-1 deviation from the kernel's
+    # count-vector path, checked against the binomial oracle. With
+    # scale = 1/sqrt(pn), dev lies in [scale/8, scale] iff
+    # 1/64 <= dev^2 * p * n <= 1.
+    for big_n in (25, 49):
+        report = pivotal_report(MajPFn(big_n), majp_dist(big_n, p), p, F(1))
+        dev = next(sd.deviation for sd in report.rows[0].deviations if sd.symbol == 1)
+        assert dev == (majp_conditional_oracle(big_n, p, 1)
+                       - majp_expectation_oracle(big_n, p))
+        assert dev > 0
+        assert F(1, 64) <= dev ** 2 * p * big_n <= 1
     _record(8, "participation-majority tightness: all 9 players pivotal at the "
                "derived thresholds, counts within bound across the grid, "
-               "1/sqrt(pn) scaling windows hold at n=25,49")
+               "1/sqrt(pn) scaling windows hold at n=25,49 (Monte Carlo and exact)")
 
 
 def test_criterion_09_mixture_and_sum_bounds():

@@ -1,7 +1,10 @@
 """Player functions, monotonicity machinery, and the certified counterexamples."""
 
+import dataclasses
 import hashlib
+import inspect
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -101,6 +104,51 @@ class TestMajP:
                 if s == 0:
                     y = x[:i] + (1,) + x[i + 1:]
                     assert f.evaluate(y) >= vx
+
+
+# ----------------------------------------------------------------------
+# The symmetric opt-in: product distributions with identical rows evaluate
+# an opted-in function only at sorted outcomes, so it must not see order.
+
+# Constructor arguments for the required dataclass fields other than n.
+_FIELD_ARGS = {"value": Fraction(-1, 3), "player": 1}
+
+
+def _build(cls, n):
+    return cls(n=n, **{fld.name: _FIELD_ARGS[fld.name] for fld in dataclasses.fields(cls)
+                       if fld.name != "n" and fld.default is dataclasses.MISSING})
+
+
+def _order_witness(cls, rng):
+    """An outcome x with f(x) != f(sorted(x)), on either alphabet, or None."""
+    for m in (2, 3):  # BINARY, PARTICIPATION
+        for n in range(2, 8):
+            f = _build(cls, n)
+            for _ in range(40):
+                x = tuple(rng.randrange(m) for _ in range(n))
+                if f.evaluate(x) != f.evaluate(tuple(sorted(x))):
+                    return x
+    return None
+
+
+def _opted_in():
+    import pivotal.boolfn as boolfn
+    return [cls for _, cls in inspect.getmembers(boolfn, inspect.isclass)
+            if issubclass(cls, boolfn.PlayerFunction) and cls.symmetric]
+
+
+def test_symmetric_opt_ins_ignore_player_order():
+    opted = _opted_in()
+    assert {cls.__name__ for cls in opted} >= {"MajPFn", "MajorityFn", "ParityFn", "ConstantFn"}
+    rng = random.Random(6)
+    for cls in opted:
+        assert _order_witness(cls, rng) is None, cls.__name__
+
+
+def test_order_witness_catches_a_dictator():
+    # The guard above would reject DictatorFn, were it ever opted in.
+    assert not DictatorFn.symmetric
+    assert _order_witness(DictatorFn, random.Random(6)) is not None
 
 
 class TestMonotoneCheck:

@@ -21,8 +21,16 @@ from pivotal import (
 )
 from pivotal import dist as dist_module
 from pivotal.analysis import effect_report, pivotal_set
-from pivotal.boolfn import ConstantFn, DenseTable, MajorityFn, ParityFn, PartialTable
-from pivotal.dist import PivotalError, _cumulative, _draw, _scale
+from pivotal.boolfn import (
+    ConstantFn,
+    DenseTable,
+    DictatorFn,
+    MajorityFn,
+    MajPFn,
+    ParityFn,
+    PartialTable,
+)
+from pivotal.dist import Distribution, PivotalError, _cumulative, _draw, _scale
 from pivotal.generators import hadamard_mu, majp_dist, mixture_D
 
 from oracles import (
@@ -385,6 +393,99 @@ def test_product_condition_matches_explicit(d, data):
     got = d.condition({player: symbol}).to_explicit()
     want = d.to_explicit().condition({player: symbol})
     assert got == want
+
+
+# ----------------------------------------------------------------------
+# The count-vector path of ProductDist.sums against the grid walk
+
+
+@st.composite
+def identical_rows(draw):
+    """n <= 6 players sharing one row, zero weights and mixed denominators allowed."""
+    alphabet = draw(st.sampled_from([BINARY, PARTICIPATION]))
+    n = draw(st.integers(1, 6))
+    raw = draw(st.lists(st.integers(0, 3), min_size=len(alphabet),
+                        max_size=len(alphabet)).filter(lambda v: sum(v) > 0))
+    row = tuple(F(v, sum(raw)) for v in raw)
+    return ProductDist(alphabet, n, [row] * n)
+
+
+def _assert_same_sums(got, want):
+    # Equal values, and the same dict insertion order as the grid walk.
+    assert got == want
+    assert list(got.law) == list(want.law)
+    assert [list(t) for t in got.tables] == [list(t) for t in want.tables]
+
+
+@settings(max_examples=60, deadline=None)
+@given(identical_rows(), st.data())
+def test_symmetric_sums_match_grid_walk(d, data):
+    n, m = d.n, len(d.alphabet)
+    groups = data.draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True)
+        .map(tuple), min_size=0, max_size=4))
+    groups.append(tuple(range(n)))
+    constant = ConstantFn(n, data.draw(mixed_values), d.alphabet)
+    ex = d.to_explicit()
+    for f in (None, MajPFn(n), MajorityFn(n), ParityFn(n), constant):
+        got = d.sums(groups, f)
+        _assert_same_sums(got, ex.sums(groups, f))
+        # One entry, present or absent, against the brute-force oracles.
+        g = data.draw(st.integers(0, len(groups) - 1))
+        T = groups[g]
+        key = tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=len(T),
+                                       max_size=len(T))))
+        assignment = dict(zip(T, key))
+        mass = brute_event_mass(d, assignment)
+        if mass == 0:
+            assert key not in got.tables[g]
+        else:
+            value = ConstantFn(n, 1, d.alphabet) if f is None else f
+            assert got.tables[g][key] == (mass, mass * brute_conditional(value, d, assignment))
+
+
+def _grid_walk_only(self, groups, f):
+    raise AssertionError("the count-vector path was taken")
+
+
+@pytest.mark.parametrize("d, groups, f", [
+    (ProductDist(PARTICIPATION, 3, [(QUARTER, QUARTER, HALF), (F(1, 3), F(1, 3), F(1, 3)),
+                                    (QUARTER, QUARTER, HALF)]), [(0,), (2, 1)], MajPFn(3)),
+    (majp_dist(4, HALF), [(1, 1), (0, 2)], MajPFn(4)),
+    (ProductDist(BINARY, 4, [(F(1, 3), F(2, 3))] * 4), [(0,), (3, 1)], DictatorFn(4, 1)),
+], ids=["unequal-rows", "repeated-player", "dictator"])
+def test_sums_falls_through_to_grid_walk(d, groups, f, monkeypatch):
+    want = Distribution.sums(d, groups, f)
+    monkeypatch.setattr(ProductDist, "_symmetric_sums", _grid_walk_only)
+    got = d.sums(groups, f)
+    _assert_same_sums(got, want)
+    _assert_same_sums(got, d.to_explicit().sums(groups, f))
+
+
+def test_symmetric_path_evaluates_once_per_count_vector():
+    calls = []
+
+    class Counted(MajPFn):
+        def evaluate(self, x):
+            calls.append(x)
+            return super().evaluate(x)
+
+    d = majp_dist(9, HALF)
+    sums = d.sums([(i,) for i in range(9)] + [(0, 1), (2, 3)], Counted(9))
+    # C(11, 2) count vectors of 9 players over 3 symbols, each at its sorted outcome.
+    assert len(calls) == math.comb(11, 2) == 55
+    assert all(list(x) == sorted(x) for x in calls)
+    assert sums == d.to_explicit().sums([(i,) for i in range(9)] + [(0, 1), (2, 3)], MajPFn(9))
+
+
+@pytest.mark.parametrize("groups, message", [
+    ([(0,), ()], "non-empty"),
+    ([(0, 3), (1, 1)], "out of range"),
+    ([(1, 1), (-1,)], "out of range"),
+])
+def test_symmetric_path_validates_groups_first(groups, message):
+    with pytest.raises(DistributionError, match=message):
+        majp_dist(3, HALF).sums(groups, MajPFn(3))
 
 
 def test_condition_then_expectation_matches_restriction(even_parity3):

@@ -62,6 +62,17 @@ class TestHadamardMu:
         with pytest.raises(DistributionError):
             hadamard_mu(0)
 
+    def test_rejects_k_past_limit_before_building(self, monkeypatch):
+        from pivotal import effect_counterexample, influence_counterexample, mixture_D
+        from pivotal import generators
+        from pivotal.generators import _HADAMARD_K_LIMIT
+
+        # Nothing may be built for a refused k.
+        monkeypatch.setattr(generators, "ExplicitDist", None)
+        for build in (hadamard_mu, mixture_D, effect_counterexample, influence_counterexample):
+            with pytest.raises(DistributionError, match=f"1..{_HADAMARD_K_LIMIT}"):
+                build(_HADAMARD_K_LIMIT + 1)
+
 
 class TestComplementMu:
     def test_k2_support(self):

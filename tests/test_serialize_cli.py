@@ -23,6 +23,7 @@ from pivotal import (
     uniform_product,
 )
 from pivotal.cli import main
+from pivotal.generators import _HADAMARD_K_LIMIT
 from pivotal.serialize import (
     canonical_dumps,
     dist_from_obj,
@@ -377,12 +378,23 @@ def test_malformed_input_is_input_error(tmp_path, mu_file, capsys, dist_obj, fn)
     assert err.startswith("pivotal: error:")
 
 
+K_PAST = str(_HADAMARD_K_LIMIT + 1)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--which", "sum-bound", "--dist", "MU", "--fn", "majority", "--players", "7"],
     ["verify", "--which", "sum-bound", "--dist", "MU", "--fn", "majority", "--players", "-1"],
     ["sweep", "--majp-tightness", "--n", "5", "--p", "1/2", "--alpha-grid", "0"],
     ["sweep", "--majp-tightness", "--n", "5", "--p", "1/2", "--alpha-grid=1/8,-1/4"],
-], ids=["players-past-n", "players-negative", "alpha-zero", "alpha-negative"])
+    ["gen", "hadamard-mu", "--k", K_PAST],
+    ["gen", "complement-mu", "--k", K_PAST],
+    ["gen", "mixture-d", "--k", K_PAST],
+    ["counterexample", "--which", "effect", "--k", K_PAST],
+    ["counterexample", "--which", "influence", "--k", K_PAST],
+    ["sweep", "--majp-tightness", "--n", "282", "--p", "1/2", "--alpha-grid", "1/8"],
+], ids=["players-past-n", "players-negative", "alpha-zero", "alpha-negative",
+        "hadamard-k-past-limit", "complement-k-past-limit", "mixture-k-past-limit",
+        "effect-cx-k-past-limit", "influence-cx-k-past-limit", "exact-sweep-past-limit"])
 def test_out_of_range_argument_is_input_error(mu_file, capsys, argv):
     assert main([mu_file if a == "MU" else a for a in argv]) == 2
     out, err = capsys.readouterr()

@@ -424,9 +424,35 @@ class TestMajpTightness:
         assert a == b
 
     def test_exact_mode_needs_small_n(self):
+        # Exact mode sums over C(n + 2, 2) count vectors: 40,186 at n = 282,
+        # the first n past the 40,000 limit. The check comes before any work.
         from pivotal import PivotalError
         with pytest.raises(PivotalError, match="Monte Carlo"):
-            majp_tightness(20, HALF, [F(1, 4)])
+            majp_tightness(282, HALF, [F(1, 4)])
+
+    def test_exact_mode_at_n49_matches_oracle(self):
+        # 3^49 grid points, so only the count-vector path can answer exactly.
+        from pivotal import pivotal_report
+        from oracles import majp_conditional_oracle, majp_expectation_oracle
+
+        n = 49
+        base = majp_expectation_oracle(n, HALF)
+        devs = {s: majp_conditional_oracle(n, HALF, s) - base for s in range(3)}
+        mass = {0: F(1, 4), 1: F(1, 4), 2: HALF}
+        report = pivotal_report(MajPFn(n), majp_dist(n, HALF), HALF, F(1))
+        assert report.expectation == base
+        for row in report.rows:
+            assert {sd.symbol: (sd.mass, sd.deviation) for sd in row.deviations} == {
+                s: (mass[s], devs[s]) for s in range(3)}
+        grid = [abs(devs[2]) / 2, abs(devs[2]), abs(devs[1]) / 2, F(1)]
+        rows = majp_tightness(n, HALF, grid)
+        for r in rows:
+            past = sum((mass[s] for s in range(3) if abs(devs[s]) > r.alpha), F(0))
+            assert r.mode == "exact"
+            assert r.count == (n if past > HALF else 0)
+        # Every symbol deviates at the first threshold; past it, the
+        # participating mass ties with p and the strict comparison fails.
+        assert [r.count for r in rows] == [49, 0, 0, 0]
 
     @pytest.mark.parametrize("grid,samples", [
         ([F(0)], None), ([F(1, 8), F(-1, 4)], None), ([F(-1, 4)], 50),
