@@ -25,6 +25,7 @@ from .dist import (
     PivotalError,
     ProductDist,
     ZERO,
+    as_exact,
 )
 
 Table = dict[Outcome, tuple[Fraction, Fraction]]
@@ -157,7 +158,7 @@ def pivotal_report(f: PlayerFunction, d: Distribution,
     conditional expectation deviates from E[f] by more than alpha
     strictly exceeds p. Comparisons are exact and strict.
     """
-    p, alpha = Fraction(p), Fraction(alpha)
+    p, alpha = as_exact(p, "p", PivotalError), as_exact(alpha, "alpha", PivotalError)
     sums = d.sums(_singletons(d.n), f)
     rows = tuple(_pivotal_row(i, t, sums.mean, p, alpha) for i, t in enumerate(sums.tables))
     return PivotalReport(sums.mean, p, alpha, rows)
@@ -165,24 +166,26 @@ def pivotal_report(f: PlayerFunction, d: Distribution,
 
 def pivotal_player(f: PlayerFunction, d: Distribution, i: int,
                    p: Fraction, alpha: Fraction) -> tuple[bool, PivotalRow]:
+    p, alpha = as_exact(p, "p", PivotalError), as_exact(alpha, "alpha", PivotalError)
     sums = d.sums([(i,)], f)
-    row = _pivotal_row(i, sums.tables[0], sums.mean, Fraction(p), Fraction(alpha))
+    row = _pivotal_row(i, sums.tables[0], sums.mean, p, alpha)
     return row.pivotal, row
 
 
 def pivotal_set(f: PlayerFunction, d: Distribution, players: Sequence[int],
                 p: Fraction, alpha: Fraction) -> bool:
     """Whether the joint signal of the given players is (p, alpha)-pivotal."""
+    p, alpha = as_exact(p, "p", PivotalError), as_exact(alpha, "alpha", PivotalError)
     T = sorted(set(players))
     if not T:
         raise PivotalError("pivotal set must be non-empty")
     sums = d.sums([T], f)
-    return _deviating_mass(sums.tables[0], sums.mean, Fraction(alpha)) > Fraction(p)
+    return _deviating_mass(sums.tables[0], sums.mean, alpha) > p
 
 
 def count_effect(f: PlayerFunction, d: Distribution, alpha: Fraction) -> int:
     """Number of players with effect strictly above alpha."""
-    alpha = Fraction(alpha)
+    alpha = as_exact(alpha, "alpha", PivotalError)
     return sum(1 for r in effect_report(f, d).rows if r.effect > alpha)
 
 
@@ -282,53 +285,37 @@ def effect_identity(f: PlayerFunction, mu: Distribution) -> EffectIdentity:
 
 @dataclass(frozen=True)
 class EffectEstimate:
-    estimate: Fraction  # difference of conditional sample means
+    estimate: Fraction  # a sample mean, or a difference of two
     halfwidth: float    # 95% Hoeffding half-width
     samples: int
 
 
-def hoeffding_halfwidth(samples: int, confidence: float = 0.95) -> float:
+def hoeffding_halfwidth(samples: int) -> float:
     """95% half-width for a difference of two means of [-1, 1] samples.
 
     The estimator is a sum of 2 * samples independent terms with range
-    2 / samples each, so the two-sided Hoeffding bound at confidence c
-    gives 2 * sqrt(ln(2 / (1 - c)) / samples).
+    2 / samples each, so the two-sided Hoeffding bound at confidence 0.95
+    gives 2 * sqrt(ln(2 / (1 - 0.95)) / samples).
     """
-    return 2.0 * math.sqrt(math.log(2.0 / (1.0 - confidence)) / samples)
+    return 2.0 * math.sqrt(math.log(2.0 / (1.0 - 0.95)) / samples)
 
 
 def estimate_effect(f: PlayerFunction, d: ProductDist, i: int,
                     samples: int, seed: int | str) -> EffectEstimate:
     """Monte Carlo estimate of E[f | X_i = 1] - E[f | X_i = 0].
 
-    Deterministic given (seed, draw index); the two conditional streams
-    are seeded independently.
+    The difference of two ``estimate_expectation`` sample means, one per
+    conditional, seeded independently; deterministic given (seed, draw index).
     """
-    if samples < 1:
-        raise PivotalError(f"samples must be >= 1, got {samples}")
-    d._check_player(i)
-    idx1 = d.alphabet.index("1")
-    idx0 = d.alphabet.index("0")
-    d1 = d.condition({i: idx1})
-    d0 = d.condition({i: idx0})
-    acc1 = ZERO
-    acc0 = ZERO
-    for j in range(samples):
-        acc1 += f.evaluate(d1.sample(f"{seed}/1", j))
-        acc0 += f.evaluate(d0.sample(f"{seed}/0", j))
-    est = (acc1 - acc0) / samples
-    return EffectEstimate(est, hoeffding_halfwidth(samples), samples)
-
-
-@dataclass(frozen=True)
-class MeanEstimate:
-    estimate: Fraction
-    halfwidth: float
-    samples: int
+    d1 = d.condition({i: d.alphabet.index("1")})
+    d0 = d.condition({i: d.alphabet.index("0")})
+    est1 = estimate_expectation(f, d1, samples, f"{seed}/1")
+    est0 = estimate_expectation(f, d0, samples, f"{seed}/0")
+    return EffectEstimate(est1.estimate - est0.estimate, hoeffding_halfwidth(samples), samples)
 
 
 def estimate_expectation(f: PlayerFunction, d: Distribution,
-                         samples: int, seed: int | str) -> MeanEstimate:
+                         samples: int, seed: int | str) -> EffectEstimate:
     """Sample mean of f under d with a single-mean Hoeffding half-width."""
     if samples < 1:
         raise PivotalError(f"samples must be >= 1, got {samples}")
@@ -337,4 +324,4 @@ def estimate_expectation(f: PlayerFunction, d: Distribution,
         acc += f.evaluate(d.sample(seed, j))
     # Single mean of [-1, 1] samples: half-width sqrt(2 ln(2/0.05) / samples).
     hw = math.sqrt(2.0 * math.log(2.0 / 0.05) / samples)
-    return MeanEstimate(acc / samples, hw, samples)
+    return EffectEstimate(acc / samples, hw, samples)

@@ -86,45 +86,6 @@ def _check_value_range(x: Outcome, v: Fraction) -> None:
         raise PivotalError(f"value {v} at {x} outside [-1, 1]")
 
 
-class DenseTable(PlayerFunction):
-    """Explicit value for every outcome of the full grid."""
-
-    __slots__ = ("alphabet", "n", "entries", "_lookup")
-
-    def __init__(self, alphabet: Alphabet, n: int,
-                 values: Mapping[Outcome, Fraction] | Iterable[tuple[Outcome, Fraction]]):
-        self.alphabet = alphabet
-        self.n = int(n)
-        pairs = values.items() if isinstance(values, Mapping) else values
-        self.entries = tuple(sorted((tuple(x), as_exact(v, "value", PivotalError))
-                                    for x, v in pairs))
-        self._lookup = dict(self.entries)
-        m = len(alphabet)
-        if len(self._lookup) != len(self.entries):
-            raise PivotalError("duplicate outcome in table")
-        if len(self.entries) != m ** self.n:
-            raise PivotalError(
-                f"dense table has {len(self.entries)} entries, grid needs {m ** self.n}")
-        for x, v in self.entries:
-            if len(x) != self.n or any(not 0 <= s < m for s in x):
-                raise PivotalError(f"invalid outcome {x} in table")
-            _check_value_range(x, v)
-
-    def evaluate(self, x: Outcome) -> Fraction:
-        self._check_arity(x)
-        return self._lookup[tuple(x)]
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, DenseTable) and self.alphabet == other.alphabet
-                and self.n == other.n and self.entries == other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.n, self.entries))
-
-    def __repr__(self) -> str:
-        return f"DenseTable(n={self.n}, {len(self.entries)} entries)"
-
-
 class PartialTable(PlayerFunction):
     """Values on a subset of outcomes; evaluation elsewhere is an error."""
 
@@ -139,7 +100,7 @@ class PartialTable(PlayerFunction):
                                     for x, v in pairs))
         self._lookup = dict(self.entries)
         if len(self._lookup) != len(self.entries):
-            raise PivotalError("outcome mapped twice in partial table")
+            raise PivotalError("outcome mapped twice in table")
         m = len(alphabet)
         for x, v in self.entries:
             if len(x) != self.n or any(not 0 <= s < m for s in x):
@@ -153,11 +114,28 @@ class PartialTable(PlayerFunction):
         except KeyError:
             raise UndefinedPointError(f"function undefined at {tuple(x)}") from None
 
-    def domain(self) -> tuple[Outcome, ...]:
-        return tuple(x for x, _ in self.entries)
-
     def __repr__(self) -> str:
-        return f"PartialTable(n={self.n}, {len(self.entries)} points)"
+        return f"{type(self).__name__}(n={self.n}, {len(self.entries)} entries)"
+
+
+class DenseTable(PartialTable):
+    """Explicit value for every outcome of the full grid."""
+
+    __slots__ = ()
+
+    def __init__(self, alphabet: Alphabet, n: int,
+                 values: Mapping[Outcome, Fraction] | Iterable[tuple[Outcome, Fraction]]):
+        super().__init__(alphabet, n, values)
+        size = len(alphabet) ** self.n
+        if len(self.entries) != size:
+            raise PivotalError(f"dense table has {len(self.entries)} entries, grid needs {size}")
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, DenseTable) and self.alphabet == other.alphabet
+                and self.n == other.n and self.entries == other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.n, self.entries))
 
 
 @dataclass(frozen=True)
@@ -354,13 +332,13 @@ class MonotoneResult:
         return self.ok
 
 
-def monotone_check(f: PlayerFunction, n: int | None = None) -> MonotoneResult:
-    """Exhaustive monotonicity check over the full binary cube.
+def monotone_check(f: PlayerFunction) -> MonotoneResult:
+    """Exhaustive monotonicity check over the full binary cube of f's n players.
 
     Returns a witness (x, i) with f(x) > f(x with bit i set) when the
     function is not monotone.
     """
-    n = f.n if n is None else n
+    n = f.n
     if f.alphabet != BINARY:
         raise PivotalError("monotonicity is defined for the binary alphabet only")
     if n > _MONOTONE_CHECK_LIMIT:

@@ -17,10 +17,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, boolfn, generators, theorems
-from .analysis import EFFECT_VARIANCE_RATIO
 from .boolfn import CertificateError, PlayerFunction
 from .dist import Distribution, PivotalError
 from .serialize import (
+    _BUILTIN_NAMES,
     canonical_dumps,
     dist_to_obj,
     jsonable,
@@ -65,12 +65,8 @@ def _load_function(spec: str, d: Distribution) -> PlayerFunction:
     even when a file of that name exists; write ./majority for the file.
     """
     name, _, param = spec.partition(":")
-    if name == "majp":
-        f = boolfn.MajPFn(d.n)
-    elif name == "parity":
-        f = boolfn.ParityFn(d.n)
-    elif name == "majority":
-        f = boolfn.MajorityFn(d.n)
+    if name in _BUILTIN_NAMES:
+        f = _BUILTIN_NAMES[name](d.n)
     elif name == "dictator":
         try:
             player = int(param)
@@ -239,23 +235,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             verdict = theorems.verify_elimination(
                 f, d, _need(args, "m"), _need(args, "p"), _need(args, "alpha"))
         else:  # effect-identity
-            ident = analysis.effect_identity(f, d)
-            if ident.variance == 0:
-                ok = ident.sum_sq_effects == 0
-            else:
-                ok = ident.ratio == EFFECT_VARIANCE_RATIO
-            verdict = theorems.Verdict(
-                which="effect-identity",
-                inputs={"n": d.n},
-                computed={
-                    "sum_sq_effects": ident.sum_sq_effects,
-                    "variance": ident.variance,
-                    "ratio": ident.ratio if ident.ratio is not None else "undefined",
-                    "expected_ratio": EFFECT_VARIANCE_RATIO,
-                },
-                bound=None,
-                ok=ok,
-            )
+            verdict = theorems.verify_effect_identity(f, d)
     _emit(canonical_dumps(_verdict_payload(verdict)), None)
     return 0 if verdict.ok else 1
 

@@ -96,10 +96,6 @@ class Alphabet:
         except ValueError:
             raise DistributionError(f"symbol {symbol!r} not in alphabet {self.symbols!r}") from None
 
-    @property
-    def is_binary(self) -> bool:
-        return self.symbols == ("0", "1")
-
 
 BINARY = Alphabet(("0", "1"))
 # Third symbol marks a non-participating player.
@@ -199,6 +195,12 @@ def _law_and_mean(slots: dict[Fraction, int], value_mass: list[int],
     law = {v: Fraction(value_mass[j], denom) for v, j in slots.items()}
     mean = Fraction(sum(map(int.__mul__, value_mass, scaled)), denom * vden)
     return law, mean, vden, scaled
+
+
+def _symbol_masses(table: dict[Outcome, tuple[Fraction, Fraction]],
+                   m: int) -> tuple[Fraction, ...]:
+    """Per-symbol mass from one player's kernel table; absent symbols have mass 0."""
+    return tuple(table[(s,)][0] if (s,) in table else ZERO for s in range(m))
 
 
 def _count_weights(ints: Sequence[int], total: int) -> list[tuple[tuple[int, ...], int]]:
@@ -329,13 +331,14 @@ class Distribution(ABC):
 
         True iff every subset of at most k players factorizes over every
         assignment. Subsets are scanned by size then lexicographically, so
-        the witness is canonical. Each subset is one pass, and the scan
-        stops at the first failure.
+        the witness is canonical. One pass gives every single-player
+        marginal, each larger subset is one more pass, and the scan stops at
+        the first failure.
         """
         if not 1 <= k <= self.n:
             raise DistributionError(f"k={k} out of range 1..{self.n}")
-        singles = [self.single_marginal(i) for i in range(self.n)]
         m = len(self.alphabet)
+        singles = [_symbol_masses(t, m) for t in self.sums([(i,) for i in range(self.n)]).tables]
         for size in range(2, k + 1):
             for T in itertools.combinations(range(self.n), size):
                 (joint,) = self.sums([T]).tables
@@ -419,8 +422,7 @@ class ExplicitDist(Distribution):
 
     def single_marginal(self, i: int) -> tuple[Fraction, ...]:
         (table,) = self.sums([(i,)]).tables
-        return tuple(table[(s,)][0] if (s,) in table else ZERO
-                     for s in range(len(self.alphabet)))
+        return _symbol_masses(table, len(self.alphabet))
 
     def condition(self, assignment: Mapping[int, int]) -> "ExplicitDist":
         for i in assignment:
@@ -645,7 +647,7 @@ def mixture(d1: Distribution, d2: Distribution, q: Fraction) -> ExplicitDist:
 
     Supports are merged; outcomes whose combined weight is zero are dropped.
     """
-    q = Fraction(q)
+    q = as_exact(q, "mixture weight")
     if not 0 <= q <= 1:
         raise DistributionError(f"mixture weight {q} outside [0, 1]")
     if d1.alphabet != d2.alphabet:

@@ -17,6 +17,7 @@ from .dist import (
     DistributionError,
     ExplicitDist,
     ProductDist,
+    as_exact,
     mixture,
 )
 
@@ -69,7 +70,7 @@ def mixture_D(k: int) -> ExplicitDist:
 
 def majp_dist(n: int, p: Fraction) -> ProductDist:
     """Participation space: each player votes 0 or 1 with mass p/2 each, abstains with 1 - p."""
-    p = Fraction(p)
+    p = as_exact(p, "participation probability")
     if not 0 < p < 1:
         raise DistributionError(f"participation probability must be in (0, 1), got {p}")
     row = (p / 2, p / 2, 1 - p)

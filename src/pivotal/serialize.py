@@ -44,6 +44,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+def _json_int(value: object, what: str) -> int:
+    """A JSON integer as it is; floats, booleans and strings raise TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def rational_str(x: Fraction) -> str:
     return str(Fraction(x))
 
@@ -92,9 +99,10 @@ def dist_from_obj(obj: dict) -> Distribution:
     try:
         kind = obj["kind"]
         alphabet = Alphabet(tuple(obj["alphabet"]))
-        n = int(obj["n"])
+        n = _json_int(obj["n"], "n")
         if kind == "explicit":
-            support = [(tuple(int(s) for s in entry["x"]), parse_rational(entry["w"]))
+            support = [(tuple(_json_int(s, "symbol") for s in entry["x"]),
+                        parse_rational(entry["w"]))
                        for entry in obj["support"]]
             return ExplicitDist(alphabet, n, support)
         if kind == "product":
@@ -129,12 +137,9 @@ def fn_to_obj(f: PlayerFunction) -> dict:
     if isinstance(f, UpwardClosure):
         return {"kind": "upward", "n": f.n,
                 "generators": [list(g) for g in f.generator_outcomes()]}
-    if isinstance(f, MajPFn):
-        return {"kind": "builtin", "name": "majp", "params": {"n": f.n}}
-    if isinstance(f, ParityFn):
-        return {"kind": "builtin", "name": "parity", "params": {"n": f.n}}
-    if isinstance(f, MajorityFn):
-        return {"kind": "builtin", "name": "majority", "params": {"n": f.n}}
+    for name, cls in _BUILTIN_NAMES.items():
+        if isinstance(f, cls):
+            return {"kind": "builtin", "name": name, "params": {"n": f.n}}
     if isinstance(f, DictatorFn):
         return {"kind": "builtin", "name": "dictator",
                 "params": {"n": f.n, "i": f.player}}
@@ -164,17 +169,19 @@ def fn_from_obj(obj: dict) -> PlayerFunction:
                 except KeyError as exc:
                     raise PivotalError(f"unknown symbol {exc} in table key {key!r}") from None
                 values[outcome] = parse_rational(v)
-            return DenseTable(alphabet, int(obj["n"]), values)
+            return DenseTable(alphabet, _json_int(obj["n"], "n"), values)
         if kind == "upward":
-            return UpwardClosure(int(obj["n"]), [tuple(g) for g in obj["generators"]])
+            return UpwardClosure(_json_int(obj["n"], "n"),
+                                 [tuple(_json_int(s, "generator bit") for s in g)
+                                  for g in obj["generators"]])
         if kind == "builtin":
             name = obj.get("name")
             params = obj.get("params", {})
-            n = int(params["n"])
+            n = _json_int(params["n"], "n")
             if name in _BUILTIN_NAMES:
                 return _BUILTIN_NAMES[name](n)
             if name == "dictator":
-                return DictatorFn(n, int(params["i"]))
+                return DictatorFn(n, _json_int(params["i"], "i"))
             if name == "constant":
                 alphabet = Alphabet(tuple(params.get("alphabet", ("0", "1"))))
                 return ConstantFn(n, parse_rational(params["c"]), alphabet)

@@ -15,11 +15,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .analysis import (
+    EFFECT_VARIANCE_RATIO,
     _deviating_mass,
     _mass_past,
     _pivotal_row,
     count_effect,
     count_pivotal,
+    effect_identity,
     effect_report,
     estimate_expectation,
     pivotal_report,
@@ -34,6 +36,7 @@ from .dist import (
     PivotalError,
     ProductDist,
     ZERO,
+    as_exact,
     mixture,
 )
 from .generators import majp_dist
@@ -70,7 +73,7 @@ def _require_pairwise(d: Distribution) -> None:
 
 
 def _positive(name: str, value: Fraction) -> Fraction:
-    value = Fraction(value)
+    value = as_exact(value, name, PreconditionError)
     if value <= 0:
         raise PreconditionError(f"{name} must be positive, got {value}")
     return value
@@ -268,7 +271,7 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
 def verify_reduction(f: PlayerFunction, d: Distribution,
                      p: Fraction, alpha: Fraction) -> Verdict:
     """Run the reduction and check its three guarantees exactly."""
-    p, alpha = Fraction(p), Fraction(alpha)
+    p, alpha = _positive("p", p), _positive("alpha", alpha)
     result = reduce_to_binary(f, d, p, alpha)
     count_f = result.count_pivotal
     if result.is_empty:
@@ -281,14 +284,15 @@ def verify_reduction(f: PlayerFunction, d: Distribution,
         )
     y = result.y_dist
     g = result.g
-    marginal_ok = all(y.single_marginal(j)[0] == p / 2 for j in range(y.n))
+    zero_mass = tuple(y.single_marginal(j)[0] for j in range(y.n))
+    marginal_ok = all(m == p / 2 for m in zero_mass)
     g_effects = effect_report(g, y).effects()
-    effects_ok = all(e > alpha for e in g_effects)
-    count_g = count_effect(g, y, alpha)
+    count_g = sum(1 for e in g_effects if e > alpha)
+    effects_ok = count_g == len(g_effects)
     count_ok = count_f <= 2 * count_g
     witness = None
     if not marginal_ok:
-        witness = tuple(y.single_marginal(j)[0] for j in range(y.n))
+        witness = zero_mass
     elif not effects_ok:
         witness = min(g_effects)
     return Verdict(
@@ -361,7 +365,7 @@ def elimination_set(f: PlayerFunction, d: Distribution, m: int,
 def verify_elimination(f: PlayerFunction, d: Distribution, m: int,
                        p: Fraction, alpha: Fraction) -> Verdict:
     """Certificate plus the size bounds on the union and the family."""
-    p, alpha = Fraction(p), Fraction(alpha)
+    p, alpha = _positive("p", p), _positive("alpha", alpha)
     result = elimination_set(f, d, m, p, alpha)
     t_bound = 8 / (p * alpha ** 2)
     c_bound = 8 * m / (p * alpha ** 2)
@@ -390,7 +394,7 @@ def verify_elimination(f: PlayerFunction, d: Distribution, m: int,
 def convex_decomposition_check(f: PlayerFunction, d1: Distribution,
                                d2: Distribution, q: Fraction, i: int) -> Verdict:
     """Signed effect under a mixture must split convexly across components."""
-    q = Fraction(q)
+    q = as_exact(q, "mixture weight", PreconditionError)
     if not 0 <= q <= 1:
         raise PreconditionError(f"mixture weight {q} outside [0, 1]")
     if d1.alphabet != BINARY or d2.alphabet != BINARY:
@@ -413,6 +417,35 @@ def convex_decomposition_check(f: PlayerFunction, d1: Distribution,
         computed={"mixture_signed": lhs, "convex_sum": rhs},
         bound=None,
         ok=lhs == rhs,
+    )
+
+
+# ----------------------------------------------------------------------
+# Squared effects against the variance on minimal-support spaces
+
+
+def verify_effect_identity(f: PlayerFunction, mu: Distribution) -> Verdict:
+    """Squared-effect sum against EFFECT_VARIANCE_RATIO times the variance.
+
+    On a minimal-support pairwise independent space the ratio must equal
+    the constant; a constant function (variance 0) must have no effects.
+    """
+    ident = effect_identity(f, mu)
+    if ident.variance == 0:
+        ok = ident.sum_sq_effects == 0
+    else:
+        ok = ident.ratio == EFFECT_VARIANCE_RATIO
+    return Verdict(
+        which="effect-identity",
+        inputs={"n": mu.n},
+        computed={
+            "sum_sq_effects": ident.sum_sq_effects,
+            "variance": ident.variance,
+            "ratio": ident.ratio if ident.ratio is not None else "undefined",
+            "expected_ratio": EFFECT_VARIANCE_RATIO,
+        },
+        bound=None,
+        ok=ok,
     )
 
 
@@ -455,7 +488,7 @@ def majp_tightness(n: int, p: Fraction, alpha_grid: Sequence[Fraction],
     players; Monte Carlo mode estimates the three conditional expectations
     for a representative player and scales by n.
     """
-    p = Fraction(p)
+    p = as_exact(p, "p", PreconditionError)
     alphas = [_positive("alpha", a) for a in alpha_grid]
     if not alphas:
         raise PivotalError("alpha grid must be non-empty")

@@ -72,7 +72,7 @@ def test_criterion_01_effect_counterexample(tmp_path):
         assert d.expectation(f) == HALF
         assert f.evaluate((0,) * n) == 0
         assert f.evaluate((1,) * n) == 1
-        assert monotone_check(f, n).ok  # full 2^n cube
+        assert f.n == n and monotone_check(f).ok  # full 2^n cube
     _record(1, "effect counterexample at k=3,4: all effects 0, balanced, "
                "monotone over the full cube")
 
@@ -376,7 +376,7 @@ def test_criterion_10_effect_equals_influence_monotone():
         d = uniform_product(n).to_explicit()
         seen = 0
         for f in _all_monotone_tables(n):
-            assert monotone_check(f, n).ok
+            assert f.n == n and monotone_check(f).ok
             report = effect_report(f, d)
             for i in range(n):
                 assert report.rows[i].effect == influence(f, d, i)

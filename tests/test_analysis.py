@@ -9,6 +9,7 @@ import pytest
 from pivotal import (
     BINARY,
     ConstantFn,
+    DenseTable,
     DictatorFn,
     DistributionError,
     ExplicitDist,
@@ -17,6 +18,7 @@ from pivotal import (
     NullConditionError,
     ParityFn,
     PartialTable,
+    ProductDist,
     count_effect,
     count_pivotal,
     effect,
@@ -354,6 +356,26 @@ class TestEstimateEffect:
                  - majp_conditional_oracle(9, HALF, 0))
         est = estimate_effect(f, d, 0, 3000, seed=1)
         assert abs(float(est.estimate - exact)) <= est.halfwidth
+
+
+def _skewed_table_case():
+    d = ProductDist(BINARY, 4, [(F(1, 3), F(2, 3)), (F(1, 4), F(3, 4)),
+                                (HALF, HALF), (F(2, 5), F(3, 5))])
+    values = {x: F((3 * sum(x) + x[0] - 4) % 9 - 4, 4)
+              for x in itertools.product((0, 1), repeat=4)}
+    return DenseTable(BINARY, 4, values), d, 3, 123, 11
+
+
+@pytest.mark.parametrize("case, estimate, halfwidth", [
+    (lambda: (MajorityFn(7), uniform_product(7), 2, 300, 0), F(109, 300), 0.2217770488309956),
+    (lambda: (MajPFn(5), majp_dist(5, F(1, 3)), 1, 250, "abc"), F(139, 250), 0.24294458476332204),
+    (_skewed_table_case, F(-39, 164), 0.34635756016489666),
+], ids=["majority-uniform", "majp-participation", "table-skewed"])
+def test_estimate_effect_pinned(case, estimate, halfwidth):
+    """Exact estimates and bit-exact half-widths, fixed per (f, d, i, samples, seed)."""
+    f, d, i, samples, seed = case()
+    est = estimate_effect(f, d, i, samples, seed)
+    assert (est.estimate, est.halfwidth, est.samples) == (estimate, halfwidth, samples)
 
 
 def test_effect_equals_influence_for_monotone_small():

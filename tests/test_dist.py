@@ -20,7 +20,13 @@ from pivotal import (
     mixture,
 )
 from pivotal import dist as dist_module
-from pivotal.analysis import effect_report, pivotal_set
+from pivotal.analysis import (
+    count_effect,
+    effect_report,
+    pivotal_player,
+    pivotal_report,
+    pivotal_set,
+)
 from pivotal.boolfn import (
     ConstantFn,
     DenseTable,
@@ -31,7 +37,14 @@ from pivotal.boolfn import (
     PartialTable,
 )
 from pivotal.dist import Distribution, PivotalError, _cumulative, _draw, _scale
-from pivotal.generators import hadamard_mu, majp_dist, mixture_D
+from pivotal.generators import hadamard_mu, majp_dist, mixture_D, uniform_product
+from pivotal.theorems import (
+    _positive,
+    convex_decomposition_check,
+    majp_tightness,
+    verify_elimination,
+    verify_reduction,
+)
 
 from oracles import (
     brute_conditional,
@@ -54,9 +67,29 @@ QUARTER = F(1, 4)
     (lambda: DenseTable(BINARY, 1, {(0,): 0.5, (1,): F(0)}), PivotalError),
     (lambda: PartialTable(BINARY, 1, {(0,): 0.5}), PivotalError),
     (lambda: ConstantFn(2, 0.5), PivotalError),
-], ids=["explicit", "product", "dense", "partial", "constant"])
+    (lambda: pivotal_report(MajPFn(3), majp_dist(3, HALF), 0.1, F(1, 5)), PivotalError),
+    (lambda: pivotal_player(MajPFn(3), majp_dist(3, HALF), 0, F(1, 10), 0.2), PivotalError),
+    (lambda: pivotal_set(MajPFn(3), majp_dist(3, HALF), [0, 1], 0.1, F(1, 5)), PivotalError),
+    (lambda: count_effect(MajorityFn(3), uniform_product(3), 0.25), PivotalError),
+    (lambda: _positive("alpha", 0.5), PivotalError),
+    (lambda: verify_reduction(MajPFn(3), majp_dist(3, HALF), F(1, 10), 0.2), PivotalError),
+    (lambda: verify_elimination(MajPFn(3), majp_dist(3, HALF), 1, 0.1, F(1, 5)),
+     PivotalError),
+    (lambda: convex_decomposition_check(MajorityFn(3), uniform_product(3),
+                                        uniform_product(3), 0.5, 0), PivotalError),
+    (lambda: majp_tightness(5, 0.5, [F(1, 8)]), PivotalError),
+    (lambda: majp_dist(3, 0.5), DistributionError),
+    (lambda: mixture(uniform_product(2), uniform_product(2), 0.5), DistributionError),
+], ids=["explicit", "product", "dense", "partial", "constant", "pivotal_report",
+        "pivotal_player", "pivotal_set", "count_effect", "positive", "verify_reduction",
+        "verify_elimination", "convex_decomposition_check", "majp_tightness", "majp_dist",
+        "mixture"])
 def test_constructors_reject_floats(build, error):
-    """Only int and Fraction are exact; a float is refused, never converted."""
+    """Only int and Fraction are exact; a float is refused, never converted.
+
+    This holds for constructors and for every rational parameter: a float is
+    a binary fraction, not the rational it prints as.
+    """
     with pytest.raises(error, match="int or Fraction"):
         build()
 
@@ -202,6 +235,43 @@ class TestCheckKwise:
     def test_k_out_of_range(self, even_parity3):
         with pytest.raises(DistributionError):
             even_parity3.check_kwise(4)
+
+
+@st.composite
+def small_explicit_spaces(draw):
+    """Explicit supports on a binary or ternary grid: mixed denominators, zero weights.
+
+    Half of them weigh each point by a product of per-player rows, so they
+    are independent and every k passes.
+    """
+    alphabet = draw(st.sampled_from([BINARY, PARTICIPATION]))
+    m, n = len(alphabet), draw(st.integers(1, 4))
+    grid = list(itertools.product(range(m), repeat=n))
+    weight = st.integers(0, 2).flatmap(lambda a: st.integers(1, 7).map(lambda b: F(a, b)))
+    if draw(st.booleans()):
+        rows = [draw(st.lists(weight, min_size=m, max_size=m).filter(any)) for _ in range(n)]
+        raw = [math.prod(row[s] for row, s in zip(rows, x)) for x in grid]
+    else:
+        raw = draw(st.lists(weight, min_size=len(grid), max_size=len(grid)).filter(any))
+    total = sum(raw)
+    return ExplicitDist(alphabet, n, [(x, w / total) for x, w in zip(grid, raw) if w])
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_explicit_spaces(), st.data())
+def test_check_kwise_matches_brute_force(d, data):
+    k = data.draw(st.integers(1, d.n))
+    res = d.check_kwise(k)
+    ok, witness = brute_kwise(d, k)
+    assert res.ok == ok
+    if ok:
+        assert res.witness is None
+    else:
+        T, a = witness
+        assert (res.witness.players, res.witness.assignment) == (T, a)
+        assert res.witness.joint == brute_event_mass(d, dict(zip(T, a)))
+        assert res.witness.product == math.prod(brute_event_mass(d, {i: s})
+                                                for i, s in zip(T, a))
 
 
 class TestExpectation:

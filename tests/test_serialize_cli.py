@@ -366,6 +366,15 @@ def _input_path(tmp_path, name, content) -> str:
     pytest.param(NOT_UTF8, "majority", id="dist-not-utf8"),
     pytest.param(None, DIRECTORY, id="fn-directory"),
     pytest.param(None, NOT_UTF8, id="fn-not-utf8"),
+    pytest.param(None, {"kind": "builtin", "name": "dictator", "params": {"n": 3, "i": 1.7}},
+                 id="dictator-float-index"),
+    pytest.param({"kind": "explicit", "alphabet": ["0", "1"], "n": 1.9,
+                  "support": [{"x": [0.4], "w": "1/2"}, {"x": [1], "w": "1/2"}]},
+                 "majority", id="dist-float-n-and-symbol"),
+    pytest.param({"kind": "product", "alphabet": ["0", "1"], "n": True,
+                  "marginals": [["1/2", "1/2"]]}, "majority", id="dist-bool-n"),
+    pytest.param(None, {"kind": "upward", "n": 3, "generators": [[True, False, 1.0]]},
+                 id="upward-non-integer-bits"),
 ])
 def test_malformed_input_is_input_error(tmp_path, mu_file, capsys, dist_obj, fn):
     """Exit 2 with a one-line diagnostic, never a traceback and exit 1."""

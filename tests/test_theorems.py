@@ -31,6 +31,7 @@ from pivotal import (
     reduce_to_binary,
     uniform_product,
     verify_binary_bound,
+    verify_effect_identity,
     verify_elimination,
     verify_reduction,
     verify_sum_bound,
@@ -43,6 +44,21 @@ from oracles import brute_deviating_mass, brute_indicator_law, brute_signed_effe
 
 F = Fraction
 HALF = F(1, 2)
+
+
+class TestVerifyEffectIdentity:
+    def test_constant_function_has_zero_variance(self):
+        v = verify_effect_identity(ConstantFn(3, HALF), hadamard_mu(2))
+        assert v.ok
+        assert v.computed == {"sum_sq_effects": 0, "variance": 0, "ratio": "undefined",
+                              "expected_ratio": 4}
+
+    def test_majority_has_ratio_four(self):
+        v = verify_effect_identity(MajorityFn(3), hadamard_mu(2))
+        assert v.ok
+        assert v.which == "effect-identity" and v.inputs == {"n": 3}
+        assert v.computed["ratio"] == 4 == v.computed["expected_ratio"]
+        assert v.computed["sum_sq_effects"] == 4 * v.computed["variance"] != 0
 
 
 def not_pairwise_dist():
