@@ -216,6 +216,13 @@ class FourierTable:
         return self.coeffs[0]
 
 
+def _require_pairwise(d: Distribution) -> None:
+    res = d.check_kwise(min(2, d.n))
+    if not res.ok:
+        raise PreconditionError("distribution is not pairwise independent",
+                                witness=res.witness)
+
+
 def _require_minimal_space(d: Distribution) -> tuple[int, ExplicitDist]:
     """Check the minimal-support preconditions, returning k and the support."""
     mu = d.to_explicit()
@@ -229,13 +236,11 @@ def _require_minimal_space(d: Distribution) -> tuple[int, ExplicitDist]:
     w = Fraction(1, size)
     if any(weight != w for _, weight in mu.support):
         raise PreconditionError(f"support is not uniform (expected weight {w})")
-    for i in range(mu.n):
-        if mu.single_marginal(i) != (HALF, HALF):
+    # The masses of the two symbols sum to 1, so Pr[X_i = 0] = 1/2 is fair.
+    for i, table in enumerate(mu.sums(_singletons(mu.n)).tables):
+        if table.get((0,), (ZERO,))[0] != HALF:
             raise PreconditionError(f"marginal of player {i} is not 1/2")
-    res = mu.check_kwise(min(2, mu.n))
-    if not res.ok:
-        raise PreconditionError("support is not pairwise independent",
-                                witness=res.witness)
+    _require_pairwise(mu)
     # The characters chi_y(x) = 1 - 2 x_y are then orthonormal under the
     # uniform weights: fair marginals give E[chi_y] = 0, and pairwise
     # independence gives E[chi_a chi_b] = -1 + 4 * 1/4 = 0 for a != b.

@@ -62,7 +62,7 @@ def mask_to_outcome(mask: int, n: int) -> Outcome:
 class PlayerFunction:
     """Total map from outcome tuples to rational values in [-1, 1]."""
 
-    alphabet: Alphabet
+    alphabet: Alphabet = BINARY
     n: int
     # True only when the value depends on how many players show each symbol,
     # not on which players: evaluate(x) == evaluate(sorted(x)). Product
@@ -126,6 +126,8 @@ class DenseTable(PartialTable):
     def __init__(self, alphabet: Alphabet, n: int,
                  values: Mapping[Outcome, Fraction] | Iterable[tuple[Outcome, Fraction]]):
         super().__init__(alphabet, n, values)
+        if not self.entries:  # checked first: len(alphabet) ** n can be astronomically large
+            raise PivotalError("dense table has no entries")
         size = len(alphabet) ** self.n
         if len(self.entries) != size:
             raise PivotalError(f"dense table has {len(self.entries)} entries, grid needs {size}")
@@ -143,7 +145,6 @@ class ParityFn(PlayerFunction):
     """1 iff an odd number of input bits are set."""
 
     n: int
-    alphabet: Alphabet = BINARY
     symmetric = True
 
     def evaluate(self, x: Outcome) -> Fraction:
@@ -156,7 +157,6 @@ class MajorityFn(PlayerFunction):
     """1 iff strictly more ones than zeros (ties give 0)."""
 
     n: int
-    alphabet: Alphabet = BINARY
     symmetric = True
 
     def evaluate(self, x: Outcome) -> Fraction:
@@ -169,7 +169,6 @@ class MajorityFn(PlayerFunction):
 class DictatorFn(PlayerFunction):
     n: int
     player: int
-    alphabet: Alphabet = BINARY
 
     def __post_init__(self) -> None:
         if not 0 <= self.player < self.n:
@@ -206,7 +205,7 @@ class MajPFn(PlayerFunction):
     """
 
     n: int
-    alphabet: Alphabet = PARTICIPATION
+    alphabet = PARTICIPATION
     symmetric = True
 
     def evaluate(self, x: Outcome) -> Fraction:
@@ -223,10 +222,9 @@ class UpwardClosure(PlayerFunction):
     so equal closures compare equal.
     """
 
-    __slots__ = ("alphabet", "n", "generators", "_columns")
+    __slots__ = ("n", "generators", "_columns")
 
     def __init__(self, n: int, generators: Iterable[Sequence[int]]):
-        self.alphabet = BINARY
         self.n = int(n)
         masks = set()
         for g in generators:
@@ -240,7 +238,6 @@ class UpwardClosure(PlayerFunction):
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "UpwardClosure":
         obj = cls.__new__(cls)
-        obj.alphabet = BINARY
         obj.n = int(n)
         masks = set(masks)
         bad = sorted(m for m in masks if not 0 <= m < (1 << n))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -20,9 +19,10 @@ from . import analysis, boolfn, generators, theorems
 from .boolfn import CertificateError, PlayerFunction
 from .dist import Distribution, PivotalError
 from .serialize import (
-    _BUILTIN_NAMES,
+    BUILTIN_SPECS,
     canonical_dumps,
     dist_to_obj,
+    fn_from_spec,
     jsonable,
     load_dist,
     load_fn,
@@ -64,24 +64,11 @@ def _load_function(spec: str, d: Distribution) -> PlayerFunction:
     A spec whose name before ":" is a builtin name always means the builtin,
     even when a file of that name exists; write ./majority for the file.
     """
-    name, _, param = spec.partition(":")
-    if name in _BUILTIN_NAMES:
-        f = _BUILTIN_NAMES[name](d.n)
-    elif name == "dictator":
-        try:
-            player = int(param)
-        except ValueError:
-            raise PivotalError(
-                f"dictator needs an integer player index, got {param!r}") from None
-        f = boolfn.DictatorFn(d.n, player)
-    elif name == "constant":
-        f = boolfn.ConstantFn(d.n, parse_rational(param), d.alphabet)
-    elif Path(spec).exists():
+    f = fn_from_spec(spec, d.n, d.alphabet)
+    if f is None:
+        if not Path(spec).exists():
+            raise PivotalError(f"{spec!r} is neither a file nor a builtin ({BUILTIN_SPECS})")
         f = load_fn(spec)
-    else:
-        raise PivotalError(
-            f"{spec!r} is neither a file nor a builtin "
-            "(majp | parity | majority | dictator:I | constant:R)")
     if f.alphabet != d.alphabet:
         raise PivotalError(
             f"function alphabet {f.alphabet.symbols} does not match "
@@ -99,98 +86,99 @@ def _csv_text(header: list[str], rows: list[list[object]]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _pair(x: Fraction) -> list[object]:
-    """Exact string plus decimal rendering, the two-column CSV convention."""
-    return [rational_str(x), float(x)]
+def _exact(name: str, x: Fraction) -> dict:
+    """JSON report fields for a rational: exact under name, a float under name_float."""
+    return {name: x, f"{name}_float": float(x)}
+
+
+def _columns(row: dict) -> dict:
+    """CSV columns of a report row: a rational gives an exact and a decimal
+    column, name and name_dec; _float fields and nested lists are JSON-only."""
+    columns = {}
+    for name, value in row.items():
+        if isinstance(value, Fraction):
+            columns[name], columns[f"{name}_dec"] = rational_str(value), float(value)
+        elif not (name.endswith("_float") or isinstance(value, list)):
+            columns[name] = value
+    return columns
 
 
 # ----------------------------------------------------------------------
 # Subcommands
 
 
+# name -> (the options it needs, how it runs). The runs look up generators.*
+# and theorems.* at call time, so a patched module attribute takes effect.
+GENERATORS = {
+    "hadamard-mu": (("k",), lambda a: generators.hadamard_mu(a.k)),
+    "complement-mu": (("k",), lambda a: generators.complement_mu(generators.hadamard_mu(a.k))),
+    "mixture-d": (("k",), lambda a: generators.mixture_D(a.k)),
+    "uniform-product": (("n",), lambda a: generators.uniform_product(a.n)),
+    "majp": (("n", "p"), lambda a: generators.majp_dist(a.n, a.p)),
+}
+
+VERIFIERS = {
+    "thm1": (("p", "alpha"), lambda f, d, a: theorems.verify_thm1(f, d, a.p, a.alpha)),
+    "thm2": (("m", "p", "alpha"),
+             lambda f, d, a: theorems.verify_elimination(f, d, a.m, a.p, a.alpha)),
+    "warmup": (("alpha",), lambda f, d, a: theorems.verify_warmup(f, d, a.alpha)),
+    "sum-bound": (("players",), lambda f, d, a: theorems.verify_sum_bound(f, d, a.players)),
+    "binary-bound": (("alpha",),
+                     lambda f, d, a: theorems.verify_binary_bound(f, d, a.alpha)),
+    "reduction": (("p", "alpha"),
+                  lambda f, d, a: theorems.verify_reduction(f, d, a.p, a.alpha)),
+    "convex": (("dist2", "q", "player"),
+               lambda f, d, a: theorems.convex_decomposition_check(
+                   f, d, load_dist(a.dist2), a.q, a.player)),
+    "effect-identity": ((), lambda f, d, a: theorems.verify_effect_identity(f, d)),
+}
+
+
+def _require(args: argparse.Namespace, command: str, names: tuple[str, ...]) -> None:
+    """Input error naming every option in names that command needs and lacks."""
+    missing = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise PivotalError(f"{command} needs {' and '.join(missing)}")
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind == "hadamard-mu":
-        d = generators.hadamard_mu(_require(args, "k"))
-    elif kind == "complement-mu":
-        d = generators.complement_mu(generators.hadamard_mu(_require(args, "k")))
-    elif kind == "mixture-d":
-        d = generators.mixture_D(_require(args, "k"))
-    elif kind == "uniform-product":
-        d = generators.uniform_product(_require(args, "n"))
-    else:  # majp
-        if args.p is None:
-            raise PivotalError("gen majp needs --p")
-        d = generators.majp_dist(_require(args, "n"), args.p)
-    _emit(canonical_dumps(dist_to_obj(d)), args.out)
+    needs, make = GENERATORS[args.kind]
+    _require(args, f"gen {args.kind}", needs)
+    _emit(canonical_dumps(dist_to_obj(make(args))), args.out)
     return 0
-
-
-def _require(args: argparse.Namespace, name: str) -> int:
-    value = getattr(args, name)
-    if value is None:
-        raise PivotalError(f"gen {args.kind} needs --{name}")
-    return value
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     d = load_dist(args.dist)
     f = _load_function(args.fn, d)
-    what = args.what
-    if what == "effects":
-        report = analysis.effect_report(f, d)
-        rows = [{"player": r.player, "signed": r.signed, "signed_float": float(r.signed),
-                 "effect": r.effect, "effect_float": float(r.effect)}
-                for r in report.rows]
-        payload = {"what": "effects", "players": rows}
-        csv_rows = [[r.player] + _pair(r.signed) + _pair(r.effect) for r in report.rows]
-        header = ["player", "signed", "signed_dec", "effect", "effect_dec"]
-    elif what == "influences":
-        values = [analysis.influence(f, d, i) for i in range(d.n)]
-        payload = {"what": "influences",
-                   "players": [{"player": i, "influence": v, "influence_float": float(v)}
-                               for i, v in enumerate(values)]}
-        csv_rows = [[i] + _pair(v) for i, v in enumerate(values)]
-        header = ["player", "influence", "influence_dec"]
-    elif what == "pivotal":
-        if args.p is None or args.alpha is None:
-            raise PivotalError("analyze --what pivotal needs --p and --alpha")
+    head = {"what": args.what}
+    if args.what == "effects":
+        rows = [{"player": r.player, **_exact("signed", r.signed), **_exact("effect", r.effect)}
+                for r in analysis.effect_report(f, d).rows]
+    elif args.what == "influences":
+        rows = [{"player": i, **_exact("influence", analysis.influence(f, d, i))}
+                for i in range(d.n)]
+    elif args.what == "pivotal":
+        _require(args, "analyze --what pivotal", ("p", "alpha"))
         report = analysis.pivotal_report(f, d, args.p, args.alpha)
-        rows = []
-        for r in report.rows:
-            rows.append({
-                "player": r.player,
-                "deviating_mass": r.deviating_mass,
-                "deviating_mass_float": float(r.deviating_mass),
-                "pivotal": r.pivotal,
-                "deviations": [{"symbol": d.alphabet.symbols[sd.symbol],
-                                "mass": sd.mass,
-                                "deviation": sd.deviation,
-                                "deviation_float": float(sd.deviation)}
-                               for sd in r.deviations],
-            })
-        payload = {"what": "pivotal", "expectation": report.expectation,
-                   "p": report.p, "alpha": report.alpha, "players": rows}
-        csv_rows = [[r.player] + _pair(r.deviating_mass) + [r.pivotal] for r in report.rows]
-        header = ["player", "deviating_mass", "deviating_mass_dec", "pivotal"]
-    else:  # counts
-        if args.alpha is None:
-            raise PivotalError("analyze --what counts needs --alpha")
+        head.update(expectation=report.expectation, p=report.p, alpha=report.alpha)
+        rows = [{"player": r.player, **_exact("deviating_mass", r.deviating_mass),
+                 "pivotal": r.pivotal,
+                 "deviations": [{"symbol": d.alphabet.symbols[sd.symbol], "mass": sd.mass,
+                                 **_exact("deviation", sd.deviation)} for sd in r.deviations]}
+                for r in report.rows]
+    else:  # counts: one row, whose fields JSON shows at the top level
+        _require(args, "analyze --what counts", ("alpha",))
         if args.p is None:
-            count = analysis.count_effect(f, d, args.alpha)
-            payload = {"what": "counts", "alpha": args.alpha, "count_effect": count}
-            csv_rows = [[rational_str(args.alpha), float(args.alpha), count]]
-            header = ["alpha", "alpha_dec", "count_effect"]
+            rows = [{"alpha": args.alpha, "count_effect": analysis.count_effect(f, d, args.alpha)}]
         else:
-            count = analysis.count_pivotal(f, d, args.p, args.alpha)
-            payload = {"what": "counts", "p": args.p, "alpha": args.alpha,
-                       "count_pivotal": count}
-            csv_rows = [[rational_str(args.p), float(args.p),
-                         rational_str(args.alpha), float(args.alpha), count]]
-            header = ["p", "p_dec", "alpha", "alpha_dec", "count_pivotal"]
+            rows = [{"p": args.p, "alpha": args.alpha,
+                     "count_pivotal": analysis.count_pivotal(f, d, args.p, args.alpha)}]
     if args.format == "csv":
-        _emit(_csv_text(header, csv_rows), None)
+        columns = [_columns(row) for row in rows]
+        _emit(_csv_text(list(columns[0]), [list(c.values()) for c in columns]), None)
     else:
+        payload = {**head, **rows[0]} if args.what == "counts" else {**head, "players": rows}
         _emit(canonical_dumps(jsonable(payload)), None)
     return 0
 
@@ -209,42 +197,12 @@ def _verdict_payload(v: theorems.Verdict) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    which = args.which
-    if which == "convex":
-        if args.dist2 is None:
-            raise PivotalError("verify --which convex needs --dist2")
-        d1 = load_dist(args.dist)
-        d2 = load_dist(args.dist2)
-        f = _load_function(args.fn, d1)
-        verdict = theorems.convex_decomposition_check(
-            f, d1, d2, _need(args, "q"), _need(args, "player"))
-    else:
-        d = load_dist(args.dist)
-        f = _load_function(args.fn, d)
-        if which == "thm1":
-            verdict = theorems.verify_thm1(f, d, _need(args, "p"), _need(args, "alpha"))
-        elif which == "warmup":
-            verdict = theorems.verify_warmup(f, d, _need(args, "alpha"))
-        elif which == "sum-bound":
-            verdict = theorems.verify_sum_bound(f, d, _need(args, "players"))
-        elif which == "binary-bound":
-            verdict = theorems.verify_binary_bound(f, d, _need(args, "alpha"))
-        elif which == "reduction":
-            verdict = theorems.verify_reduction(f, d, _need(args, "p"), _need(args, "alpha"))
-        elif which == "thm2":
-            verdict = theorems.verify_elimination(
-                f, d, _need(args, "m"), _need(args, "p"), _need(args, "alpha"))
-        else:  # effect-identity
-            verdict = theorems.verify_effect_identity(f, d)
+    needs, run = VERIFIERS[args.which]
+    _require(args, f"verify --which {args.which}", needs)
+    d = load_dist(args.dist)
+    verdict = run(_load_function(args.fn, d), d, args)
     _emit(canonical_dumps(_verdict_payload(verdict)), None)
     return 0 if verdict.ok else 1
-
-
-def _need(args: argparse.Namespace, name: str):
-    value = getattr(args, name)
-    if value is None:
-        raise PivotalError(f"verify --which {args.which} needs --{name.replace('_', '-')}")
-    return value
 
 
 def _certificate_payload(cert: boolfn.Certificate, violation=None) -> dict:
@@ -278,23 +236,17 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.majp_tightness:
         raise PivotalError("sweep currently supports --majp-tightness only")
-    if args.p is None or args.n is None or not args.alpha_grid:
-        raise PivotalError("sweep needs --n, --p and --alpha-grid")
+    _require(args, "sweep", ("n", "p", "alpha_grid"))
     rows = theorems.majp_tightness(args.n, args.p, args.alpha_grid,
                                    samples=args.samples, seed=args.seed)
+    payload = [{"alpha": r.alpha, "count_or_estimate": r.count, "bound": r.bound,
+                "mode": r.mode, "ci_halfwidth": r.halfwidth} for r in rows]
     if args.format == "json":
-        payload = [{"alpha": r.alpha, "count_or_estimate": r.count,
-                    "bound": r.bound, "mode": r.mode,
-                    "ci_halfwidth": r.halfwidth} for r in rows]
         _emit(canonical_dumps(jsonable(payload)), None)
-        return 0
-    header = ["alpha", "alpha_dec", "count_or_estimate", "count_dec",
-              "bound", "bound_dec", "mode", "ci_halfwidth"]
-    csv_rows = []
-    for r in rows:
-        csv_rows.append(_pair(r.alpha) + _pair(r.count) + _pair(r.bound)
-                        + [r.mode, "" if r.halfwidth is None else repr(r.halfwidth)])
-    _emit(_csv_text(header, csv_rows), None)
+    else:  # the decimal column of count_or_estimate is named count_dec
+        header = ["alpha", "alpha_dec", "count_or_estimate", "count_dec",
+                  "bound", "bound_dec", "mode", "ci_halfwidth"]
+        _emit(_csv_text(header, [list(_columns(row).values()) for row in payload]), None)
     return 0
 
 
@@ -308,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a named distribution as JSON")
-    gen.add_argument("kind", choices=["hadamard-mu", "complement-mu", "mixture-d",
-                                      "uniform-product", "majp"])
+    gen.add_argument("kind", choices=list(GENERATORS))
     gen.add_argument("--k", type=int)
     gen.add_argument("--n", type=int)
     gen.add_argument("--p", type=_rational_arg)
@@ -319,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", help="per-player reports for a function and distribution")
     an.add_argument("--dist", required=True)
     an.add_argument("--fn", required=True,
-                    help="function file or builtin spec (majp | parity | majority | dictator:I | constant:R)")
+                    help=f"function file or builtin spec ({BUILTIN_SPECS})")
     an.add_argument("--what", required=True,
                     choices=["effects", "influences", "pivotal", "counts"])
     an.add_argument("--p", type=_rational_arg)
@@ -328,9 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.set_defaults(func=_cmd_analyze)
 
     ver = sub.add_parser("verify", help="check one statement on one instance")
-    ver.add_argument("--which", required=True,
-                     choices=["thm1", "thm2", "warmup", "sum-bound", "binary-bound",
-                              "reduction", "convex", "effect-identity"])
+    ver.add_argument("--which", required=True, choices=list(VERIFIERS))
     ver.add_argument("--dist", required=True)
     ver.add_argument("--dist2")
     ver.add_argument("--fn", required=True)
@@ -368,14 +317,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PivotalError as exc:
+    except (PivotalError, OSError) as exc:
         print(f"pivotal: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"pivotal: error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"pivotal: error: invalid JSON input: {exc}", file=sys.stderr)
         return 2
 
 

@@ -12,6 +12,7 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .boolfn import (
     ConstantFn,
@@ -41,7 +42,10 @@ def parse_rational(text: str) -> Fraction:
         raise PivotalError(
             f"expected an exact rational like \"3/4\", got {text!r}"
             " (decimal notation is rejected)")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:  # a zero denominator, or too many digits
+        raise PivotalError(f"invalid rational {text.strip()!r}: {exc}") from None
 
 
 def _json_int(value: object, what: str) -> int:
@@ -49,6 +53,13 @@ def _json_int(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _json_alphabet(value: object) -> Alphabet:
+    """A JSON list of strings; a string such as "01" is not split into symbols."""
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise TypeError(f"alphabet must be a list of strings, got {value!r}")
+    return Alphabet(tuple(value))
 
 
 def rational_str(x: Fraction) -> str:
@@ -98,7 +109,7 @@ def dist_from_obj(obj: dict) -> Distribution:
             f"distribution must be a JSON object, got {type(obj).__name__}")
     try:
         kind = obj["kind"]
-        alphabet = Alphabet(tuple(obj["alphabet"]))
+        alphabet = _json_alphabet(obj["alphabet"])
         n = _json_int(obj["n"], "n")
         if kind == "explicit":
             support = [(tuple(_json_int(s, "symbol") for s in entry["x"]),
@@ -119,11 +130,42 @@ def dist_from_obj(obj: dict) -> Distribution:
 # Player functions
 
 
-_BUILTIN_NAMES = {
-    "majp": MajPFn,
-    "parity": ParityFn,
-    "majority": MajorityFn,
+def _spec_index(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise PivotalError(f"dictator needs an integer player index, got {text!r}") from None
+
+
+class Builtin(NamedTuple):
+    """A builtin function class and how its one parameter, if any, is read.
+
+    The parameter is the field ``key`` of a file's "params", the attribute
+    ``attr`` of an instance and ``placeholder`` in a spec such as
+    dictator:I. ``from_text`` turns the text after ":" into the file's
+    value, and ``from_json`` a file's value into the constructor argument.
+    """
+
+    cls: type[PlayerFunction]
+    key: str = ""
+    attr: str = ""
+    placeholder: str = ""
+    from_text: Callable[[str], object] = str
+    from_json: Callable[[object], object] | None = None
+    takes_alphabet: bool = False
+
+
+BUILTINS = {
+    "majp": Builtin(MajPFn),
+    "parity": Builtin(ParityFn),
+    "majority": Builtin(MajorityFn),
+    "dictator": Builtin(DictatorFn, "i", "player", "I", _spec_index,
+                        lambda value: _json_int(value, "i")),
+    "constant": Builtin(ConstantFn, "c", "value", "R", from_json=parse_rational,
+                        takes_alphabet=True),
 }
+BUILTIN_SPECS = " | ".join(name + (f":{b.placeholder}" if b.key else "")
+                           for name, b in BUILTINS.items())
 
 
 def fn_to_obj(f: PlayerFunction) -> dict:
@@ -137,19 +179,33 @@ def fn_to_obj(f: PlayerFunction) -> dict:
     if isinstance(f, UpwardClosure):
         return {"kind": "upward", "n": f.n,
                 "generators": [list(g) for g in f.generator_outcomes()]}
-    for name, cls in _BUILTIN_NAMES.items():
-        if isinstance(f, cls):
-            return {"kind": "builtin", "name": name, "params": {"n": f.n}}
-    if isinstance(f, DictatorFn):
-        return {"kind": "builtin", "name": "dictator",
-                "params": {"n": f.n, "i": f.player}}
-    if isinstance(f, ConstantFn):
-        obj = {"kind": "builtin", "name": "constant",
-               "params": {"n": f.n, "c": rational_str(f.value)}}
-        if f.alphabet.symbols != ("0", "1"):
-            obj["params"]["alphabet"] = list(f.alphabet.symbols)
-        return obj
+    for name, b in BUILTINS.items():
+        if isinstance(f, b.cls):
+            params = {"n": f.n}
+            if b.key:
+                params[b.key] = jsonable(getattr(f, b.attr))
+            if f.alphabet != b.cls.alphabet:
+                params["alphabet"] = list(f.alphabet.symbols)
+            return {"kind": "builtin", "name": name, "params": params}
     raise PivotalError(f"cannot serialize {type(f).__name__}")
+
+
+def fn_from_spec(spec: str, n: int, alphabet: Alphabet) -> PlayerFunction | None:
+    """The builtin that a spec such as majp or dictator:0 names, or None.
+
+    n is the arity; a constant also takes the alphabet given."""
+    name, colon, text = spec.partition(":")
+    b = BUILTINS.get(name)
+    if b is None:
+        return None
+    params = {"n": n}
+    if b.key:
+        params[b.key] = b.from_text(text)
+    elif colon:
+        raise PivotalError(f"builtin {name} takes no parameter, got {spec!r}")
+    if b.takes_alphabet:
+        params["alphabet"] = list(alphabet.symbols)
+    return fn_from_obj({"kind": "builtin", "name": name, "params": params})
 
 
 def fn_from_obj(obj: dict) -> PlayerFunction:
@@ -158,7 +214,7 @@ def fn_from_obj(obj: dict) -> PlayerFunction:
     try:
         kind = obj.get("kind")
         if kind == "table":
-            alphabet = Alphabet(tuple(obj["alphabet"]))
+            alphabet = _json_alphabet(obj["alphabet"])
             if any(len(s) != 1 for s in alphabet.symbols):
                 raise PivotalError("table parsing needs single-character symbols")
             index = {s: i for i, s in enumerate(alphabet.symbols)}
@@ -175,17 +231,16 @@ def fn_from_obj(obj: dict) -> PlayerFunction:
                                  [tuple(_json_int(s, "generator bit") for s in g)
                                   for g in obj["generators"]])
         if kind == "builtin":
-            name = obj.get("name")
+            b = BUILTINS.get(obj.get("name"))
+            if b is None:
+                raise PivotalError(f"unknown builtin {obj.get('name')!r}")
             params = obj.get("params", {})
-            n = _json_int(params["n"], "n")
-            if name in _BUILTIN_NAMES:
-                return _BUILTIN_NAMES[name](n)
-            if name == "dictator":
-                return DictatorFn(n, _json_int(params["i"], "i"))
-            if name == "constant":
-                alphabet = Alphabet(tuple(params.get("alphabet", ("0", "1"))))
-                return ConstantFn(n, parse_rational(params["c"]), alphabet)
-            raise PivotalError(f"unknown builtin {name!r}")
+            args = [_json_int(params["n"], "n")]
+            if b.key:
+                args.append(b.from_json(params[b.key]))
+            if b.takes_alphabet and "alphabet" in params:
+                args.append(_json_alphabet(params["alphabet"]))
+            return b.cls(*args)
         raise PivotalError(f"unknown function kind {kind!r}")
     except KeyError as exc:
         raise PivotalError(f"function object missing field {exc}") from None
@@ -199,10 +254,11 @@ def fn_from_obj(obj: dict) -> PlayerFunction:
 
 def _read_json(path: str | Path) -> object:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise PivotalError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad syntax, deep nesting, huge integers
+        raise PivotalError(f"invalid JSON input: {exc}") from None
 
 
 def save_dist(path: str | Path, d: Distribution) -> None:

@@ -19,6 +19,7 @@ from .analysis import (
     _deviating_mass,
     _mass_past,
     _pivotal_row,
+    _require_pairwise,
     count_effect,
     count_pivotal,
     effect_identity,
@@ -63,13 +64,6 @@ class Verdict:
     bound: Fraction | None
     ok: bool
     witness: object | None = None
-
-
-def _require_pairwise(d: Distribution) -> None:
-    res = d.check_kwise(min(2, d.n))
-    if not res.ok:
-        raise PreconditionError("distribution is not pairwise independent",
-                                witness=res.witness)
 
 
 def _positive(name: str, value: Fraction) -> Fraction:

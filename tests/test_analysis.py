@@ -272,6 +272,16 @@ class TestFourier:
         lopsided = ExplicitDist(BINARY, 1, [((0,), F(1, 3)), ((1,), F(2, 3))])
         with pytest.raises(PreconditionError, match="uniform"):
             fourier(ConstantFn(1, F(1)), lopsided)
+        quarter = F(1, 4)
+        player0_fixed = ExplicitDist(BINARY, 3, [((0, a, b), quarter)
+                                                 for a in (0, 1) for b in (0, 1)])
+        with pytest.raises(PreconditionError, match="player 0 is not 1/2"):
+            fourier(ConstantFn(3, F(1)), player0_fixed)
+        players12_equal = ExplicitDist(BINARY, 3, [((a, b, b), quarter)
+                                                   for a in (0, 1) for b in (0, 1)])
+        with pytest.raises(PreconditionError, match="not pairwise independent") as exc:
+            fourier(ConstantFn(3, F(1)), players12_equal)
+        assert exc.value.witness.players == (1, 2)
 
     def test_works_on_complement_space(self):
         from pivotal import complement_mu

@@ -71,6 +71,10 @@ class TestEvaluate:
         with pytest.raises(PivotalError, match="grid"):
             DenseTable(BINARY, 2, {(0, 0): F(0)})
 
+    def test_empty_dense_table_rejected_before_sizing_the_grid(self):
+        with pytest.raises(PivotalError, match="no entries"):
+            DenseTable(BINARY, 10**6, {})
+
     def test_dense_table_value_range(self):
         with pytest.raises(PivotalError, match="outside"):
             DenseTable(BINARY, 1, {(0,): F(2), (1,): F(0)})

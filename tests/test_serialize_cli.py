@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,9 +23,10 @@ from pivotal import (
     mixture_D,
     uniform_product,
 )
-from pivotal.cli import main
+from pivotal.cli import GENERATORS, VERIFIERS, main
 from pivotal.generators import _HADAMARD_K_LIMIT
 from pivotal.serialize import (
+    BUILTIN_SPECS,
     canonical_dumps,
     dist_from_obj,
     dist_to_obj,
@@ -375,6 +377,22 @@ def _input_path(tmp_path, name, content) -> str:
                   "marginals": [["1/2", "1/2"]]}, "majority", id="dist-bool-n"),
     pytest.param(None, {"kind": "upward", "n": 3, "generators": [[True, False, 1.0]]},
                  id="upward-non-integer-bits"),
+    pytest.param(b"[" * 100_000, "majority", id="dist-deeply-nested"),
+    pytest.param(b'{"kind": "product", "alphabet": ["0", "1"], "n": 1' + b"0" * 4999
+                 + b', "marginals": []}', "majority", id="dist-n-of-5000-digits"),
+    pytest.param({"kind": "product", "alphabet": "01", "n": 3,
+                  "marginals": [["1/2", "1/2"]] * 3}, "majority", id="dist-alphabet-string"),
+    pytest.param({"kind": "product", "alphabet": [0, 1], "n": 3,
+                  "marginals": [["1/2", "1/2"]] * 3}, "majority", id="dist-alphabet-integers"),
+    pytest.param(None, {"kind": "table", "alphabet": "01", "n": 3,
+                        "values": {format(m, "03b"): "0" for m in range(8)}},
+                 id="table-alphabet-string"),
+    pytest.param(None, {"kind": "builtin", "name": "constant",
+                        "params": {"n": 3, "c": "1/2", "alphabet": "01"}},
+                 id="constant-alphabet-string"),
+    pytest.param(None, "parity:7", id="parameter-to-parity"),
+    pytest.param(None, "majority:x", id="parameter-to-majority"),
+    pytest.param(None, "constant:1/0", id="constant-zero-denominator"),
 ])
 def test_malformed_input_is_input_error(tmp_path, mu_file, capsys, dist_obj, fn):
     """Exit 2 with a one-line diagnostic, never a traceback and exit 1."""
@@ -420,3 +438,14 @@ def test_unwritable_output_is_input_error(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("pivotal: error:")
+
+
+def test_readme_names_every_command_line_choice():
+    """README lists each generator and verifier with the options it needs, and the builtins."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = []
+    for name, (needs, _) in [*GENERATORS.items(), *VERIFIERS.items()]:
+        options = ", ".join(f"`--{option.replace('_', '-')}`" for option in needs) or "—"
+        rows.append(f"| `{name}` | {options} |")
+    assert [row for row in rows if row not in readme] == []
+    assert f"(`{BUILTIN_SPECS}`)" in readme
