@@ -102,10 +102,15 @@ class PartialTable(PlayerFunction):
         if len(self._lookup) != len(self.entries):
             raise PivotalError("outcome mapped twice in table")
         m = len(alphabet)
-        for x, v in self.entries:
-            if len(x) != self.n or any(not 0 <= s < m for s in x):
-                raise PivotalError(f"invalid outcome {x} in table")
-            _check_value_range(x, v)
+        # Checked once per distinct length, symbol and value; the per-entry
+        # loop runs only when a check fails, to name the first bad entry.
+        if (set(map(len, self._lookup)) != {self.n}
+                or not set().union(*self._lookup) <= set(range(m))
+                or not all(-1 <= v <= 1 for v in set(self._lookup.values()))):
+            for x, v in self.entries:
+                if len(x) != self.n or any(not 0 <= s < m for s in x):
+                    raise PivotalError(f"invalid outcome {x} in table")
+                _check_value_range(x, v)
 
     def evaluate(self, x: Outcome) -> Fraction:
         self._check_arity(x)

@@ -234,8 +234,6 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if not args.majp_tightness:
-        raise PivotalError("sweep currently supports --majp-tightness only")
     _require(args, "sweep", ("n", "p", "alpha_grid"))
     rows = theorems.majp_tightness(args.n, args.p, args.alpha_grid,
                                    samples=args.samples, seed=args.seed)
@@ -300,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     cx.set_defaults(func=_cmd_counterexample)
 
     sw = sub.add_parser("sweep", help="tightness table over an alpha grid")
-    sw.add_argument("--majp-tightness", action="store_true")
+    sw.add_argument("--majp-tightness", action="store_true",
+                    help="accepted and ignored: majp tightness is the only sweep")
     sw.add_argument("--n", type=int)
     sw.add_argument("--p", type=_rational_arg)
     sw.add_argument("--alpha-grid", type=_grid_arg)

@@ -12,6 +12,12 @@ denominator and builds each ``Fraction`` once, after the pass. An
 explicit support keeps its lcm denominator and integer weights, built at
 its first kernel pass, so later passes skip the rescaling.
 
+Exact k-wise checks do not use the kernel. They see an explicit support as
+bitsets, one per (player, symbol) and one per distinct integer weight,
+built at the first check and kept. The joint mass of an assignment is the
+AND of its players' bitsets, weighed class by class by popcount, and
+factorization is decided in integers over the lcm denominator.
+
 A product form whose rows are all equal has a symmetric path. When f is
 None or declares ``symmetric = True`` (its value depends only on how many
 players show each symbol) and no group names a player twice, the kernel
@@ -34,14 +40,15 @@ builds a cache builds the same one.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence
+from operator import getitem, itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 Outcome = tuple[int, ...]
 
@@ -138,6 +145,8 @@ class GroupedSums:
 
 def as_exact(value: object, what: str, error: type = DistributionError) -> Fraction:
     """value as a Fraction; only int and Fraction are accepted, never floats."""
+    if type(value) is Fraction:
+        return value
     if not isinstance(value, (int, Fraction)):
         raise error(f"{what} must be an int or Fraction, got {value!r}")
     return Fraction(value)
@@ -197,12 +206,6 @@ def _law_and_mean(slots: dict[Fraction, int], value_mass: list[int],
     return law, mean, vden, scaled
 
 
-def _symbol_masses(table: dict[Outcome, tuple[Fraction, Fraction]],
-                   m: int) -> tuple[Fraction, ...]:
-    """Per-symbol mass from one player's kernel table; absent symbols have mass 0."""
-    return tuple(table[(s,)][0] if (s,) in table else ZERO for s in range(m))
-
-
 def _count_weights(ints: Sequence[int], total: int) -> list[tuple[tuple[int, ...], int]]:
     """(c, multinomial(total; c) * prod r_s^c_s) for each count vector c.
 
@@ -218,6 +221,51 @@ def _count_weights(ints: Sequence[int], total: int) -> list[tuple[tuple[int, ...
                    for c, left, w in partial
                    for k in ((left,) if last else range(left, -1, -1))]
     return [(c, w) for c, _, w in partial]
+
+
+class _Bitsets(NamedTuple):
+    """An explicit support as bitsets: bit j stands for support point j."""
+
+    columns: list[list[int]]  # columns[i][s]: the points where player i shows s
+    classes: list[tuple[int, int]]  # (integer weight w, the points weighing w)
+    ints: Sequence[int]  # the integer weight of each point
+    singles: list[list[int]]  # singles[i][s]: integer mass of player i showing s
+
+    def mass(self, bits: int) -> int:
+        """Integer mass of a set of points.
+
+        Weighs each class by its popcount, or adds the weights of the set
+        bits when there are fewer of them than classes, so the cost is at
+        most min(|bits|, classes) big-int steps.
+        """
+        if bits.bit_count() < len(self.classes):
+            total = 0
+            while bits:
+                low = bits & -bits
+                total += self.ints[low.bit_length() - 1]
+                bits ^= low
+            return total
+        total = 0
+        for w, points in self.classes:
+            total += w * (bits & points).bit_count()
+        return total
+
+
+def _support_bitsets(points: Sequence[Outcome], ints: Sequence[int], m: int) -> _Bitsets:
+    """Per-(player, symbol) bitsets and weight classes of a support."""
+    # A player's column becomes one character per point, last point first
+    # (int reads the most significant digit first), and one translation
+    # per symbol turns it into that symbol's bitset.
+    marks = [{c: "1" if c == s else "0" for c in range(m)} for s in range(m)]
+    columns = []
+    for col in zip(*reversed(points)):
+        text = "".join(map(chr, col))
+        columns.append([int(text.translate(t), 2) for t in marks])
+    classes: dict[int, int] = {}
+    for j, w in enumerate(ints):
+        classes[w] = classes.get(w, 0) | 1 << j
+    unweighed = _Bitsets(columns, list(classes.items()), ints, [])
+    return unweighed._replace(singles=[list(map(unweighed.mass, row)) for row in columns])
 
 
 class Distribution(ABC):
@@ -330,32 +378,20 @@ class Distribution(ABC):
         """Exact k-wise independence test.
 
         True iff every subset of at most k players factorizes over every
-        assignment. Subsets are scanned by size then lexicographically, so
-        the witness is canonical. One pass gives every single-player
-        marginal, each larger subset is one more pass, and the scan stops at
-        the first failure.
+        assignment. Subsets are scanned by size then lexicographically, and
+        assignments in ``itertools.product`` order, so the witness is
+        canonical. The scan runs on the explicit support (see
+        ``ExplicitDist._kwise_scan``) and stops at the first failure.
         """
         if not 1 <= k <= self.n:
             raise DistributionError(f"k={k} out of range 1..{self.n}")
-        m = len(self.alphabet)
-        singles = [_symbol_masses(t, m) for t in self.sums([(i,) for i in range(self.n)]).tables]
-        for size in range(2, k + 1):
-            for T in itertools.combinations(range(self.n), size):
-                (joint,) = self.sums([T]).tables
-                for a in itertools.product(range(m), repeat=size):
-                    prod = ONE
-                    for i, s in zip(T, a):
-                        prod *= singles[i][s]
-                    mass = joint[a][0] if a in joint else ZERO
-                    if mass != prod:
-                        return KwiseResult(False, KwiseWitness(T, a, mass, prod))
-        return KwiseResult(True, None)
+        return self.to_explicit()._kwise_scan(k)
 
 
 class ExplicitDist(Distribution):
     """Distribution given by an explicit (outcome, weight) support list."""
 
-    __slots__ = ("alphabet", "n", "support", "_scaled", "_cum")
+    __slots__ = ("alphabet", "n", "support", "_scaled", "_cum", "_bits")
 
     def __init__(self, alphabet: Alphabet, n: int,
                  support: Sequence[tuple[Outcome, Fraction]]):
@@ -364,6 +400,7 @@ class ExplicitDist(Distribution):
         self.support = tuple(sorted((tuple(x), as_exact(w, "weight")) for x, w in support))
         self._scaled: tuple[int, list[int]] | None = None  # built by the first scaled_items()
         self._cum: list[int] | None = None  # built by the first sample()
+        self._bits: _Bitsets | None = None  # built by the first check_kwise()
         self.validate()
 
     def validate(self) -> None:
@@ -377,7 +414,7 @@ class ExplicitDist(Distribution):
         for x, w in self.support:
             if len(x) != self.n:
                 raise DistributionError(f"outcome {x} has length {len(x)}, expected arity {self.n}")
-            if any(not (0 <= s < m) for s in x):
+            if any(not isinstance(s, int) or not 0 <= s < m for s in x):
                 raise DistributionError(f"outcome {x} uses a symbol index outside the alphabet")
             if x in seen:
                 raise DistributionError(f"duplicate outcome {x} in support")
@@ -413,6 +450,45 @@ class ExplicitDist(Distribution):
         denom, ints = self._scaled_weights()
         return denom, zip(map(itemgetter(0), self.support), ints)
 
+    def _kwise_scan(self, k: int) -> KwiseResult:
+        # Joint masses stay integers over the support's denominator D: the
+        # subset T factorizes at a iff joint * D^(|T|-1) == prod of the
+        # players' integer masses, and Fractions are built for a witness only.
+        #
+        # Assignments that use the last symbol are skipped. Say every subset
+        # smaller than T factorizes (the scan goes by size) and so does every
+        # assignment of T before a in product order. If a_p is the last
+        # symbol, the assignments that put an earlier symbol s at p come
+        # before a, so joint(a) = joint(a without p) - sum_s joint(a, p = s)
+        # = prod_(q != p) mu_q(a_q) * (1 - sum_s mu_p(s)) factorizes too.
+        # The first failure therefore uses earlier symbols only, and
+        # scanning those in the same order finds the same witness.
+        denom, ints = self._scaled_weights()
+        if self._bits is None:
+            points = [x for x, _ in self.support]
+            self._bits = _support_bitsets(points, ints, len(self.alphabet))
+        columns, singles, mass = self._bits.columns, self._bits.singles, self._bits.mass
+        symbols = range(len(self.alphabet) - 1)
+        for size in range(2, k + 1):
+            scale = denom ** (size - 1)
+            # Lexicographic order takes the subsets P + (j,) for j past P's
+            # last player together, so the bitset AND and the product of
+            # each assignment of P are built once and shared by them.
+            for P in itertools.combinations(range(self.n - 1), size - 1):
+                cols, marginals = [columns[i] for i in P], [singles[i] for i in P]
+                prefixes = [(a, functools.reduce(int.__and__, map(getitem, cols, a)),
+                             math.prod(map(getitem, marginals, a)))
+                            for a in itertools.product(symbols, repeat=size - 1)]
+                for j in range(P[-1] + 1, self.n):
+                    for a, bits, prod in prefixes:
+                        for s in symbols:
+                            joint = mass(bits & columns[j][s])
+                            if joint * scale != prod * singles[j][s]:
+                                return KwiseResult(False, KwiseWitness(
+                                    P + (j,), a + (s,), Fraction(joint, denom),
+                                    Fraction(prod * singles[j][s], denom ** size)))
+        return KwiseResult(True, None)
+
     def weight(self, x: Outcome) -> Fraction:
         x = tuple(x)
         for y, w in self.support:
@@ -422,7 +498,9 @@ class ExplicitDist(Distribution):
 
     def single_marginal(self, i: int) -> tuple[Fraction, ...]:
         (table,) = self.sums([(i,)]).tables
-        return _symbol_masses(table, len(self.alphabet))
+        # Symbols absent from the table have mass 0.
+        return tuple(table[(s,)][0] if (s,) in table else ZERO
+                     for s in range(len(self.alphabet)))
 
     def condition(self, assignment: Mapping[int, int]) -> "ExplicitDist":
         for i in assignment:

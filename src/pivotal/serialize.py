@@ -39,9 +39,8 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 def parse_rational(text: str) -> Fraction:
     """Parse an exact "num/den" (or integer) string; decimals are rejected."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
-        raise PivotalError(
-            f"expected an exact rational like \"3/4\", got {text!r}"
-            " (decimal notation is rejected)")
+        hint = " (decimal notation is rejected)" if "." in str(text) else ""
+        raise PivotalError(f"expected an exact rational like \"3/4\", got {text!r}{hint}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:  # a zero denominator, or too many digits

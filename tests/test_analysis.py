@@ -266,6 +266,14 @@ class TestFourier:
                 sq = brute_expectation(_Squared(f), mu)
                 assert energy == sq
 
+    def test_majority_on_hadamard_8(self):
+        # 255 players, so the pairwise precondition scans 32,385 pairs. f is
+        # 0 only on the all-zeros point: E[f] = 255/256, and every player's
+        # signed effect is 1 - 127/128, so each coefficient is -1/256.
+        table = fourier(MajorityFn(255), hadamard_mu(8))
+        assert (table.k, len(table.support)) == (8, 256)
+        assert table.coeffs == (F(255, 256),) + (F(-1, 256),) * 255
+
     def test_precondition_failures_are_named(self):
         with pytest.raises(PreconditionError, match="support size"):
             fourier(ConstantFn(3, F(1)), mixture_D(2))

@@ -79,6 +79,18 @@ class TestEvaluate:
         with pytest.raises(PivotalError, match="outside"):
             DenseTable(BINARY, 1, {(0,): F(2), (1,): F(0)})
 
+    @pytest.mark.parametrize("values, message", [
+        ({(0, 1): F(2), (1, 1): F(1), (0, 0): F(0)}, r"value 2 at \(0, 1\) outside"),
+        ({(1, 0): F(3), (0, 2): F(0)}, r"invalid outcome \(0, 2\)"),
+        ({(1,): F(0), (0, 0): F(-3)}, r"value -3 at \(0, 0\) outside"),
+        ({(1, 1): F(1, 2), (0, 1, 0): F(5)}, r"invalid outcome \(0, 1, 0\)"),
+        ({(0, 0): F(1), (1, -1): F(0)}, r"invalid outcome \(1, -1\)"),
+    ], ids=["value", "symbol", "value-before-length", "length-before-value", "negative"])
+    def test_table_names_first_bad_entry(self, values, message):
+        # Entries are checked in sorted order; the first bad one is named.
+        with pytest.raises(PivotalError, match=message):
+            PartialTable(BINARY, 2, values)
+
     def test_partial_table_undefined_point(self):
         pt = PartialTable(BINARY, 2, {(0, 0): F(1)})
         assert pt.evaluate((0, 0)) == 1

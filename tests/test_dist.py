@@ -36,7 +36,15 @@ from pivotal.boolfn import (
     ParityFn,
     PartialTable,
 )
-from pivotal.dist import Distribution, PivotalError, _cumulative, _draw, _scale
+from pivotal.dist import (
+    Distribution,
+    KwiseWitness,
+    PivotalError,
+    _cumulative,
+    _draw,
+    _scale,
+    _support_bitsets,
+)
 from pivotal.generators import hadamard_mu, majp_dist, mixture_D, uniform_product
 from pivotal.theorems import (
     _positive,
@@ -198,6 +206,12 @@ class TestMixture:
         with pytest.raises(DistributionError):
             mixture(even_parity3, ProductDist(BINARY, 2, [(HALF, HALF)] * 2), HALF)
 
+    @pytest.mark.parametrize("symbol", [2, -1, F(1, 2), 1.0, F(1)],
+                             ids=["past-alphabet", "negative", "fraction", "float", "whole-fraction"])
+    def test_symbol_must_be_an_integer_index(self, symbol):
+        with pytest.raises(DistributionError, match="outside the alphabet"):
+            ExplicitDist(BINARY, 2, [((symbol, 0), HALF), ((1, 1), HALF)])
+
     def test_alphabet_mismatch(self, even_parity3):
         with pytest.raises(DistributionError):
             mixture(even_parity3, ProductDist(PARTICIPATION, 3, [(HALF, QUARTER, QUARTER)] * 3), HALF)
@@ -257,10 +271,39 @@ def small_explicit_spaces(draw):
     return ExplicitDist(alphabet, n, [(x, w / total) for x, w in zip(grid, raw) if w])
 
 
-@settings(max_examples=80, deadline=None)
-@given(small_explicit_spaces(), st.data())
-def test_check_kwise_matches_brute_force(d, data):
-    k = data.draw(st.integers(1, d.n))
+@st.composite
+def distinct_weight_spaces(draw):
+    """Ternary or binary grids up to n = 5 whose weights are mostly or all distinct.
+
+    A product of per-player rows, perturbed on one subset S by
+    c * prod_(i in S) u(x_i) with u summing to zero: every subset other
+    than S keeps its factorized marginals, so the space is
+    (|S| - 1)-wise independent and, when c > 0, fails at S, at symbols
+    that u picks. Or weights drawn all distinct, which fail at once. Either
+    way nearly every weight is distinct, so masses take the set-bit walk of
+    ``_Bitsets.mass``; ``small_explicit_spaces`` has few weight classes
+    and takes the popcount path.
+    """
+    alphabet = draw(st.sampled_from([BINARY, PARTICIPATION]))
+    m, n = len(alphabet), draw(st.integers(2, 5))
+    grid = list(itertools.product(range(m), repeat=n))
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.integers(1, 10 ** 6), min_size=len(grid),
+                            max_size=len(grid), unique=True))
+    else:
+        rows = [draw(st.lists(st.integers(2, 10 ** 4), min_size=m, max_size=m))
+                for _ in range(n)]
+        S = draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=min(n, 3)))
+        u = draw(st.permutations([1, -1, 0][:m]))
+        c = draw(st.integers(0, 2 ** len(S) - 1))
+        raw = [math.prod(row[s] for i, (row, s) in enumerate(zip(rows, x)) if i not in S)
+               * (math.prod(rows[i][x[i]] for i in S) + c * math.prod(u[x[i]] for i in S))
+               for x in grid]
+    total = sum(raw)
+    return ExplicitDist(alphabet, n, [(x, F(w, total)) for x, w in zip(grid, raw)])
+
+
+def _assert_kwise_matches_brute_force(d, k):
     res = d.check_kwise(k)
     ok, witness = brute_kwise(d, k)
     assert res.ok == ok
@@ -272,6 +315,71 @@ def test_check_kwise_matches_brute_force(d, data):
         assert res.witness.joint == brute_event_mass(d, dict(zip(T, a)))
         assert res.witness.product == math.prod(brute_event_mass(d, {i: s})
                                                 for i, s in zip(T, a))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_explicit_spaces(), st.data())
+def test_check_kwise_matches_brute_force(d, data):
+    _assert_kwise_matches_brute_force(d, data.draw(st.integers(1, d.n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(distinct_weight_spaces(), st.data())
+def test_check_kwise_on_distinct_weights_matches_brute_force(d, data):
+    _assert_kwise_matches_brute_force(d, data.draw(st.integers(2, min(d.n, 3))))
+
+
+def test_kwise_witness_past_the_first_symbol():
+    # Uniform on 3^3 perturbed by u(x_0) u(x_1) u(x_2) with u = (0, 1, -1):
+    # every pair keeps its uniform marginal, and the first 3-wise failure,
+    # in product order, is at (1, 1, 1).
+    grid = list(itertools.product(range(3), repeat=3))
+    u = (0, 1, -1)
+    raw = [2 + u[a] * u[b] * u[c] for a, b, c in grid]
+    d = ExplicitDist(PARTICIPATION, 3, [(x, F(w, 54)) for x, w in zip(grid, raw)])
+    assert d.check_kwise(2).ok
+    assert brute_kwise(d, 3) == (False, ((0, 1, 2), (1, 1, 1)))
+    assert d.check_kwise(3).witness == KwiseWitness((0, 1, 2), (1, 1, 1), F(3, 54), F(1, 27))
+
+
+@pytest.mark.parametrize("distinct", [False, True], ids=["few-classes", "all-distinct"])
+def test_bitset_mass_matches_weight_sum(distinct):
+    rng = random.Random(5)
+    size = 300
+    ints = rng.sample(range(1, 10 ** 9), size) if distinct else [rng.choice((3, 5, 8))
+                                                                 for _ in range(size)]
+    points = [tuple(rng.randrange(3) for _ in range(4)) for _ in range(size)]
+    bitsets = _support_bitsets(points, ints, 3)
+    assert len(bitsets.classes) == len(set(ints))
+    for i, s in itertools.product(range(4), range(3)):
+        assert bitsets.columns[i][s] == sum(1 << j for j, x in enumerate(points) if x[i] == s)
+        assert bitsets.singles[i][s] == sum(w for x, w in zip(points, ints) if x[i] == s)
+    for _ in range(50):
+        chosen = rng.sample(range(size), rng.choice((0, 1, 2, 5, 150, size)))
+        assert bitsets.mass(sum(1 << j for j in chosen)) == sum(ints[j] for j in chosen)
+
+
+def test_kwise_bitsets_built_once(monkeypatch):
+    d = SAMPLED["skewed-explicit"]()
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return _support_bitsets(*args)
+
+    monkeypatch.setattr(dist_module, "_support_bitsets", counted)
+    d.expectation(ParityFn(d.n))
+    assert built == []  # other queries do not build them
+    for k in (2, 3, 1, 2, 3):
+        assert d.check_kwise(k).ok
+    # The bitsets are built at the first check and reused by the later ones.
+    assert len(built) == 1
+
+
+def test_mixture_d4_kwise_witness_pinned():
+    res = mixture_D(4).check_kwise(4)
+    assert not res.ok
+    assert res.witness == KwiseWitness((0, 1, 3, 6), (0, 0, 0, 0), F(1, 8), F(1, 16))
 
 
 class TestExpectation:

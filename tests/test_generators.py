@@ -158,3 +158,16 @@ class TestUniformProduct:
     def test_rejects_bad_n(self):
         with pytest.raises(DistributionError):
             uniform_product(0)
+
+
+def test_rejects_n_past_limit_before_building(monkeypatch):
+    from pivotal import generators
+    from pivotal.generators import _PRODUCT_N_LIMIT
+
+    # Nothing may be built for a refused n.
+    monkeypatch.setattr(generators, "ProductDist", None)
+    for build in (uniform_product, lambda n: majp_dist(n, HALF)):
+        with pytest.raises(DistributionError, match=f"1..{_PRODUCT_N_LIMIT}"):
+            build(_PRODUCT_N_LIMIT + 1)
+        with pytest.raises(DistributionError, match=f"1..{_PRODUCT_N_LIMIT}"):
+            build(0)

@@ -24,7 +24,7 @@ from pivotal import (
     uniform_product,
 )
 from pivotal.cli import GENERATORS, VERIFIERS, main
-from pivotal.generators import _HADAMARD_K_LIMIT
+from pivotal.generators import _HADAMARD_K_LIMIT, _PRODUCT_N_LIMIT
 from pivotal.serialize import (
     BUILTIN_SPECS,
     canonical_dumps,
@@ -341,6 +341,13 @@ class TestCliSweep:
         main(argv)
         assert capsys.readouterr().out == first
 
+    def test_mode_flag_is_optional(self, capsys):
+        argv = ["--n", "5", "--p", "1/2", "--alpha-grid", "1/8,1/4"]
+        assert main(["sweep", "--majp-tightness"] + argv) == 0
+        with_flag = capsys.readouterr().out
+        assert main(["sweep"] + argv) == 0
+        assert capsys.readouterr().out == with_flag
+
 
 DIRECTORY = object()  # the input path names a directory
 NOT_UTF8 = b"\xff\xfe"
@@ -406,6 +413,7 @@ def test_malformed_input_is_input_error(tmp_path, mu_file, capsys, dist_obj, fn)
 
 
 K_PAST = str(_HADAMARD_K_LIMIT + 1)
+N_PAST = str(_PRODUCT_N_LIMIT + 1)
 
 
 @pytest.mark.parametrize("argv", [
@@ -419,14 +427,35 @@ K_PAST = str(_HADAMARD_K_LIMIT + 1)
     ["counterexample", "--which", "effect", "--k", K_PAST],
     ["counterexample", "--which", "influence", "--k", K_PAST],
     ["sweep", "--majp-tightness", "--n", "282", "--p", "1/2", "--alpha-grid", "1/8"],
+    ["gen", "uniform-product", "--n", N_PAST],
+    ["gen", "majp", "--n", N_PAST, "--p", "1/2"],
 ], ids=["players-past-n", "players-negative", "alpha-zero", "alpha-negative",
         "hadamard-k-past-limit", "complement-k-past-limit", "mixture-k-past-limit",
-        "effect-cx-k-past-limit", "influence-cx-k-past-limit", "exact-sweep-past-limit"])
+        "effect-cx-k-past-limit", "influence-cx-k-past-limit", "exact-sweep-past-limit",
+        "uniform-n-past-limit", "majp-n-past-limit"])
 def test_out_of_range_argument_is_input_error(mu_file, capsys, argv):
     assert main([mu_file if a == "MU" else a for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("pivotal: error:")
+
+
+@pytest.mark.parametrize("dist_obj, fn, hinted", [
+    pytest.param(None, "constant:x", False, id="constant-letter"),
+    pytest.param({"kind": "explicit", "alphabet": ["0", "1"], "n": 1,
+                  "support": [{"x": [0], "w": ""}, {"x": [1], "w": "1/2"}]},
+                 "majority", False, id="empty-weight"),
+    pytest.param(None, "constant:0.5", True, id="constant-decimal"),
+    pytest.param({"kind": "explicit", "alphabet": ["0", "1"], "n": 1,
+                  "support": [{"x": [0], "w": "0.5"}, {"x": [1], "w": "1/2"}]},
+                 "majority", True, id="decimal-weight"),
+])
+def test_decimal_hint_only_for_decimal_text(tmp_path, mu_file, capsys, dist_obj, fn, hinted):
+    dist = mu_file if dist_obj is None else _input_path(tmp_path, "dist.json", dist_obj)
+    assert main(["analyze", "--dist", dist, "--fn", fn, "--what", "effects"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pivotal: error: expected an exact rational")
+    assert ("decimal notation" in err) == hinted
 
 
 @pytest.mark.parametrize("argv", [

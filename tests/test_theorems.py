@@ -60,6 +60,15 @@ class TestVerifyEffectIdentity:
         assert v.computed["ratio"] == 4 == v.computed["expected_ratio"]
         assert v.computed["sum_sq_effects"] == 4 * v.computed["variance"] != 0
 
+    def test_majority_on_hadamard_8_has_ratio_four(self):
+        # f is 0 only on the all-zeros point of the 256: Var = 255/256^2, and
+        # each of the 255 effects is 1/128, so the squared effects sum to
+        # 255/128^2 = 4 Var.
+        v = verify_effect_identity(MajorityFn(255), hadamard_mu(8))
+        assert v.ok and v.inputs == {"n": 255}
+        assert v.computed == {"sum_sq_effects": F(255, 16384), "variance": F(255, 65536),
+                              "ratio": 4, "expected_ratio": 4}
+
 
 def not_pairwise_dist():
     # Perfectly correlated bits: Pr[00] = Pr[11] = 1/2.
