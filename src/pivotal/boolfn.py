@@ -81,8 +81,12 @@ class PlayerFunction:
             raise PivotalError(f"outcome {x} has length {len(x)}, function expects {self.n}")
 
 
+def _in_value_range(v: Fraction) -> bool:
+    return -1 <= v <= 1
+
+
 def _check_value_range(x: Outcome, v: Fraction) -> None:
-    if not -1 <= v <= 1:
+    if not _in_value_range(v):
         raise PivotalError(f"value {v} at {x} outside [-1, 1]")
 
 
@@ -102,13 +106,16 @@ class PartialTable(PlayerFunction):
         if len(self._lookup) != len(self.entries):
             raise PivotalError("outcome mapped twice in table")
         m = len(alphabet)
-        # Checked once per distinct length, symbol and value; the per-entry
-        # loop runs only when a check fails, to name the first bad entry.
-        if (set(map(len, self._lookup)) != {self.n}
-                or not set().union(*self._lookup) <= set(range(m))
-                or not all(-1 <= v <= 1 for v in set(self._lookup.values()))):
+
+        def bad_outcome(lengths: Iterable[int], symbols: Iterable[int]) -> bool:
+            return any(k != self.n for k in lengths) or not all(0 <= s < m for s in symbols)
+
+        # Each check runs once over the distinct lengths, symbols and values;
+        # only when one fails are the entries walked to name the first bad one.
+        if (bad_outcome(set(map(len, self._lookup)), set().union(*self._lookup))
+                or not all(map(_in_value_range, set(self._lookup.values())))):
             for x, v in self.entries:
-                if len(x) != self.n or any(not 0 <= s < m for s in x):
+                if bad_outcome((len(x),), x):
                     raise PivotalError(f"invalid outcome {x} in table")
                 _check_value_range(x, v)
 

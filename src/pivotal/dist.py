@@ -227,44 +227,58 @@ class _Bitsets(NamedTuple):
     """An explicit support as bitsets: bit j stands for support point j."""
 
     columns: list[list[int]]  # columns[i][s]: the points where player i shows s
-    classes: list[tuple[int, int]]  # (integer weight w, the points weighing w)
+    classes: list[tuple[int, int]]  # (integer weight w, the points weighing w), or none
     ints: Sequence[int]  # the integer weight of each point
     singles: list[list[int]]  # singles[i][s]: integer mass of player i showing s
 
     def mass(self, bits: int) -> int:
         """Integer mass of a set of points.
 
-        Weighs each class by its popcount, or adds the weights of the set
-        bits when there are fewer of them than classes, so the cost is at
-        most min(|bits|, classes) big-int steps.
+        Weighs each class by its popcount when there are classes and no
+        more of them than set bits. Otherwise adds the weights of the set
+        bits, found by scanning the bits' binary text once, so the cost is
+        O(|supp|) plus one step per set bit. The sets of one subset's
+        assignments are disjoint, so its walks add up to at most |supp| steps.
         """
-        if bits.bit_count() < len(self.classes):
-            total = 0
-            while bits:
-                low = bits & -bits
-                total += self.ints[low.bit_length() - 1]
-                bits ^= low
-            return total
+        if 0 < len(self.classes) <= bits.bit_count():
+            return sum(w * (bits & points).bit_count() for w, points in self.classes)
+        text = format(bits, "b")  # the last point first
+        last = len(text) - 1
         total = 0
-        for w, points in self.classes:
-            total += w * (bits & points).bit_count()
+        i = text.find("1")
+        while i >= 0:
+            total += self.ints[last - i]
+            i = text.find("1", i + 1)
         return total
 
 
+def _indicators(codes: Iterable[int], count: int) -> list[int]:
+    """Bitset of the points with each code 0..count-1, given codes last point first.
+
+    The codes become one character per point (int reads the most
+    significant digit first), and one translation per code turns them
+    into that code's bitset, in O(|supp|) per code.
+    """
+    text = "".join(map(chr, codes))
+    return [int(text.translate({c: "1" if c == code else "0" for c in range(count)}), 2)
+            for code in range(count)]
+
+
 def _support_bitsets(points: Sequence[Outcome], ints: Sequence[int], m: int) -> _Bitsets:
-    """Per-(player, symbol) bitsets and weight classes of a support."""
-    # A player's column becomes one character per point, last point first
-    # (int reads the most significant digit first), and one translation
-    # per symbol turns it into that symbol's bitset.
-    marks = [{c: "1" if c == s else "0" for c in range(m)} for s in range(m)]
-    columns = []
-    for col in zip(*reversed(points)):
-        text = "".join(map(chr, col))
-        columns.append([int(text.translate(t), 2) for t in marks])
-    classes: dict[int, int] = {}
-    for j, w in enumerate(ints):
-        classes[w] = classes.get(w, 0) | 1 << j
-    unweighed = _Bitsets(columns, list(classes.items()), ints, [])
+    """Per-(player, symbol) bitsets of a support, and its weight classes if few.
+
+    Class bitsets are built only when there are at most as many classes as
+    |supp| has bits. They then take O(|supp| log |supp|) bits, and one
+    mass weighed by class costs at most that many bit steps.
+    """
+    columns = [_indicators(col, m) for col in zip(*reversed(points))]
+    weights = list(dict.fromkeys(ints))
+    classes = []
+    if len(weights) <= len(points).bit_length():
+        index = {w: c for c, w in enumerate(weights)}
+        classes = list(zip(weights, _indicators(map(index.__getitem__, reversed(ints)),
+                                                len(weights))))
+    unweighed = _Bitsets(columns, classes, ints, [])
     return unweighed._replace(singles=[list(map(unweighed.mass, row)) for row in columns])
 
 

@@ -146,6 +146,12 @@ class TestValidation:
         d = ExplicitDist(BINARY, 2, [((1, 1), HALF), ((0, 0), HALF)])
         assert [x for x, _ in d.support] == [(0, 0), (1, 1)]
 
+    @pytest.mark.parametrize("symbol", [2, -1, F(1, 2), 1.0, F(1)],
+                             ids=["past-alphabet", "negative", "fraction", "float", "whole-fraction"])
+    def test_symbol_must_be_an_integer_index(self, symbol):
+        with pytest.raises(DistributionError, match="outside the alphabet"):
+            ExplicitDist(BINARY, 2, [((symbol, 0), HALF), ((1, 1), HALF)])
+
 
 class TestMarginal:
     def test_even_parity_single_is_uniform(self, even_parity3):
@@ -205,12 +211,6 @@ class TestMixture:
     def test_arity_mismatch(self, even_parity3):
         with pytest.raises(DistributionError):
             mixture(even_parity3, ProductDist(BINARY, 2, [(HALF, HALF)] * 2), HALF)
-
-    @pytest.mark.parametrize("symbol", [2, -1, F(1, 2), 1.0, F(1)],
-                             ids=["past-alphabet", "negative", "fraction", "float", "whole-fraction"])
-    def test_symbol_must_be_an_integer_index(self, symbol):
-        with pytest.raises(DistributionError, match="outside the alphabet"):
-            ExplicitDist(BINARY, 2, [((symbol, 0), HALF), ((1, 1), HALF)])
 
     def test_alphabet_mismatch(self, even_parity3):
         with pytest.raises(DistributionError):
@@ -342,21 +342,43 @@ def test_kwise_witness_past_the_first_symbol():
     assert d.check_kwise(3).witness == KwiseWitness((0, 1, 2), (1, 1, 1), F(3, 54), F(1, 27))
 
 
-@pytest.mark.parametrize("distinct", [False, True], ids=["few-classes", "all-distinct"])
-def test_bitset_mass_matches_weight_sum(distinct):
+@pytest.mark.parametrize("classes", [3, 9, 10, 300])
+def test_bitset_mass_matches_weight_sum(classes):
+    # 300 points have 9 bits, so up to 9 weight classes get class bitsets
+    # and 10 or more take the set-bit walk alone.
     rng = random.Random(5)
     size = 300
-    ints = rng.sample(range(1, 10 ** 9), size) if distinct else [rng.choice((3, 5, 8))
-                                                                 for _ in range(size)]
+    weights = rng.sample(range(1, 10 ** 9), classes)
+    ints = weights + [rng.choice(weights) for _ in range(size - classes)]
     points = [tuple(rng.randrange(3) for _ in range(4)) for _ in range(size)]
     bitsets = _support_bitsets(points, ints, 3)
-    assert len(bitsets.classes) == len(set(ints))
+    assert [w for w, _ in bitsets.classes] == (weights if classes <= 9 else [])
+    for w, bits in bitsets.classes:
+        assert bits == sum(1 << j for j, v in enumerate(ints) if v == w)
     for i, s in itertools.product(range(4), range(3)):
         assert bitsets.columns[i][s] == sum(1 << j for j, x in enumerate(points) if x[i] == s)
         assert bitsets.singles[i][s] == sum(w for x, w in zip(points, ints) if x[i] == s)
     for _ in range(50):
         chosen = rng.sample(range(size), rng.choice((0, 1, 2, 5, 150, size)))
         assert bitsets.mass(sum(1 << j for j in chosen)) == sum(ints[j] for j in chosen)
+
+
+def test_large_distinct_support_walks_without_class_bitsets():
+    # 20,000 distinct weights would take |supp|^2 bits as class bitsets.
+    rng = random.Random(8)
+    size = 20_000
+    ints = rng.sample(range(1, 10 ** 12), size)
+    points = [tuple(rng.randrange(3) for _ in range(4)) for _ in range(size)]
+    bitsets = _support_bitsets(points, ints, 3)
+    assert bitsets.classes == []
+    for i, s in itertools.product(range(4), range(3)):
+        assert bitsets.singles[i][s] == sum(w for x, w in zip(points, ints) if x[i] == s)
+    for count in (0, 1, 3, 700, size // 2, size):
+        chosen = rng.sample(range(size), count)
+        assert bitsets.mass(sum(1 << j for j in chosen)) == sum(ints[j] for j in chosen)
+    # The highest and the lowest point alone.
+    assert bitsets.mass(1 << size - 1) == ints[-1]
+    assert bitsets.mass(1) == ints[0]
 
 
 def test_kwise_bitsets_built_once(monkeypatch):
