@@ -227,7 +227,7 @@ class _Bitsets(NamedTuple):
     """An explicit support as bitsets: bit j stands for support point j."""
 
     columns: list[list[int]]  # columns[i][s]: the points where player i shows s
-    classes: list[tuple[int, int]]  # (integer weight w, the points weighing w), or none
+    classes: list[tuple[int, int]]  # (integer weight w, the points weighing w); [] if many
     ints: Sequence[int]  # the integer weight of each point
     singles: list[list[int]]  # singles[i][s]: integer mass of player i showing s
 
@@ -240,16 +240,24 @@ class _Bitsets(NamedTuple):
         O(|supp|) plus one step per set bit. The sets of one subset's
         assignments are disjoint, so its walks add up to at most |supp| steps.
         """
+        total = 0
         if 0 < len(self.classes) <= bits.bit_count():
-            return sum(w * (bits & points).bit_count() for w, points in self.classes)
+            for w, points in self.classes:
+                total += w * (bits & points).bit_count()
+            return total
         text = format(bits, "b")  # the last point first
         last = len(text) - 1
-        total = 0
         i = text.find("1")
         while i >= 0:
             total += self.ints[last - i]
             i = text.find("1", i + 1)
         return total
+
+
+@functools.cache
+def _marks(count: int) -> list[dict[int, str]]:
+    """Per code 0..count-1, the translation of code characters to its bits."""
+    return [{c: "1" if c == code else "0" for c in range(count)} for code in range(count)]
 
 
 def _indicators(codes: Iterable[int], count: int) -> list[int]:
@@ -260,8 +268,7 @@ def _indicators(codes: Iterable[int], count: int) -> list[int]:
     into that code's bitset, in O(|supp|) per code.
     """
     text = "".join(map(chr, codes))
-    return [int(text.translate({c: "1" if c == code else "0" for c in range(count)}), 2)
-            for code in range(count)]
+    return [int(text.translate(marks), 2) for marks in _marks(count)]
 
 
 def _support_bitsets(points: Sequence[Outcome], ints: Sequence[int], m: int) -> _Bitsets:
