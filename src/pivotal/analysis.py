@@ -146,7 +146,7 @@ def _pivotal_row(i: int, table: Table, mean: Fraction,
                  p: Fraction, alpha: Fraction) -> PivotalRow:
     devs = tuple(SymbolDeviation(key[0], m, s / m - mean)
                  for key, (m, s) in sorted(table.items()))
-    q = _deviating_mass(table, mean, alpha)
+    q = _mass_past(((sd.mass, sd.deviation) for sd in devs), alpha)
     return PivotalRow(i, devs, q, q > p)
 
 

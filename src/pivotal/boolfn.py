@@ -9,6 +9,7 @@ bogus pair.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -107,15 +108,22 @@ class PartialTable(PlayerFunction):
             raise PivotalError("outcome mapped twice in table")
         m = len(alphabet)
 
-        def bad_outcome(lengths: Iterable[int], symbols: Iterable[int]) -> bool:
-            return any(k != self.n for k in lengths) or not all(0 <= s < m for s in symbols)
+        def bad_outcome(lengths: Iterable[int], types: Iterable[type],
+                        symbols: Iterable[int]) -> bool:
+            return (any(k != self.n for k in lengths)
+                    or not all(issubclass(t, int) for t in types)
+                    or not all(0 <= s < m for s in symbols))
 
-        # Each check runs once over the distinct lengths, symbols and values;
-        # only when one fails are the entries walked to name the first bad one.
-        if (bad_outcome(set(map(len, self._lookup)), set().union(*self._lookup))
+        # Each check runs once over the distinct lengths, symbol types,
+        # symbols and values (types apart, since 1.0 and 1 are one set
+        # element); only when one fails are the entries walked to name the
+        # first bad one.
+        if (bad_outcome(set(map(len, self._lookup)),
+                        set(map(type, itertools.chain.from_iterable(self._lookup))),
+                        set().union(*self._lookup))
                 or not all(map(_in_value_range, set(self._lookup.values())))):
             for x, v in self.entries:
-                if bad_outcome((len(x),), x):
+                if bad_outcome((len(x),), map(type, x), x):
                     raise PivotalError(f"invalid outcome {x} in table")
                 _check_value_range(x, v)
 
@@ -241,7 +249,7 @@ class UpwardClosure(PlayerFunction):
         masks = set()
         for g in generators:
             x = tuple(g)
-            if len(x) != self.n or any(s not in (0, 1) for s in x):
+            if len(x) != self.n or any(not isinstance(s, int) or not 0 <= s < 2 for s in x):
                 raise PivotalError(f"generator {x} is not a length-{self.n} bit vector")
             masks.add(outcome_to_mask(x))
         self.generators = self._minimize(masks)

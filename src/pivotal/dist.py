@@ -8,9 +8,10 @@ appear only when a report is rendered.
 
 Every grouped sum over the support goes through one kernel,
 ``Distribution.sums``. It accumulates integer weights over a common
-denominator and builds each ``Fraction`` once, after the pass. An
-explicit support keeps its lcm denominator and integer weights, built at
-its first kernel pass, so later passes skip the rescaling.
+denominator and builds each ``Fraction`` once, after the pass. Each
+distribution scales its weights once, at construction: an explicit
+support keeps its lcm denominator and integer weights, a product form
+each row's, and the weights are checked on that integer view.
 
 Exact k-wise checks do not use the kernel. They see an explicit support as
 bitsets, one per (player, symbol) and one per distinct integer weight,
@@ -32,9 +33,8 @@ the grid.
 Values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no coordination.
 Sampling takes its seed and draw index explicitly. Its integer cumulative
-tables are cached on the instance at the first draw (for an explicit
-support, the running sums of its cached integer weights); whichever caller
-builds a cache builds the same one.
+tables are cached on the instance at the first draw (the running sums of
+its integer weights); whichever caller builds a cache builds the same one.
 """
 
 from __future__ import annotations
@@ -412,14 +412,15 @@ class Distribution(ABC):
 class ExplicitDist(Distribution):
     """Distribution given by an explicit (outcome, weight) support list."""
 
-    __slots__ = ("alphabet", "n", "support", "_scaled", "_cum", "_bits")
+    __slots__ = ("alphabet", "n", "support", "_denom", "_ints", "_cum", "_bits")
 
     def __init__(self, alphabet: Alphabet, n: int,
                  support: Sequence[tuple[Outcome, Fraction]]):
         self.alphabet = alphabet
         self.n = int(n)
         self.support = tuple(sorted((tuple(x), as_exact(w, "weight")) for x, w in support))
-        self._scaled: tuple[int, list[int]] | None = None  # built by the first scaled_items()
+        # The lcm denominator and the integer weights aligned with support.
+        self._denom, self._ints = _scale([w for _, w in self.support])
         self._cum: list[int] | None = None  # built by the first sample()
         self._bits: _Bitsets | None = None  # built by the first check_kwise()
         self.validate()
@@ -431,8 +432,7 @@ class ExplicitDist(Distribution):
             raise DistributionError("support is empty")
         m = len(self.alphabet)
         seen: set[Outcome] = set()
-        total = ZERO
-        for x, w in self.support:
+        for (x, w), iw in zip(self.support, self._ints):
             if len(x) != self.n:
                 raise DistributionError(f"outcome {x} has length {len(x)}, expected arity {self.n}")
             if any(not isinstance(s, int) or not 0 <= s < m for s in x):
@@ -440,11 +440,11 @@ class ExplicitDist(Distribution):
             if x in seen:
                 raise DistributionError(f"duplicate outcome {x} in support")
             seen.add(x)
-            if w <= 0:
+            if iw <= 0:
                 raise DistributionError(f"weight of {x} is {w}, must be positive")
-            total += w
-        if total != 1:
-            raise DistributionError(f"weights sum to {total}, expected 1")
+        if sum(self._ints) != self._denom:
+            raise DistributionError(
+                f"weights sum to {Fraction(sum(self._ints), self._denom)}, expected 1")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ExplicitDist)
@@ -461,15 +461,8 @@ class ExplicitDist(Distribution):
     def items(self) -> Iterator[tuple[Outcome, Fraction]]:
         return iter(self.support)
 
-    def _scaled_weights(self) -> tuple[int, list[int]]:
-        # The lcm denominator and the integer weights aligned with support.
-        if self._scaled is None:
-            self._scaled = _scale([w for _, w in self.support])
-        return self._scaled
-
     def scaled_items(self) -> tuple[int, Iterator[tuple[Outcome, int]]]:
-        denom, ints = self._scaled_weights()
-        return denom, zip(map(itemgetter(0), self.support), ints)
+        return self._denom, zip(map(itemgetter(0), self.support), self._ints)
 
     def _kwise_scan(self, k: int) -> KwiseResult:
         # Joint masses stay integers over the support's denominator D: the
@@ -484,10 +477,10 @@ class ExplicitDist(Distribution):
         # = prod_(q != p) mu_q(a_q) * (1 - sum_s mu_p(s)) factorizes too.
         # The first failure therefore uses earlier symbols only, and
         # scanning those in the same order finds the same witness.
-        denom, ints = self._scaled_weights()
+        denom = self._denom
         if self._bits is None:
             points = [x for x, _ in self.support]
-            self._bits = _support_bitsets(points, ints, len(self.alphabet))
+            self._bits = _support_bitsets(points, self._ints, len(self.alphabet))
         columns, singles, mass = self._bits.columns, self._bits.singles, self._bits.mass
         symbols = range(len(self.alphabet) - 1)
         for size in range(2, k + 1):
@@ -538,7 +531,7 @@ class ExplicitDist(Distribution):
 
     def sample(self, seed: int | str, index: int = 0) -> Outcome:
         if self._cum is None:
-            self._cum = _cumulative(self._scaled_weights()[1])
+            self._cum = _cumulative(self._ints)
         return self.support[_draw(_rng_for(seed, index), self._cum)][0]
 
 
@@ -549,13 +542,14 @@ class ProductDist(Distribution):
     queries on e.g. a 3^12 grid keep memory flat.
     """
 
-    __slots__ = ("alphabet", "n", "marginals", "_cums")
+    __slots__ = ("alphabet", "n", "marginals", "_rows", "_cums")
 
     def __init__(self, alphabet: Alphabet, n: int,
                  marginals: Sequence[Sequence[Fraction]]):
         self.alphabet = alphabet
         self.n = int(n)
         self.marginals = tuple(tuple(as_exact(p, "marginal") for p in row) for row in marginals)
+        self._rows = [_scale(row) for row in self.marginals]  # (lcm, integer weights) per row
         self._cums: list[list[int]] | None = None  # built by the first sample()
         self.validate()
 
@@ -566,15 +560,15 @@ class ProductDist(Distribution):
             raise DistributionError(
                 f"{len(self.marginals)} marginal vectors for arity {self.n}")
         m = len(self.alphabet)
-        for i, row in enumerate(self.marginals):
-            if len(row) != m:
+        for i, (row_den, ints) in enumerate(self._rows):
+            if len(ints) != m:
                 raise DistributionError(
-                    f"player {i} marginal has {len(row)} entries, alphabet has {m}")
-            if any(p < 0 for p in row):
+                    f"player {i} marginal has {len(ints)} entries, alphabet has {m}")
+            if any(w < 0 for w in ints):
                 raise DistributionError(f"player {i} marginal has a negative entry")
-            if sum(row) != 1:
+            if sum(ints) != row_den:
                 raise DistributionError(
-                    f"player {i} marginal sums to {sum(row)}, expected 1")
+                    f"player {i} marginal sums to {Fraction(sum(ints), row_den)}, expected 1")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ProductDist)
@@ -596,8 +590,7 @@ class ProductDist(Distribution):
         # Row i is scaled by the lcm of its denominators, so every grid
         # weight is an integer product over the product of those lcms.
         symbols, ints, denom = [], [], 1
-        for row in self.marginals:
-            row_den, row_ints = _scale(row)
+        for row_den, row_ints in self._rows:
             symbols.append([s for s, w in enumerate(row_ints) if w])
             ints.append([w for w in row_ints if w])
             denom *= row_den
@@ -631,7 +624,7 @@ class ProductDist(Distribution):
         # table keys in lexicographic order of the sorted players' symbols,
         # so every dict has the grid walk's insertion order.
         n = self.n
-        row_den, row_ints = _scale(self.marginals[0])
+        row_den, row_ints = self._rows[0]
         symbols = [s for s, w in enumerate(row_ints) if w]
         slots = {ONE: 0} if f is None else {}
         value_mass = [0] if f is None else []
@@ -656,33 +649,29 @@ class ProductDist(Distribution):
         # together with count vector v on a share prod_s perm(v_s, b_s) /
         # perm(n, k) of W(v): the mass multinomial(n - k; v - b) * prod r^v
         # of the other players' arrangements, an integer. So an entry
-        # depends only on b, and a group's table only on its size up to
-        # the order of its players.
-        by_size: dict[int, dict[Outcome, tuple[Fraction, Fraction]]] = {}
+        # depends only on b. A group's table walks the symbols a of its
+        # sorted players; position p of its key holds a[rank[p]], the symbol
+        # of T[p]'s place among them, so groups of equal rank share a table.
+        entries: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}
+        by_rank: dict[tuple[int, ...], dict[Outcome, tuple[Fraction, Fraction]]] = {}
         tables = []
         for T in groups:
-            k = len(T)
-            if k not in by_size:
-                ways = math.perm(n, k)
-                entry: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}
-                table = by_size[k] = {}
-                for a in itertools.product(symbols, repeat=k):
+            rank = tuple(map(sorted(T).index, T))
+            if rank not in by_rank:
+                ways = math.perm(n, len(T))
+                key = itemgetter(*rank) if len(T) > 1 else tuple  # one index gives a bare symbol
+                table = by_rank[rank] = {}
+                for a in itertools.product(symbols, repeat=len(T)):
                     b = tuple(map(a.count, symbols))
-                    if b not in entry:
+                    if b not in entries:
                         acc = [0] * len(value_mass)
                         for v, w, j in points:
                             acc[j] += w * math.prod(map(math.perm, v, b))
-                        entry[b] = (Fraction(sum(acc) // ways, denom),
-                                    Fraction(sum(map(int.__mul__, acc, scaled)) // ways,
-                                             denom * vden))
-                    table[a] = entry[b]
-            order = sorted(range(k), key=T.__getitem__)
-            if order == list(range(k)):
-                tables.append(dict(by_size[k]))
-            else:
-                # Position p of T's key holds the symbol of its rank[p]-th player.
-                rank = [order.index(p) for p in range(k)]
-                tables.append({tuple(a[r] for r in rank): e for a, e in by_size[k].items()})
+                        entries[b] = (Fraction(sum(acc) // ways, denom),
+                                      Fraction(sum(map(int.__mul__, acc, scaled)) // ways,
+                                               denom * vden))
+                    table[key(a)] = entries[b]
+            tables.append(dict(by_rank[rank]))
         return GroupedSums(law, mean, tuple(tables))
 
     def weight(self, x: Outcome) -> Fraction:
@@ -736,7 +725,7 @@ class ProductDist(Distribution):
 
     def sample(self, seed: int | str, index: int = 0) -> Outcome:
         if self._cums is None:
-            self._cums = [_cumulative(row) for row in self.marginals]
+            self._cums = [_cumulative(ints) for _, ints in self._rows]
         rng = _rng_for(seed, index)
         return tuple([_draw(rng, cum) for cum in self._cums])
 

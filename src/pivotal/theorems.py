@@ -18,7 +18,6 @@ from .analysis import (
     EFFECT_VARIANCE_RATIO,
     _deviating_mass,
     _mass_past,
-    _pivotal_row,
     _require_pairwise,
     count_effect,
     count_pivotal,
@@ -214,10 +213,9 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
     p, alpha = _positive("p", p), _positive("alpha", alpha)
     _require_pairwise(d)
 
-    sums = d.sums([(i,) for i in range(d.n)], f)
-    total = sums.mean
-    rows = [_pivotal_row(i, t, total, p, alpha) for i, t in enumerate(sums.tables)]
-    pivotal = [r for r in rows if r.pivotal]
+    report = pivotal_report(f, d, p, alpha)
+    total = report.expectation
+    pivotal = [r for r in report.rows if r.pivotal]
     if not pivotal:
         return ReductionResult((), False, (), None, None, total, 0)
 
@@ -236,8 +234,8 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
 
     mass = [ZERO] * (1 << k)
     wsum = [ZERO] * (1 << k)
-    (table,) = d.sums([selected], f).tables
-    for key, (m, s) in table.items():
+    sums = d.sums([selected], f)
+    for key, (m, s) in sums.tables[0].items():
         y = sum(1 << j for j, sym in enumerate(key) if sym not in dev_syms[j])
         mass[y] += m
         wsum[y] += s

@@ -85,7 +85,11 @@ class TestEvaluate:
         ({(1,): F(0), (0, 0): F(-3)}, r"value -3 at \(0, 0\) outside"),
         ({(1, 1): F(1, 2), (0, 1, 0): F(5)}, r"invalid outcome \(0, 1, 0\)"),
         ({(0, 0): F(1), (1, -1): F(0)}, r"invalid outcome \(1, -1\)"),
-    ], ids=["value", "symbol", "value-before-length", "length-before-value", "negative"])
+        ({(0, 0.5): F(0)}, r"invalid outcome \(0, 0.5\)"),
+        # 1.0 == 1, so only the symbols' types tell this entry apart.
+        ({(0, 1): F(0), (1.0, 0): F(1)}, r"invalid outcome \(1.0, 0\)"),
+    ], ids=["value", "symbol", "value-before-length", "length-before-value", "negative",
+            "half", "float-one"])
     def test_table_names_first_bad_entry(self, values, message):
         # Entries are checked in sorted order; the first bad one is named.
         with pytest.raises(PivotalError, match=message):
@@ -201,6 +205,12 @@ class TestUpwardClosure:
     def test_zero_generator_is_constant_one(self):
         f = UpwardClosure(2, [(0, 0)])
         assert all(f.evaluate(x) == 1 for x in itertools.product((0, 1), repeat=2))
+
+    @pytest.mark.parametrize("generator", [(1.0, 0), (0, F(1)), (0, 2), (1,)],
+                             ids=["float-one", "whole-fraction", "two", "short"])
+    def test_generator_must_be_an_integer_bit_vector(self, generator):
+        with pytest.raises(PivotalError, match=r"is not a length-2 bit vector"):
+            UpwardClosure(2, [(0, 1), generator])
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 7), st.data())

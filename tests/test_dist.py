@@ -146,6 +146,19 @@ class TestValidation:
         d = ExplicitDist(BINARY, 2, [((1, 1), HALF), ((0, 0), HALF)])
         assert [x for x, _ in d.support] == [(0, 0), (1, 1)]
 
+    @pytest.mark.parametrize("build, text", [
+        (lambda: ProductDist(BINARY, 1, [(F(-1, 2), F(3, 2))]),
+         "player 0 marginal has a negative entry"),
+        (lambda: ProductDist(BINARY, 2, [(HALF, HALF), (HALF, F(1, 3))]),
+         "player 1 marginal sums to 5/6, expected 1"),
+        (lambda: ExplicitDist(BINARY, 1, [((0,), F(-1, 2)), ((1,), F(3, 2))]),
+         "weight of (0,) is -1/2, must be positive"),
+    ], ids=["product-negative", "product-sum", "explicit-nonpositive"])
+    def test_validate_error_text(self, build, text):
+        with pytest.raises(DistributionError) as err:
+            build()
+        assert str(err.value) == text
+
     @pytest.mark.parametrize("symbol", [2, -1, F(1, 2), 1.0, F(1)],
                              ids=["past-alphabet", "negative", "fraction", "float", "whole-fraction"])
     def test_symbol_must_be_an_integer_index(self, symbol):
@@ -477,9 +490,7 @@ def test_sample_stream_matches_oracle(name, monkeypatch):
     assert len(built) == (d.n if isinstance(d, ProductDist) else 1)
 
 
-@pytest.mark.parametrize("name", ["hadamard-3", "mixture-3", "skewed-explicit"])
-def test_explicit_scaled_items_built_once(name, monkeypatch):
-    d = SAMPLED[name]()
+def _count_scale_calls(monkeypatch) -> list:
     built = []
 
     def counted(weights):
@@ -487,6 +498,13 @@ def test_explicit_scaled_items_built_once(name, monkeypatch):
         return _scale(weights)
 
     monkeypatch.setattr(dist_module, "_scale", counted)
+    return built
+
+
+@pytest.mark.parametrize("name", ["hadamard-3", "mixture-3", "skewed-explicit"])
+def test_explicit_scaled_items_built_once(name, monkeypatch):
+    d = SAMPLED[name]()
+    built = _count_scale_calls(monkeypatch)
     denom = math.lcm(*(w.denominator for _, w in d.support))
     want = [(x, (w * denom).numerator) for x, w in d.support]
     for _ in range(3):
@@ -494,8 +512,24 @@ def test_explicit_scaled_items_built_once(name, monkeypatch):
         assert (got, list(points)) == (denom, want)
     d.expectation(ParityFn(d.n))
     d.check_kwise(2)
-    # The lcm and the integer weights are computed at the first call only.
-    assert len(built) == 1
+    # The lcm and the integer weights are computed at construction only.
+    assert built == []
+
+
+@pytest.mark.parametrize("name", ["majp-9", "mixed-denominators"])
+def test_product_rows_scaled_at_construction(name, monkeypatch):
+    d = SAMPLED[name]()
+    groups = [(0,), (1, 0)]  # the symmetric path on majp-9, the grid walk otherwise
+    want_sums = d.to_explicit().sums(groups)
+    built = _count_scale_calls(monkeypatch)
+    denom = math.prod(math.lcm(*(w.denominator for w in row)) for row in d.marginals)
+    want = [(x, d.weight(x) * denom)
+            for x in itertools.product(range(len(d.alphabet)), repeat=d.n) if d.weight(x)]
+    for _ in range(3):
+        got, points = d.scaled_items()
+        assert (got, list(points)) == (denom, want)
+    assert d.sums(groups) == want_sums
+    assert built == []
 
 
 class _ScriptedRng:
