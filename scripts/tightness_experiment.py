@@ -2,7 +2,7 @@
 """Tightness experiment for the participation-majority space.
 
 Exact mode derives the per-symbol deviations for a representative player
-(the kernel sums over symbol-count vectors, not the 3^n grid) and
+(the kernel sums over the law of the vote total, not the 3^n grid) and
 tabulates pivotal counts against the 8/(p a^2) bound over an alpha grid
 anchored at the derived deviations. With --mc-sizes it also estimates the
 participating-symbol deviation at larger n, reports how it tracks

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .dist import (
@@ -65,10 +66,6 @@ class PlayerFunction:
 
     alphabet: Alphabet = BINARY
     n: int
-    # True only when the value depends on how many players show each symbol,
-    # not on which players: evaluate(x) == evaluate(sorted(x)). Product
-    # distributions with identical rows then sum over count vectors.
-    symmetric = False
 
     def evaluate(self, x: Outcome) -> Fraction:
         raise NotImplementedError
@@ -160,29 +157,44 @@ class DenseTable(PartialTable):
         return hash((self.alphabet, self.n, self.entries))
 
 
+class StatisticFn(PlayerFunction):
+    """A function of one integer statistic, the total of the players' scores.
+
+    ``scores`` maps each symbol that moves the total to its score; every
+    other symbol scores 0. The value at x is ``of_total`` of the total, so
+    it does not depend on which player shows which symbol.
+    """
+
+    scores: Mapping[int, int] = MappingProxyType({})
+
+    def of_total(self, t: int) -> Fraction:
+        raise NotImplementedError
+
+    def evaluate(self, x: Outcome) -> Fraction:
+        self._check_arity(x)
+        return self.of_total(sum(score * x.count(s) for s, score in self.scores.items()))
+
+
 @dataclass(frozen=True)
-class ParityFn(PlayerFunction):
+class ParityFn(StatisticFn):
     """1 iff an odd number of input bits are set."""
 
     n: int
-    symmetric = True
+    scores = MappingProxyType({1: 1})
 
-    def evaluate(self, x: Outcome) -> Fraction:
-        self._check_arity(x)
-        return Fraction(sum(x) & 1)
+    def of_total(self, t: int) -> Fraction:
+        return ONE if t & 1 else ZERO
 
 
 @dataclass(frozen=True)
-class MajorityFn(PlayerFunction):
+class MajorityFn(StatisticFn):
     """1 iff strictly more ones than zeros (ties give 0)."""
 
     n: int
-    symmetric = True
+    scores = MappingProxyType({1: 1})
 
-    def evaluate(self, x: Outcome) -> Fraction:
-        self._check_arity(x)
-        ones = sum(x)
-        return Fraction(1) if 2 * ones > self.n else ZERO
+    def of_total(self, t: int) -> Fraction:
+        return ONE if 2 * t > self.n else ZERO
 
 
 @dataclass(frozen=True)
@@ -200,23 +212,21 @@ class DictatorFn(PlayerFunction):
 
 
 @dataclass(frozen=True)
-class ConstantFn(PlayerFunction):
+class ConstantFn(StatisticFn):
     n: int
     value: Fraction
     alphabet: Alphabet = BINARY
-    symmetric = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", as_exact(self.value, "value", PivotalError))
         _check_value_range((), self.value)
 
-    def evaluate(self, x: Outcome) -> Fraction:
-        self._check_arity(x)
+    def of_total(self, t: int) -> Fraction:
         return self.value
 
 
 @dataclass(frozen=True)
-class MajPFn(PlayerFunction):
+class MajPFn(StatisticFn):
     """Majority over participating players on the {0, 1, abstain} alphabet.
 
     Value 1 iff strictly more participants vote 1 than 0. Ties and empty
@@ -226,12 +236,10 @@ class MajPFn(PlayerFunction):
 
     n: int
     alphabet = PARTICIPATION
-    symmetric = True
+    scores = MappingProxyType({1: 1, 0: -1})
 
-    def evaluate(self, x: Outcome) -> Fraction:
-        self._check_arity(x)
-        ones, zeros = x.count(1), x.count(0)
-        return Fraction(1) if ones > zeros else ZERO
+    def of_total(self, t: int) -> Fraction:
+        return ONE if t > 0 else ZERO
 
 
 class UpwardClosure(PlayerFunction):

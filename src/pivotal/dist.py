@@ -19,16 +19,16 @@ built at the first check and kept. The joint mass of an assignment is the
 AND of its players' bitsets, weighed class by class by popcount, and
 factorization is decided in integers over the lcm denominator.
 
-A product form whose rows are all equal has a symmetric path. When f is
-None or declares ``symmetric = True`` (its value depends only on how many
-players show each symbol) and no group names a player twice, the kernel
-sums over the C(n + |S| - 1, |S| - 1) symbol-count vectors instead of the
-|S|^n grid points. It evaluates f once per count vector, at the sorted
-outcome, and weighs each vector by its multinomial coefficient times the
-row's integer weights, over the grid walk's denominator. Every sum is the
-grid walk's integer sum regrouped by count vector, so both paths return
-equal ``GroupedSums``, with the same dict order. Any other input walks
-the grid.
+A product form whose rows are all equal has a statistic path. When f is
+None or a function of one integer statistic, the total of per-symbol
+scores (``boolfn.StatisticFn``), and no group names a player twice, the
+kernel never evaluates f. The law of the total over r players is the
+r-th power of the row polynomial Q(x) = sum_s r_s x^score(s), in the
+row's integer weights, so f's law comes from Q^n and each table entry
+from Q^(n - k), shifted by the group's own score and weighed by its
+symbols' weights. Each entry is the grid walk's integer sum, grouped by
+total, so both paths return equal ``GroupedSums``, with the same dict
+order. Any other input walks the grid.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no coordination.
@@ -194,33 +194,32 @@ def _draw(rng: random.Random, cum: Sequence[int]) -> int:
 
 def _law_and_mean(slots: dict[Fraction, int], value_mass: list[int],
                   denom: int) -> tuple[dict[Fraction, Fraction], Fraction, int, list[int]]:
-    """Law and mean of f from the integer mass of each value slot.
+    """Law (in ascending value order) and mean of f from each value slot's mass.
 
     Also returns the lcm vden of the values' denominators and each value
     times vden: f-weighted sums share the denominator denom * vden.
     """
     vden = math.lcm(*(v.denominator for v in slots))
     scaled = [v.numerator * (vden // v.denominator) for v in slots]
-    law = {v: Fraction(value_mass[j], denom) for v, j in slots.items()}
+    law = {v: Fraction(value_mass[slots[v]], denom) for v in sorted(slots)}
     mean = Fraction(sum(map(int.__mul__, value_mass, scaled)), denom * vden)
     return law, mean, vden, scaled
 
 
-def _count_weights(ints: Sequence[int], total: int) -> list[tuple[tuple[int, ...], int]]:
-    """(c, multinomial(total; c) * prod r_s^c_s) for each count vector c.
+def _power(q: Sequence[int], r: int) -> list[int]:
+    """Coefficients of the polynomial q(x) ** r, for integer q with q[0] != 0.
 
-    ints are one row's integer weights r_s, so the weights sum to
-    sum(ints) ** total. Count vectors come first count descending, then the
-    next: read as counts of ascending symbols, the lexicographic order of
-    the sorted outcomes they stand for.
+    Miller's recurrence for powers of a power series (Knuth, TAOCP vol. 2,
+    4.7): k q_0 P_k = sum_(j=1..min(k, d)) ((r + 1) j - k) q_j P_(k-j), with
+    d the degree of q. Every division is exact, and the r d + 1
+    coefficients take O(r d^2) integer steps.
     """
-    partial = [((), total, 1)]  # (counts so far, players left, weight so far)
-    for t, r in enumerate(ints):
-        last = t == len(ints) - 1
-        partial = [(c + (k,), left - k, w * math.comb(left, k) * r ** k)
-                   for c, left, w in partial
-                   for k in ((left,) if last else range(left, -1, -1))]
-    return [(c, w) for c, _, w in partial]
+    d = len(q) - 1
+    out = [q[0] ** r]
+    for k in range(1, r * d + 1):
+        out.append(sum(((r + 1) * j - k) * q[j] * out[k - j]
+                       for j in range(1, min(k, d) + 1)) // (k * q[0]))
+    return out
 
 
 class _Bitsets(NamedTuple):
@@ -599,78 +598,71 @@ class ProductDist(Distribution):
 
     def sums(self, groups: Sequence[Sequence[int]],
              f: Evaluable | None = None) -> GroupedSums:
-        """``Distribution.sums``, over count vectors when that is exact.
+        """``Distribution.sums``, over the law of f's statistic when that is exact.
 
-        When every row is equal, f is None or declares ``symmetric = True``,
-        and no group names a player twice, the weight and the value of an
-        outcome depend only on how many players show each symbol. The
-        symmetric path then sums over count vectors; otherwise the grid is
-        walked as for any distribution.
+        When every row is equal, f is None or a function of a score total
+        (it has ``of_total``), and no group names a player twice, the
+        statistic path sums over the law of that total. Otherwise the grid
+        is walked as for any distribution.
         """
         groups = self._check_groups(groups)
         row = self.marginals[0]
-        if ((f is None or getattr(f, "symmetric", False))
+        if ((f is None or hasattr(f, "of_total"))
                 and all(r == row for r in self.marginals)
                 and all(len(set(T)) == len(T) for T in groups)):
-            return self._symmetric_sums(groups, f)
+            return self._statistic_sums(groups, f)
         return super().sums(groups, f)
 
-    def _symmetric_sums(self, groups: list[tuple[int, ...]],
+    def _statistic_sums(self, groups: list[tuple[int, ...]],
                         f: Evaluable | None) -> GroupedSums:
-        # Weights stay integers over row_den ** n. A count vector v of the n
-        # players weighs W(v) = multinomial(n; v) * prod r_s^v_s, with the
-        # row's zero-weight symbols left out, as the grid walk leaves them
-        # out. Count vectors come in the order of their sorted outcomes and
-        # table keys in lexicographic order of the sorted players' symbols,
-        # so every dict has the grid walk's insertion order.
+        # Weights stay integers over row_den ** n, and the row's zero-weight
+        # symbols are left out, as in the grid walk. With lo the least score,
+        # power(r)[i] is the weight of r players reaching the total r * lo + i.
         n = self.n
         row_den, row_ints = self._rows[0]
         symbols = [s for s, w in enumerate(row_ints) if w]
-        slots = {ONE: 0} if f is None else {}
-        value_mass = [0] if f is None else []
-        points = []  # (v, W(v), value slot)
-        for v, w in _count_weights([w for w in row_ints if w], n):
-            if f is None:
-                j = 0
-            else:
-                # f is evaluated once per count vector, at its sorted outcome.
-                x = tuple(itertools.chain.from_iterable(map(itertools.repeat, symbols, v)))
-                val = f.evaluate(x)
-                j = slots.get(val)
-                if j is None:
-                    j = slots[val] = len(value_mass)
-                    value_mass.append(0)
-            points.append((v, w, j))
-            value_mass[j] += w
-        denom = row_den ** n
-        law, mean, vden, scaled = _law_and_mean(slots, value_mass, denom)
+        if f is not None:
+            f._check_arity((symbols[0],) * n)  # as the grid walk's first evaluation would
+        score = {s: 0 if f is None else f.scores.get(s, 0) for s in symbols}
+        lo = min(score.values())
+        q = [0] * (max(score.values()) - lo + 1)
+        for s in symbols:
+            q[score[s] - lo] += row_ints[s]
+        power = functools.cache(functools.partial(_power, q))
+        # f's value at each total of the n players; None where none is reached.
+        values = [None if not w else ONE if f is None else f.of_total(t)
+                  for t, w in enumerate(power(n), n * lo)]
+        masses: dict[Fraction, int] = {}
+        for v, w in zip(values, power(n)):
+            if w:
+                masses[v] = masses.get(v, 0) + w
+        slots = {v: j for j, v in enumerate(masses)}
+        law, mean, vden, scaled = _law_and_mean(slots, list(masses.values()), row_den ** n)
+        by_total = [0 if v is None else scaled[slots[v]] for v in values]  # vden * f, or 0
 
-        # Joint symbols a of k distinct players, with symbol counts b, show
-        # together with count vector v on a share prod_s perm(v_s, b_s) /
-        # perm(n, k) of W(v): the mass multinomial(n - k; v - b) * prod r^v
-        # of the other players' arrangements, an integer. So an entry
-        # depends only on b. A group's table walks the symbols a of its
-        # sorted players; position p of its key holds a[rank[p]], the symbol
-        # of T[p]'s place among them, so groups of equal rank share a table.
-        entries: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}
+        # Joint symbols a of k distinct players weigh w = prod r_(a_i) and
+        # score sigma. The other players reach total t with weight
+        # power(n - k)[t], so the entry's mass is w / row_den^k and its
+        # f-weighted sum w * sum_t power(n - k)[t] * by_total[t + sigma] over
+        # row_den^n * vden: it depends only on (k, w, sigma). A table walks
+        # the symbols a of its sorted players in product order, the grid
+        # walk's order; key position p holds a[rank[p]], the symbol of T[p]'s
+        # place among them, so groups of equal rank share a table.
+        entries: dict[tuple[int, int, int], tuple[Fraction, Fraction]] = {}
         by_rank: dict[tuple[int, ...], dict[Outcome, tuple[Fraction, Fraction]]] = {}
         tables = []
         for T in groups:
-            rank = tuple(map(sorted(T).index, T))
+            k, rank = len(T), tuple(map(sorted(T).index, T))
             if rank not in by_rank:
-                ways = math.perm(n, len(T))
-                key = itemgetter(*rank) if len(T) > 1 else tuple  # one index gives a bare symbol
+                key = itemgetter(*rank) if k > 1 else tuple  # one index gives a bare symbol
                 table = by_rank[rank] = {}
-                for a in itertools.product(symbols, repeat=len(T)):
-                    b = tuple(map(a.count, symbols))
-                    if b not in entries:
-                        acc = [0] * len(value_mass)
-                        for v, w, j in points:
-                            acc[j] += w * math.prod(map(math.perm, v, b))
-                        entries[b] = (Fraction(sum(acc) // ways, denom),
-                                      Fraction(sum(map(int.__mul__, acc, scaled)) // ways,
-                                               denom * vden))
-                    table[key(a)] = entries[b]
+                for a in itertools.product(symbols, repeat=k):
+                    w, sigma = math.prod(map(row_ints.__getitem__, a)), sum(map(score.get, a))
+                    if (k, w, sigma) not in entries:
+                        total = sum(map(int.__mul__, power(n - k), by_total[sigma - k * lo:]))
+                        entries[k, w, sigma] = (Fraction(w, row_den ** k),
+                                                Fraction(w * total, row_den ** n * vden))
+                    table[key(a)] = entries[k, w, sigma]
             tables.append(dict(by_rank[rank]))
         return GroupedSums(law, mean, tuple(tables))
 

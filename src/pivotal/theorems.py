@@ -9,7 +9,6 @@ constructive and carry their own verification.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -24,6 +23,7 @@ from .analysis import (
     effect_identity,
     effect_report,
     estimate_expectation,
+    pivotal_player,
     pivotal_report,
     signed_effect,
 )
@@ -36,6 +36,7 @@ from .dist import (
     PivotalError,
     ProductDist,
     ZERO,
+    _scale,
     as_exact,
     mixture,
 )
@@ -46,11 +47,6 @@ HALF = Fraction(1, 2)
 _REDUCTION_ARITY_LIMIT = 20
 _ELIMINATION_N_LIMIT = 16
 _ELIMINATION_M_LIMIT = 3
-# Exact tightness sums over the C(n + 2, 2) symbol-count vectors of the
-# participation space (ProductDist.sums' symmetric path), not its 3^n grid.
-# 40,000 vectors is n = 281, about a second of exact arithmetic on a
-# 2-vCPU x86-64 VM running CPython 3.11.
-_TIGHTNESS_COUNT_VECTOR_LIMIT = 40_000
 
 
 @dataclass(frozen=True)
@@ -232,31 +228,35 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
     dev_syms = [{sd.symbol for sd in r.deviations if sign * sd.deviation > alpha}
                 for r in chosen]
 
-    mass = [ZERO] * (1 << k)
-    wsum = [ZERO] * (1 << k)
+    # Masses and f-weighted sums are integers over one denominator D.
     sums = d.sums([selected], f)
-    for key, (m, s) in sums.tables[0].items():
+    denom, ints = _scale([x for pair in sums.tables[0].values() for x in pair])
+    mass, wsum = [0] * (1 << k), [0] * (1 << k)
+    for key, m, s in zip(sums.tables[0], ints[::2], ints[1::2]):
         y = sum(1 << j for j, sym in enumerate(key) if sym not in dev_syms[j])
         mass[y] += m
         wsum[y] += s
     for j, pj in enumerate(p_values):
-        rate, bit = 1 - p / (2 * pj), 1 << j
-        for y in range(1 << k):
-            if not y & bit:
-                dm, ds = rate * mass[y], rate * wsum[y]
-                mass[y] -= dm
-                wsum[y] -= ds
-                mass[y | bit] += dm
-                wsum[y | bit] += ds
+        # A vector with bit j clear keeps a / b = p / (2 p_j) of its sums.
+        keep = p / (2 * pj)
+        a, b, bit = keep.numerator, keep.denominator, 1 << j
+        denom *= b
+        for acc in (mass, wsum):
+            for y in range(1 << k):
+                if not y & bit:
+                    acc[y | bit] = acc[y | bit] * b + acc[y] * (b - a)
+                    acc[y] *= a
 
     if flipped:
         zero_one = all(v in (0, 1) for v in sums.law)
         wsum = [m - s if zero_one else -s for m, s in zip(mass, wsum)]
         total = 1 - total if zero_one else -total
     vectors = [tuple((y >> j) & 1 for j in range(k)) for y in range(1 << k)]
-    y_dist = ExplicitDist(BINARY, k, [(v, m) for v, m in zip(vectors, mass) if m > 0])
+    y_dist = ExplicitDist(BINARY, k, [(v, Fraction(m, denom))
+                                      for v, m in zip(vectors, mass) if m > 0])
     # A vector without mass gets E[g], which keeps g's total.
-    g = DenseTable(BINARY, k, {v: s / m if m else total for v, m, s in zip(vectors, mass, wsum)})
+    g = DenseTable(BINARY, k, {v: Fraction(s, m) if m else total
+                               for v, m, s in zip(vectors, mass, wsum)})
     return ReductionResult(selected, flipped, p_values, y_dist, g, total, len(pivotal))
 
 
@@ -476,27 +476,25 @@ def majp_tightness(n: int, p: Fraction, alpha_grid: Sequence[Fraction],
                    seed: int | str | None = None) -> list[TightnessRow]:
     """Pivotal count (or symmetric estimate) against the bound, per alpha.
 
-    Exact mode makes one kernel pass over the count vectors of the n
-    players; Monte Carlo mode estimates the three conditional expectations
-    for a representative player and scales by n.
+    Players are exchangeable, so player 0 stands for all of them and the
+    count is n or 0. Exact mode takes player 0's row from one kernel pass
+    over the law of the vote total; Monte Carlo mode estimates its three
+    conditional expectations.
     """
     p = as_exact(p, "p", PreconditionError)
     alphas = [_positive("alpha", a) for a in alpha_grid]
     if not alphas:
         raise PivotalError("alpha grid must be non-empty")
     if samples is None:
-        if n > 0 and math.comb(n + 2, 2) > _TIGHTNESS_COUNT_VECTOR_LIMIT:
-            raise PivotalError(
-                f"n={n} has {math.comb(n + 2, 2)} count vectors, past the exact limit "
-                f"{_TIGHTNESS_COUNT_VECTOR_LIMIT}; pass samples= for Monte Carlo mode")
-        report = pivotal_report(MajPFn(n), majp_dist(n, p), p, alphas[0])
-        return [TightnessRow(alpha, Fraction(report.count(p, alpha)),
-                             8 / (p * alpha ** 2), "exact") for alpha in alphas]
-    if seed is None:
-        raise PivotalError("Monte Carlo mode needs an explicit seed")
-    devs = estimate_majp_deviations(n, p, samples, seed)
-    marginal = majp_dist(n, p).single_marginal(0)
-    pairs = [(marginal[s], dev) for s, (dev, _) in devs.items()]
-    hw = max(hw for _, hw in devs.values())
+        _, row = pivotal_player(MajPFn(n), majp_dist(n, p), 0, p, alphas[0])
+        pairs = [(sd.mass, sd.deviation) for sd in row.deviations]
+        mode, hw = "exact", None
+    else:
+        if seed is None:
+            raise PivotalError("Monte Carlo mode needs an explicit seed")
+        devs = estimate_majp_deviations(n, p, samples, seed)
+        marginal = majp_dist(n, p).single_marginal(0)
+        pairs = [(marginal[s], dev) for s, (dev, _) in devs.items()]
+        mode, hw = "monte-carlo", max(hw for _, hw in devs.values())
     return [TightnessRow(alpha, Fraction(n) if _mass_past(pairs, alpha) > p else ZERO,
-                         8 / (p * alpha ** 2), "monte-carlo", hw) for alpha in alphas]
+                         8 / (p * alpha ** 2), mode, hw) for alpha in alphas]

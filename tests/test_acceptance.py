@@ -31,6 +31,7 @@ from pivotal import (
     mixture,
     mixture_D,
     monotone_check,
+    pivotal_player,
     pivotal_report,
     uniform_product,
     verify_binary_bound,
@@ -255,7 +256,7 @@ def test_criterion_07_elimination_certificates():
 
 
 def test_criterion_08_majp_tightness():
-    """Exact n = 9 derivation plus Monte Carlo scaling windows at n = 25, 49."""
+    """Exact n = 9 derivation plus scaling windows: Monte Carlo at n = 25, 49, exact to 10,000."""
     n, p = 9, HALF
     d = majp_dist(n, p)
     f = MajPFn(n)
@@ -301,19 +302,22 @@ def test_criterion_08_majp_tightness():
     assert estimates[49] < estimates[25]
 
     # The same windows, exactly: the vote-1 deviation from the kernel's
-    # count-vector path, checked against the binomial oracle. With
+    # statistic path, checked against the binomial oracle. With
     # scale = 1/sqrt(pn), dev lies in [scale/8, scale] iff
-    # 1/64 <= dev^2 * p * n <= 1.
-    for big_n in (25, 49):
-        report = pivotal_report(MajPFn(big_n), majp_dist(big_n, p), p, F(1))
-        dev = next(sd.deviation for sd in report.rows[0].deviations if sd.symbol == 1)
-        assert dev == (majp_conditional_oracle(big_n, p, 1)
-                       - majp_expectation_oracle(big_n, p))
+    # 1/64 <= dev^2 * p * n <= 1. The oracle is quadratic in n, so past
+    # n = 281 the windows are checked on the kernel alone.
+    for big_n in (25, 49, 281, 1000, 10_000):
+        _, row = pivotal_player(MajPFn(big_n), majp_dist(big_n, p), 0, p, F(1))
+        dev = next(sd.deviation for sd in row.deviations if sd.symbol == 1)
+        if big_n <= 281:
+            assert dev == (majp_conditional_oracle(big_n, p, 1)
+                           - majp_expectation_oracle(big_n, p))
         assert dev > 0
         assert F(1, 64) <= dev ** 2 * p * big_n <= 1
     _record(8, "participation-majority tightness: all 9 players pivotal at the "
                "derived thresholds, counts within bound across the grid, "
-               "1/sqrt(pn) scaling windows hold at n=25,49 (Monte Carlo and exact)")
+               "1/sqrt(pn) scaling windows hold at n=25,49 (Monte Carlo and exact) "
+               "and at n=281,1000,10000 (exact)")
 
 
 def test_criterion_09_mixture_and_sum_bounds():

@@ -35,6 +35,7 @@ from pivotal.boolfn import (
     MajPFn,
     ParityFn,
     PartialTable,
+    StatisticFn,
 )
 from pivotal.dist import (
     Distribution,
@@ -42,6 +43,7 @@ from pivotal.dist import (
     PivotalError,
     _cumulative,
     _draw,
+    _power,
     _scale,
     _support_bitsets,
 )
@@ -519,7 +521,7 @@ def test_explicit_scaled_items_built_once(name, monkeypatch):
 @pytest.mark.parametrize("name", ["majp-9", "mixed-denominators"])
 def test_product_rows_scaled_at_construction(name, monkeypatch):
     d = SAMPLED[name]()
-    groups = [(0,), (1, 0)]  # the symmetric path on majp-9, the grid walk otherwise
+    groups = [(0,), (1, 0)]  # the statistic path on majp-9, the grid walk otherwise
     want_sums = d.to_explicit().sums(groups)
     built = _count_scale_calls(monkeypatch)
     denom = math.prod(math.lcm(*(w.denominator for w in row)) for row in d.marginals)
@@ -630,18 +632,51 @@ def test_product_condition_matches_explicit(d, data):
 
 
 # ----------------------------------------------------------------------
-# The count-vector path of ProductDist.sums against the grid walk
+# The statistic path of ProductDist.sums against the grid walk
+
+
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("q", [[1], [4], [1, 1], [1, 1, 2], [1, 0, 3], [2, 0, 0, 5], [7, 3, 0, 1]])
+def test_power_matches_repeated_convolution(q):
+    # [1, 0, 3] is a binary row whose symbol 1 scores 2: an interior zero.
+    want = [1]
+    for r in range(12):
+        assert _power(q, r) == want
+        want = _convolve(want, q)
+
+
+class _Scored(StatisticFn):
+    """Drawn scores, and a drawn value for each total n players can reach."""
+
+    def __init__(self, n, alphabet, scores, values):
+        self.n, self.alphabet, self.scores, self.values = n, alphabet, scores, values
+
+    def of_total(self, t):
+        return self.values[t]
 
 
 @st.composite
 def identical_rows(draw):
-    """n <= 6 players sharing one row, zero weights and mixed denominators allowed."""
+    """n <= 6 players sharing one row, zero weights and mixed denominators allowed.
+
+    Also draws a function of a score total, with negative scores and gaps.
+    """
     alphabet = draw(st.sampled_from([BINARY, PARTICIPATION]))
+    m = len(alphabet)
     n = draw(st.integers(1, 6))
-    raw = draw(st.lists(st.integers(0, 3), min_size=len(alphabet),
-                        max_size=len(alphabet)).filter(lambda v: sum(v) > 0))
+    raw = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(lambda v: sum(v) > 0))
     row = tuple(F(v, sum(raw)) for v in raw)
-    return ProductDist(alphabet, n, [row] * n)
+    scores = draw(st.dictionaries(st.integers(0, m - 1), st.integers(-3, 3)))
+    lo, hi = min([0, *scores.values()]), max([0, *scores.values()])
+    values = {t: draw(mixed_values) for t in range(n * lo, n * hi + 1)}
+    return ProductDist(alphabet, n, [row] * n), _Scored(n, alphabet, scores, values)
 
 
 def _assert_same_sums(got, want):
@@ -653,7 +688,8 @@ def _assert_same_sums(got, want):
 
 @settings(max_examples=60, deadline=None)
 @given(identical_rows(), st.data())
-def test_symmetric_sums_match_grid_walk(d, data):
+def test_symmetric_sums_match_grid_walk(drawn, data):
+    d, scored = drawn
     n, m = d.n, len(d.alphabet)
     groups = data.draw(st.lists(
         st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True)
@@ -661,7 +697,7 @@ def test_symmetric_sums_match_grid_walk(d, data):
     groups.append(tuple(range(n)))
     constant = ConstantFn(n, data.draw(mixed_values), d.alphabet)
     ex = d.to_explicit()
-    for f in (None, MajPFn(n), MajorityFn(n), ParityFn(n), constant):
+    for f in (None, MajPFn(n), MajorityFn(n), ParityFn(n), constant, scored):
         got = d.sums(groups, f)
         _assert_same_sums(got, ex.sums(groups, f))
         # One entry, present or absent, against the brute-force oracles.
@@ -679,7 +715,7 @@ def test_symmetric_sums_match_grid_walk(d, data):
 
 
 def _grid_walk_only(self, groups, f):
-    raise AssertionError("the count-vector path was taken")
+    raise AssertionError("the statistic path was taken")
 
 
 @pytest.mark.parametrize("d, groups, f", [
@@ -690,13 +726,13 @@ def _grid_walk_only(self, groups, f):
 ], ids=["unequal-rows", "repeated-player", "dictator"])
 def test_sums_falls_through_to_grid_walk(d, groups, f, monkeypatch):
     want = Distribution.sums(d, groups, f)
-    monkeypatch.setattr(ProductDist, "_symmetric_sums", _grid_walk_only)
+    monkeypatch.setattr(ProductDist, "_statistic_sums", _grid_walk_only)
     got = d.sums(groups, f)
     _assert_same_sums(got, want)
     _assert_same_sums(got, d.to_explicit().sums(groups, f))
 
 
-def test_symmetric_path_evaluates_once_per_count_vector():
+def test_statistic_path_never_evaluates():
     calls = []
 
     class Counted(MajPFn):
@@ -705,11 +741,10 @@ def test_symmetric_path_evaluates_once_per_count_vector():
             return super().evaluate(x)
 
     d = majp_dist(9, HALF)
-    sums = d.sums([(i,) for i in range(9)] + [(0, 1), (2, 3)], Counted(9))
-    # C(11, 2) count vectors of 9 players over 3 symbols, each at its sorted outcome.
-    assert len(calls) == math.comb(11, 2) == 55
-    assert all(list(x) == sorted(x) for x in calls)
-    assert sums == d.to_explicit().sums([(i,) for i in range(9)] + [(0, 1), (2, 3)], MajPFn(9))
+    groups = [(i,) for i in range(9)] + [(0, 1), (2, 3)]
+    sums = d.sums(groups, Counted(9))
+    assert calls == []
+    assert sums == d.to_explicit().sums(groups, MajPFn(9))
 
 
 @pytest.mark.parametrize("groups, message", [

@@ -426,7 +426,7 @@ N_PAST = str(_PRODUCT_N_LIMIT + 1)
     ["gen", "mixture-d", "--k", K_PAST],
     ["counterexample", "--which", "effect", "--k", K_PAST],
     ["counterexample", "--which", "influence", "--k", K_PAST],
-    ["sweep", "--majp-tightness", "--n", "282", "--p", "1/2", "--alpha-grid", "1/8"],
+    ["sweep", "--majp-tightness", "--n", N_PAST, "--p", "1/2", "--alpha-grid", "1/8"],
     ["gen", "uniform-product", "--n", N_PAST],
     ["gen", "majp", "--n", N_PAST, "--p", "1/2"],
 ], ids=["players-past-n", "players-negative", "alpha-zero", "alpha-negative",

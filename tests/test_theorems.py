@@ -449,14 +449,14 @@ class TestMajpTightness:
         assert a == b
 
     def test_exact_mode_needs_small_n(self):
-        # Exact mode sums over C(n + 2, 2) count vectors: 40,186 at n = 282,
-        # the first n past the 40,000 limit. The check comes before any work.
+        # Exact mode answers at every n that majp_dist accepts, and n = 10,001
+        # is the first it refuses.
         from pivotal import PivotalError
-        with pytest.raises(PivotalError, match="Monte Carlo"):
-            majp_tightness(282, HALF, [F(1, 4)])
+        with pytest.raises(PivotalError, match="n must be in 1..10000"):
+            majp_tightness(10_001, HALF, [F(1, 4)])
 
     def test_exact_mode_at_n49_matches_oracle(self):
-        # 3^49 grid points, so only the count-vector path can answer exactly.
+        # 3^49 grid points, so only the statistic path can answer exactly.
         from pivotal import pivotal_report
         from oracles import majp_conditional_oracle, majp_expectation_oracle
 
