@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .boolfn import PlayerFunction, PreconditionError
 from .dist import (
@@ -95,7 +95,16 @@ def _singletons(n: int) -> list[tuple[int]]:
     return [(i,) for i in range(n)]
 
 
-def _signed(table: Table, i: int) -> Fraction:
+def _once_per_table(tables: Sequence[Table], make: Callable[[int, Table], object]) -> list:
+    """make(i, table) for each player i, made once per table object (groups may share one)."""
+    done: dict[int, object] = {}
+    for i, t in enumerate(tables):
+        if id(t) not in done:
+            done[id(t)] = make(i, t)
+    return [done[id(t)] for t in tables]
+
+
+def _signed(i: int, table: Table) -> Fraction:
     """E[f | X_i = 1] - E[f | X_i = 0] from player i's kernel table."""
     for b in (0, 1):
         if (b,) not in table:
@@ -114,7 +123,7 @@ def signed_effect(f: PlayerFunction, d: Distribution, i: int) -> Fraction:
     if d.alphabet != BINARY:
         raise DistributionError("effect is defined for the binary alphabet only")
     (table,) = d.sums([(i,)], f).tables
-    return _signed(table, i)
+    return _signed(i, table)
 
 
 def effect(f: PlayerFunction, d: Distribution, i: int) -> Fraction:
@@ -125,8 +134,8 @@ def effect_report(f: PlayerFunction, d: Distribution) -> EffectReport:
     """Signed and absolute effects for every player, in one support pass."""
     if d.alphabet != BINARY:
         raise DistributionError("effect is defined for the binary alphabet only")
-    tables = d.sums(_singletons(d.n), f).tables
-    return EffectReport(tuple(EffectRow(i, _signed(t, i)) for i, t in enumerate(tables)))
+    signed = _once_per_table(d.sums(_singletons(d.n), f).tables, _signed)
+    return EffectReport(tuple(EffectRow(i, s) for i, s in enumerate(signed)))
 
 
 def influence(f: PlayerFunction, d: Distribution, i: int) -> Fraction:
@@ -142,12 +151,11 @@ def influence(f: PlayerFunction, d: Distribution, i: int) -> Fraction:
     return total
 
 
-def _pivotal_row(i: int, table: Table, mean: Fraction,
-                 p: Fraction, alpha: Fraction) -> PivotalRow:
+def _deviations(table: Table, mean: Fraction,
+                alpha: Fraction) -> tuple[tuple[SymbolDeviation, ...], Fraction]:
     devs = tuple(SymbolDeviation(key[0], m, s / m - mean)
                  for key, (m, s) in sorted(table.items()))
-    q = _mass_past(((sd.mass, sd.deviation) for sd in devs), alpha)
-    return PivotalRow(i, devs, q, q > p)
+    return devs, _mass_past(((sd.mass, sd.deviation) for sd in devs), alpha)
 
 
 def pivotal_report(f: PlayerFunction, d: Distribution,
@@ -160,7 +168,8 @@ def pivotal_report(f: PlayerFunction, d: Distribution,
     """
     p, alpha = as_exact(p, "p", PivotalError), as_exact(alpha, "alpha", PivotalError)
     sums = d.sums(_singletons(d.n), f)
-    rows = tuple(_pivotal_row(i, t, sums.mean, p, alpha) for i, t in enumerate(sums.tables))
+    per_player = _once_per_table(sums.tables, lambda i, t: _deviations(t, sums.mean, alpha))
+    rows = tuple(PivotalRow(i, devs, q, q > p) for i, (devs, q) in enumerate(per_player))
     return PivotalReport(sums.mean, p, alpha, rows)
 
 
@@ -168,8 +177,8 @@ def pivotal_player(f: PlayerFunction, d: Distribution, i: int,
                    p: Fraction, alpha: Fraction) -> tuple[bool, PivotalRow]:
     p, alpha = as_exact(p, "p", PivotalError), as_exact(alpha, "alpha", PivotalError)
     sums = d.sums([(i,)], f)
-    row = _pivotal_row(i, sums.tables[0], sums.mean, p, alpha)
-    return row.pivotal, row
+    devs, q = _deviations(sums.tables[0], sums.mean, alpha)
+    return q > p, PivotalRow(i, devs, q, q > p)
 
 
 def pivotal_set(f: PlayerFunction, d: Distribution, players: Sequence[int],
@@ -237,8 +246,8 @@ def _require_minimal_space(d: Distribution) -> tuple[int, ExplicitDist]:
     if any(weight != w for _, weight in mu.support):
         raise PreconditionError(f"support is not uniform (expected weight {w})")
     # The masses of the two symbols sum to 1, so Pr[X_i = 0] = 1/2 is fair.
-    for i, table in enumerate(mu.sums(_singletons(mu.n)).tables):
-        if table.get((0,), (ZERO,))[0] != HALF:
+    for i in range(mu.n):
+        if mu.single_marginal(i)[0] != HALF:
             raise PreconditionError(f"marginal of player {i} is not 1/2")
     _require_pairwise(mu)
     # The characters chi_y(x) = 1 - 2 x_y are then orthonormal under the
@@ -279,7 +288,7 @@ def effect_identity(f: PlayerFunction, mu: Distribution) -> EffectIdentity:
     _, mu = _require_minimal_space(mu)
     sums = mu.sums(_singletons(mu.n), f)
     variance = sum((v * v * m for v, m in sums.law.items()), ZERO) - sums.mean ** 2
-    ssq = sum((_signed(t, i) ** 2 for i, t in enumerate(sums.tables)), ZERO)
+    ssq = sum((_signed(i, t) ** 2 for i, t in enumerate(sums.tables)), ZERO)
     ratio = ssq / variance if variance != 0 else None
     return EffectIdentity(ssq, variance, ratio)
 

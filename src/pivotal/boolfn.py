@@ -9,6 +9,7 @@ bogus pair.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +27,9 @@ from .dist import (
     ZERO,
     ONE,
     as_exact,
+    mixture,
 )
-from .generators import complement_mu, hadamard_mu, mixture_D
+from .generators import complement_mu, hadamard_mu
 
 _MONOTONE_CHECK_LIMIT = 24
 
@@ -247,33 +249,40 @@ class UpwardClosure(PlayerFunction):
 
     Value 1 iff the input dominates some generator coordinatewise; monotone
     by construction. Generators are stored as the minimal antichain, sorted,
-    so equal closures compare equal.
+    so equal closures compare equal. Construction builds one bitset per
+    coordinate (bit i: generator i sets it); every membership query reads them.
     """
 
-    __slots__ = ("n", "generators", "_columns")
+    __slots__ = ("n", "generators", "_columns", "_used")
 
     def __init__(self, n: int, generators: Iterable[Sequence[int]]):
-        self.n = int(n)
+        n = int(n)
         masks = set()
         for g in generators:
             x = tuple(g)
-            if len(x) != self.n or any(not isinstance(s, int) or not 0 <= s < 2 for s in x):
-                raise PivotalError(f"generator {x} is not a length-{self.n} bit vector")
+            if len(x) != n or any(not isinstance(s, int) or not 0 <= s < 2 for s in x):
+                raise PivotalError(f"generator {x} is not a length-{n} bit vector")
             masks.add(outcome_to_mask(x))
-        self.generators = self._minimize(masks)
-        self._columns: list[int] | None = None  # built by the first first_dominated()
+        self._setup(n, masks)
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "UpwardClosure":
-        obj = cls.__new__(cls)
-        obj.n = int(n)
-        masks = set(masks)
+        n, masks = int(n), set(masks)
         bad = sorted(m for m in masks if not 0 <= m < (1 << n))
         if bad:
             raise PivotalError(f"generator mask {bad[0]} out of range for n={n}")
-        obj.generators = cls._minimize(masks)
-        obj._columns = None
+        obj = cls.__new__(cls)
+        obj._setup(n, masks)
         return obj
+
+    def _setup(self, n: int, masks: set[int]) -> None:
+        self.n = n
+        self.generators = self._minimize(masks)
+        # Column j has bit i set iff generator i sets coordinate j. Transposing
+        # the binary texts, last generator first, puts generator i at bit i.
+        text = [format(g, "b").zfill(n) for g in reversed(self.generators)]
+        self._columns = [int("".join(col), 2) for col in zip(*text)][::-1]
+        self._used = functools.reduce(int.__or__, self.generators, 0)
 
     @staticmethod
     def _minimize(masks: set[int]) -> tuple[int, ...]:
@@ -291,6 +300,19 @@ class UpwardClosure(PlayerFunction):
                 kept.append(g)
         return tuple(sorted(kept))
 
+    def _first_under(self, mask: int) -> int | None:
+        # A generator lies under the mask iff it sets no coordinate the mask
+        # leaves clear: OR those coordinates' bitsets, take the lowest left out.
+        columns = self._columns
+        blocked = 0
+        clear = self._used & ~mask
+        while clear:
+            j = clear.bit_length() - 1
+            blocked |= columns[j]
+            clear ^= 1 << j
+        left = ~blocked & ((1 << len(self.generators)) - 1)
+        return (left & -left).bit_length() - 1 if left else None
+
     def evaluate(self, x: Outcome) -> Fraction:
         self._check_arity(x)
         if any(s not in (0, 1) for s in x):
@@ -298,41 +320,14 @@ class UpwardClosure(PlayerFunction):
         return self.evaluate_mask(outcome_to_mask(x))
 
     def evaluate_mask(self, mask: int) -> Fraction:
-        for g in self.generators:
-            if g & mask == g:
-                return ONE
-        return ZERO
+        return ZERO if self._first_under(mask) is None else ONE
 
     def first_dominated(self, masks: Iterable[int]) -> list[int | None]:
         """For each mask, the index of the first generator it dominates, or None.
 
-        The mask is in the closure iff the answer is not None. A generator
-        lies under a mask iff it sets no coordinate the mask leaves clear,
-        so each mask ORs the generator bitsets of its clear coordinates and
-        takes the lowest generator left out. The bitsets are built at the
-        first call; for a single point, ``evaluate_mask`` scans directly.
+        The mask is in the closure iff the answer is not None.
         """
-        if self._columns is None:
-            columns = [0] * self.n
-            for i, g in enumerate(self.generators):
-                for j in range(self.n):
-                    if g >> j & 1:
-                        columns[j] |= 1 << i
-            self._columns = columns
-        columns = self._columns
-        every = (1 << len(self.generators)) - 1
-        full = (1 << self.n) - 1
-        out: list[int | None] = []
-        for m in masks:
-            blocked = 0
-            clear = full & ~m
-            while clear:
-                low = clear & -clear
-                blocked |= columns[low.bit_length() - 1]
-                clear ^= low
-            left = every & ~blocked
-            out.append((left & -left).bit_length() - 1 if left else None)
-        return out
+        return list(map(self._first_under, masks))
 
     def generator_outcomes(self) -> tuple[Outcome, ...]:
         return tuple(mask_to_outcome(g, self.n) for g in self.generators)
@@ -386,22 +381,20 @@ def monotone_extend(pt: PartialTable) -> UpwardClosure:
     """
     if pt.alphabet != BINARY:
         raise PivotalError("monotone extension is defined for the binary alphabet only")
-    ones = []
-    zeros = []
+    ones: list[int] = []
+    zeros: list[int] = []
     for x, v in pt.entries:
-        if v == 1:
-            ones.append(outcome_to_mask(x))
-        elif v == 0:
-            zeros.append(outcome_to_mask(x))
-        else:
+        if v not in (0, 1):
             raise PivotalError(f"monotone extension needs 0/1 labels, got {v} at {x}")
-    for z in zeros:
-        for o in ones:
-            if o & z == o:
-                raise PreconditionError(
-                    "0-labeled point dominates a 1-labeled point",
-                    witness=(mask_to_outcome(z, pt.n), mask_to_outcome(o, pt.n)))
-    return UpwardClosure.from_masks(pt.n, ones)
+        (ones if v else zeros).append(outcome_to_mask(x))
+    closure = UpwardClosure.from_masks(pt.n, ones)
+    for z, i in zip(zeros, closure.first_dominated(zeros)):
+        if i is not None:
+            o = next(o for o in ones if o & z == o)
+            raise PreconditionError(
+                "0-labeled point dominates a 1-labeled point",
+                witness=(mask_to_outcome(z, pt.n), mask_to_outcome(o, pt.n)))
+    return closure
 
 
 @dataclass(frozen=True)
@@ -445,7 +438,7 @@ def effect_counterexample(k: int) -> tuple[UpwardClosure, ExplicitDist, Certific
         raise PreconditionError(f"k must be >= 3, got {k}")
     mu = hadamard_mu(k)
     mubar = complement_mu(mu)
-    d = mixture_D(k)
+    d = mixture(mu, mubar, Fraction(1, 2))
     f = UpwardClosure.from_masks(mu.n, [outcome_to_mask(x) for x, _ in mubar.items()])
 
     checks = []
@@ -485,7 +478,7 @@ def influence_counterexample(k: int) -> tuple[UpwardClosure, ExplicitDist, Certi
         raise PreconditionError(f"k must be >= 3, got {k}")
     mu = hadamard_mu(k)
     mubar = complement_mu(mu)
-    d = mixture_D(k)
+    d = mixture(mu, mubar, Fraction(1, 2))
     n = mu.n
     full = (1 << n) - 1
 

@@ -13,10 +13,11 @@ distribution scales its weights once, at construction: an explicit
 support keeps its lcm denominator and integer weights, a product form
 each row's, and the weights are checked on that integer view.
 
-Exact k-wise checks do not use the kernel. They see an explicit support as
-bitsets, one per (player, symbol) and one per distinct integer weight,
-built at the first check and kept. The joint mass of an assignment is the
-AND of its players' bitsets, weighed class by class by popcount, and
+Exact k-wise checks and single marginals do not use the kernel. They see
+an explicit support as bitsets, one per (player, symbol) and one per
+distinct integer weight, built at the first such query and kept, with
+each player's symbol masses. The joint mass of an assignment is the AND of
+its players' bitsets, weighed class by class by popcount, and
 factorization is decided in integers over the lcm denominator.
 
 A product form whose rows are all equal has a statistic path. When f is
@@ -135,7 +136,7 @@ class GroupedSums:
     ``law`` maps each value of f to its mass and ``mean`` is E[f]. Table g
     maps the joint symbols of group g (in the group's player order) to
     (mass, sum of weight * f) over the outcomes showing them; symbol tuples
-    of mass zero are absent.
+    of mass zero are absent. Groups may share one (read-only) table object.
     """
 
     law: dict[Fraction, Fraction]
@@ -421,7 +422,7 @@ class ExplicitDist(Distribution):
         # The lcm denominator and the integer weights aligned with support.
         self._denom, self._ints = _scale([w for _, w in self.support])
         self._cum: list[int] | None = None  # built by the first sample()
-        self._bits: _Bitsets | None = None  # built by the first check_kwise()
+        self._bits: _Bitsets | None = None  # built by _bitsets()
         self.validate()
 
     def validate(self) -> None:
@@ -463,6 +464,12 @@ class ExplicitDist(Distribution):
     def scaled_items(self) -> tuple[int, Iterator[tuple[Outcome, int]]]:
         return self._denom, zip(map(itemgetter(0), self.support), self._ints)
 
+    def _bitsets(self) -> _Bitsets:
+        if self._bits is None:
+            points = [x for x, _ in self.support]
+            self._bits = _support_bitsets(points, self._ints, len(self.alphabet))
+        return self._bits
+
     def _kwise_scan(self, k: int) -> KwiseResult:
         # Joint masses stay integers over the support's denominator D: the
         # subset T factorizes at a iff joint * D^(|T|-1) == prod of the
@@ -477,10 +484,8 @@ class ExplicitDist(Distribution):
         # The first failure therefore uses earlier symbols only, and
         # scanning those in the same order finds the same witness.
         denom = self._denom
-        if self._bits is None:
-            points = [x for x, _ in self.support]
-            self._bits = _support_bitsets(points, self._ints, len(self.alphabet))
-        columns, singles, mass = self._bits.columns, self._bits.singles, self._bits.mass
+        bits = self._bitsets()
+        columns, singles, mass = bits.columns, bits.singles, bits.mass
         symbols = range(len(self.alphabet) - 1)
         for size in range(2, k + 1):
             scale = denom ** (size - 1)
@@ -510,10 +515,8 @@ class ExplicitDist(Distribution):
         return ZERO
 
     def single_marginal(self, i: int) -> tuple[Fraction, ...]:
-        (table,) = self.sums([(i,)]).tables
-        # Symbols absent from the table have mass 0.
-        return tuple(table[(s,)][0] if (s,) in table else ZERO
-                     for s in range(len(self.alphabet)))
+        self._check_player(i)
+        return tuple(Fraction(w, self._denom) for w in self._bitsets().singles[i])
 
     def condition(self, assignment: Mapping[int, int]) -> "ExplicitDist":
         for i in assignment:
@@ -647,7 +650,7 @@ class ProductDist(Distribution):
         # row_den^n * vden: it depends only on (k, w, sigma). A table walks
         # the symbols a of its sorted players in product order, the grid
         # walk's order; key position p holds a[rank[p]], the symbol of T[p]'s
-        # place among them, so groups of equal rank share a table.
+        # place among them, so groups of equal rank share one table object.
         entries: dict[tuple[int, int, int], tuple[Fraction, Fraction]] = {}
         by_rank: dict[tuple[int, ...], dict[Outcome, tuple[Fraction, Fraction]]] = {}
         tables = []
@@ -663,16 +666,16 @@ class ProductDist(Distribution):
                         entries[k, w, sigma] = (Fraction(w, row_den ** k),
                                                 Fraction(w * total, row_den ** n * vden))
                     table[key(a)] = entries[k, w, sigma]
-            tables.append(dict(by_rank[rank]))
+            tables.append(by_rank[rank])
         return GroupedSums(law, mean, tuple(tables))
 
     def weight(self, x: Outcome) -> Fraction:
         if len(x) != self.n:
             raise DistributionError(f"outcome {x} has wrong arity")
-        w = ONE
-        for i, s in enumerate(x):
-            w *= self.marginals[i][s]
-        return w
+        m = len(self.alphabet)
+        if not all(0 <= s < m for s in x):  # a symbol outside the alphabet has no mass
+            return ZERO
+        return math.prod(map(getitem, self.marginals, x), start=ONE)
 
     def single_marginal(self, i: int) -> tuple[Fraction, ...]:
         self._check_player(i)
@@ -690,13 +693,13 @@ class ProductDist(Distribution):
 
     def condition(self, assignment: Mapping[int, int]) -> "ProductDist":
         # Pinning a player keeps the product form.
+        m = len(self.alphabet)
         for i, s in assignment.items():
             self._check_player(i)
-            if self.marginals[i][s] == 0:
+            if not 0 <= s < m or self.marginals[i][s] == 0:
                 raise NullConditionError(
                     f"conditioning on null event: player {i} never takes symbol {s}")
         rows = list(self.marginals)
-        m = len(self.alphabet)
         for i, s in assignment.items():
             rows[i] = tuple(ONE if t == s else ZERO for t in range(m))
         return ProductDist(self.alphabet, self.n, rows)

@@ -112,9 +112,8 @@ def _equal_binary_marginals(d: Distribution) -> Fraction:
         raise DistributionError("bound applies to the binary alphabet only")
     q = d.single_marginal(0)[0]
     for i in range(1, d.n):
-        if d.single_marginal(i)[0] != q:
-            raise DistributionError(
-                f"marginals differ: player 0 has Pr[0]={q}, player {i} has {d.single_marginal(i)[0]}")
+        if (qi := d.single_marginal(i)[0]) != q:
+            raise DistributionError(f"marginals differ: player 0 has Pr[0]={q}, player {i} has {qi}")
     if not 0 < q < 1:
         raise DistributionError(f"degenerate shared marginal Pr[0]={q}")
     return q
@@ -312,8 +311,8 @@ def verify_reduction(f: PlayerFunction, d: Distribution,
 class EliminationResult:
     """Maximal disjoint family of small pivotal sets plus its certificate.
 
-    The certificate re-scans every small subset disjoint from the union
-    and records that none is pivotal.
+    The certificate records that no pivotal small subset the greedy loop
+    consumed lies outside the union; see ``elimination_set``.
     """
 
     family: tuple[tuple[int, ...], ...]
@@ -325,7 +324,12 @@ class EliminationResult:
 
 def elimination_set(f: PlayerFunction, d: Distribution, m: int,
                     p: Fraction, alpha: Fraction) -> EliminationResult:
-    """Greedy maximal disjoint family of pivotal sets of size at most m."""
+    """Greedy maximal disjoint family of pivotal sets of size at most m.
+
+    The certificate reads the same pivotal list that the loop consumed, so
+    it holds by the family's maximality: it checks the loop's bookkeeping,
+    not the pivotal scan, and is no independent evidence.
+    """
     p, alpha = _positive("p", p), _positive("alpha", alpha)
     if not 1 <= m <= _ELIMINATION_M_LIMIT:
         raise PreconditionError(f"m must be in 1..{_ELIMINATION_M_LIMIT}, got {m}")
@@ -348,7 +352,7 @@ def elimination_set(f: PlayerFunction, d: Distribution, m: int,
         if not union.intersection(T):
             family.append(T)
             union.update(T)
-    # Certificate: re-scan for a pivotal small subset disjoint from the union.
+    # Certificate: no pivotal small subset of the same list misses the union.
     witness = next((T for T in pivotal if not union.intersection(T)), None)
     return EliminationResult(tuple(family), tuple(sorted(union)),
                              len(family), witness is None, witness)

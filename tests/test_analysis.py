@@ -159,6 +159,14 @@ class TestPivotal:
             for i in range(4):
                 assert report.rows[i].deviating_mass == brute_deviating_mass(f, d, i, alpha)
 
+    def test_identical_rows_share_their_deviations(self):
+        d = majp_dist(6, F(2, 5))
+        f = MajPFn(6)
+        report = pivotal_report(f, d, F(1, 8), F(1, 100))
+        assert all(row.deviations is report.rows[0].deviations for row in report.rows)
+        for i, row in enumerate(report.rows):
+            assert row == pivotal_player(f, d, i, F(1, 8), F(1, 100))[1]
+
     def test_strict_inequalities(self):
         # Deviation exactly alpha, mass exactly p: both strict, so not pivotal.
         d = uniform_product(1)

@@ -255,6 +255,15 @@ class TestMonotoneExtend:
             monotone_extend(pt)
         assert exc.value.witness == ((1, 1), (0, 1))
 
+    def test_witness_is_first_one_labeled_entry(self):
+        # The closure's lowest generator is (1, 0, 0), but the witness is the
+        # first 1-labeled entry that the 0-labeled point dominates.
+        pt = PartialTable(BINARY, 3, {(0, 1, 0): F(1), (1, 0, 0): F(1), (1, 1, 0): F(0)})
+        assert UpwardClosure(3, [(0, 1, 0), (1, 0, 0)]).generator_outcomes()[0] == (1, 0, 0)
+        with pytest.raises(PreconditionError) as exc:
+            monotone_extend(pt)
+        assert exc.value.witness == ((1, 1, 0), (0, 1, 0))
+
     def test_agrees_on_domain(self):
         pt = PartialTable(BINARY, 4, {
             (0, 0, 1, 1): F(1), (1, 1, 0, 0): F(1),

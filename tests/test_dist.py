@@ -214,6 +214,16 @@ class TestCondition:
         with pytest.raises(NullConditionError):
             d.condition({0: 1})
 
+    @pytest.mark.parametrize("explicit", [False, True], ids=["product", "explicit"])
+    @pytest.mark.parametrize("symbol", [-1, len(PARTICIPATION)], ids=["minus-one", "m"])
+    def test_symbol_outside_alphabet_is_null(self, explicit, symbol):
+        d = majp_dist(3, HALF)
+        if explicit:
+            d = d.to_explicit()
+        assert d.weight((symbol, 0, 0)) == 0
+        with pytest.raises(NullConditionError):
+            d.condition({0: symbol})
+
 
 class TestMixture:
     def test_idempotent(self, even_parity3):
@@ -411,6 +421,34 @@ def test_kwise_bitsets_built_once(monkeypatch):
         assert d.check_kwise(k).ok
     # The bitsets are built at the first check and reused by the later ones.
     assert len(built) == 1
+
+
+def test_explicit_single_marginal_reads_the_bitsets(monkeypatch):
+    d = SAMPLED["skewed-explicit"]()
+    calls = []
+    sums = Distribution.sums
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return sums(self, *args, **kwargs)
+
+    monkeypatch.setattr(Distribution, "sums", counted)
+    got = [d.single_marginal(i) for i in range(d.n)]
+    assert calls == []
+    assert all(d.check_kwise(k).ok for k in (1, 2, 3))  # the same bitsets
+    assert calls == []
+    assert got == [tuple(brute_event_mass(d, {i: s}) for s in range(3)) for i in range(d.n)]
+
+
+def test_single_marginal_matches_oracle_with_a_massless_symbol():
+    # Player 0 never shows 2, player 1 never shows 1, player 2 never shows 2.
+    d = ExplicitDist(PARTICIPATION, 3, [
+        ((0, 2, 1), HALF), ((1, 2, 0), F(1, 3)), ((0, 0, 0), F(1, 6))])
+    for i in range(d.n):
+        assert d.single_marginal(i) == tuple(brute_event_mass(d, {i: s}) for s in range(3))
+    for i in (-1, d.n):
+        with pytest.raises(DistributionError):
+            d.single_marginal(i)
 
 
 def test_mixture_d4_kwise_witness_pinned():
