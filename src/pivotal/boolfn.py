@@ -10,7 +10,6 @@ bogus pair.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -27,6 +26,8 @@ from .dist import (
     ZERO,
     ONE,
     as_exact,
+    as_int,
+    first_bad_outcome,
     mixture,
 )
 from .generators import complement_mu, hadamard_mu
@@ -98,31 +99,19 @@ class PartialTable(PlayerFunction):
     def __init__(self, alphabet: Alphabet, n: int,
                  values: Mapping[Outcome, Fraction] | Iterable[tuple[Outcome, Fraction]]):
         self.alphabet = alphabet
-        self.n = int(n)
+        self.n = as_int(n, "arity", PivotalError)
         pairs = values.items() if isinstance(values, Mapping) else values
         self.entries = tuple(sorted((tuple(x), as_exact(v, "value", PivotalError))
                                     for x, v in pairs))
         self._lookup = dict(self.entries)
         if len(self._lookup) != len(self.entries):
             raise PivotalError("outcome mapped twice in table")
-        m = len(alphabet)
-
-        def bad_outcome(lengths: Iterable[int], types: Iterable[type],
-                        symbols: Iterable[int]) -> bool:
-            return (any(k != self.n for k in lengths)
-                    or not all(issubclass(t, int) for t in types)
-                    or not all(0 <= s < m for s in symbols))
-
-        # Each check runs once over the distinct lengths, symbol types,
-        # symbols and values (types apart, since 1.0 and 1 are one set
-        # element); only when one fails are the entries walked to name the
-        # first bad one.
-        if (bad_outcome(set(map(len, self._lookup)),
-                        set(map(type, itertools.chain.from_iterable(self._lookup))),
-                        set().union(*self._lookup))
-                or not all(map(_in_value_range, set(self._lookup.values())))):
+        # Keys are the entries' own outcomes, so the first bad one is found by
+        # identity; values are checked once each, and walked only on a failure.
+        bad = first_bad_outcome(self._lookup, self.n, len(alphabet))
+        if bad is not None or not all(map(_in_value_range, set(self._lookup.values()))):
             for x, v in self.entries:
-                if bad_outcome((len(x),), map(type, x), x):
+                if x is bad:
                     raise PivotalError(f"invalid outcome {x} in table")
                 _check_value_range(x, v)
 
@@ -256,18 +245,15 @@ class UpwardClosure(PlayerFunction):
     __slots__ = ("n", "generators", "_columns", "_used")
 
     def __init__(self, n: int, generators: Iterable[Sequence[int]]):
-        n = int(n)
-        masks = set()
-        for g in generators:
-            x = tuple(g)
-            if len(x) != n or any(not isinstance(s, int) or not 0 <= s < 2 for s in x):
-                raise PivotalError(f"generator {x} is not a length-{n} bit vector")
-            masks.add(outcome_to_mask(x))
-        self._setup(n, masks)
+        n = as_int(n, "arity", PivotalError)
+        gens = [tuple(g) for g in generators]
+        if (bad := first_bad_outcome(gens, n, 2)) is not None:
+            raise PivotalError(f"generator {bad} is not a length-{n} bit vector")
+        self._setup(n, set(map(outcome_to_mask, gens)))
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "UpwardClosure":
-        n, masks = int(n), set(masks)
+        n, masks = as_int(n, "arity", PivotalError), set(masks)
         bad = sorted(m for m in masks if not 0 <= m < (1 << n))
         if bad:
             raise PivotalError(f"generator mask {bad[0]} out of range for n={n}")

@@ -6,6 +6,14 @@ is carried by ``fractions.Fraction``, so marginals, conditionals,
 expectations, and independence checks are exact computations; floats
 appear only when a report is rendered.
 
+An outcome of n players over an m-symbol alphabet is a tuple of n ints in
+0..m-1 (``bool`` counts as an int; ``1.0`` and ``Fraction(1)`` do not).
+``first_bad_outcome`` is the one place that rule is written: supports,
+tables and closures are checked through it at construction, and a
+``weight`` or ``condition`` query applies it to its point or assignment,
+where a wrong length is an error and a value that is not a symbol has no
+mass.
+
 Every grouped sum over the support goes through one kernel,
 ``Distribution.sums``. It accumulates integer weights over a common
 denominator and builds each ``Fraction`` once, after the pass. Each
@@ -48,8 +56,8 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem, itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
+from operator import eq, getitem, itemgetter
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 Outcome = tuple[int, ...]
 
@@ -151,6 +159,29 @@ def as_exact(value: object, what: str, error: type = DistributionError) -> Fract
     if not isinstance(value, (int, Fraction)):
         raise error(f"{what} must be an int or Fraction, got {value!r}")
     return Fraction(value)
+
+
+def as_int(value: object, what: str, error: type = DistributionError) -> int:
+    """value as an int; the same ``isinstance`` test as the outcome rule."""
+    if not isinstance(value, int):
+        raise error(f"{what} must be an int, got {value!r}")
+    return int(value)
+
+
+def _follows_rule(outcomes: Collection[Outcome], n: int, m: int) -> bool:
+    # One pass each over the distinct lengths, types (apart: 1.0 and 1 are one
+    # set element) and symbols, collected only once every type is int.
+    return (all(k == n for k in set(map(len, outcomes)))
+            and all(issubclass(t, int)
+                    for t in set(map(type, itertools.chain.from_iterable(outcomes))))
+            and all(0 <= s < m for s in set().union(*outcomes)))
+
+
+def first_bad_outcome(outcomes: Collection[Outcome], n: int, m: int) -> Outcome | None:
+    """The first outcome that is not n ints in 0..m-1, or None; walks only if one pass fails."""
+    if _follows_rule(outcomes, n, m):
+        return None
+    return next(x for x in outcomes if not _follows_rule((x,), n, m))
 
 
 def _rng_for(seed: int | str, index: int) -> random.Random:
@@ -328,8 +359,12 @@ class Distribution(ABC):
         """Re-check every construction invariant, raising on the first failure."""
 
     def _check_player(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise DistributionError(f"player index {i} out of range for n={self.n}")
+        if not isinstance(i, int) or not 0 <= i < self.n:
+            raise DistributionError(f"player index {i!r} out of range for n={self.n}")
+
+    def _symbols(self, values: Outcome) -> bool:
+        """Whether every value is a symbol of the alphabet; others have no mass."""
+        return _follows_rule((values,), len(values), len(self.alphabet))
 
     def _check_groups(self, groups: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
         groups = [tuple(T) for T in groups]
@@ -417,7 +452,7 @@ class ExplicitDist(Distribution):
     def __init__(self, alphabet: Alphabet, n: int,
                  support: Sequence[tuple[Outcome, Fraction]]):
         self.alphabet = alphabet
-        self.n = int(n)
+        self.n = as_int(n, "arity")
         self.support = tuple(sorted((tuple(x), as_exact(w, "weight")) for x, w in support))
         # The lcm denominator and the integer weights aligned with support.
         self._denom, self._ints = _scale([w for _, w in self.support])
@@ -430,18 +465,17 @@ class ExplicitDist(Distribution):
             raise DistributionError(f"arity must be >= 1, got {self.n}")
         if not self.support:
             raise DistributionError("support is empty")
-        m = len(self.alphabet)
-        seen: set[Outcome] = set()
-        for (x, w), iw in zip(self.support, self._ints):
+        points = list(map(itemgetter(0), self.support))
+        if (x := first_bad_outcome(points, self.n, len(self.alphabet))) is not None:
             if len(x) != self.n:
                 raise DistributionError(f"outcome {x} has length {len(x)}, expected arity {self.n}")
-            if any(not isinstance(s, int) or not 0 <= s < m for s in x):
-                raise DistributionError(f"outcome {x} uses a symbol index outside the alphabet")
-            if x in seen:
-                raise DistributionError(f"duplicate outcome {x} in support")
-            seen.add(x)
-            if iw <= 0:
-                raise DistributionError(f"weight of {x} is {w}, must be positive")
+            raise DistributionError(f"outcome {x} uses a symbol index outside the alphabet")
+        # Sorted, so equal outcomes sit next to each other.
+        for x in itertools.compress(points, map(eq, points, points[1:])):
+            raise DistributionError(f"duplicate outcome {x} in support")
+        if min(self._ints) <= 0:
+            x, w = next(point for point, iw in zip(self.support, self._ints) if iw <= 0)
+            raise DistributionError(f"weight of {x} is {w}, must be positive")
         if sum(self._ints) != self._denom:
             raise DistributionError(
                 f"weights sum to {Fraction(sum(self._ints), self._denom)}, expected 1")
@@ -509,10 +543,12 @@ class ExplicitDist(Distribution):
 
     def weight(self, x: Outcome) -> Fraction:
         x = tuple(x)
-        for y, w in self.support:
-            if y == x:
-                return w
-        return ZERO
+        if len(x) != self.n:
+            raise DistributionError(f"outcome {x} has wrong arity")
+        if not self._symbols(x):
+            return ZERO
+        i = bisect.bisect_left(self.support, (x,))  # (x,) sorts just before (x, w)
+        return self.support[i][1] if i < len(self.support) and self.support[i][0] == x else ZERO
 
     def single_marginal(self, i: int) -> tuple[Fraction, ...]:
         self._check_player(i)
@@ -524,7 +560,7 @@ class ExplicitDist(Distribution):
         kept = [(x, w) for x, w in self.support
                 if all(x[i] == s for i, s in assignment.items())]
         mass = sum((w for _, w in kept), ZERO)
-        if mass == 0:
+        if mass == 0 or not self._symbols(tuple(assignment.values())):
             raise NullConditionError(f"conditioning on null event {dict(assignment)!r}")
         return ExplicitDist(self.alphabet, self.n, [(x, w / mass) for x, w in kept])
 
@@ -549,7 +585,7 @@ class ProductDist(Distribution):
     def __init__(self, alphabet: Alphabet, n: int,
                  marginals: Sequence[Sequence[Fraction]]):
         self.alphabet = alphabet
-        self.n = int(n)
+        self.n = as_int(n, "arity")
         self.marginals = tuple(tuple(as_exact(p, "marginal") for p in row) for row in marginals)
         self._rows = [_scale(row) for row in self.marginals]  # (lcm, integer weights) per row
         self._cums: list[list[int]] | None = None  # built by the first sample()
@@ -672,8 +708,7 @@ class ProductDist(Distribution):
     def weight(self, x: Outcome) -> Fraction:
         if len(x) != self.n:
             raise DistributionError(f"outcome {x} has wrong arity")
-        m = len(self.alphabet)
-        if not all(0 <= s < m for s in x):  # a symbol outside the alphabet has no mass
+        if not self._symbols(tuple(x)):
             return ZERO
         return math.prod(map(getitem, self.marginals, x), start=ONE)
 
@@ -696,7 +731,7 @@ class ProductDist(Distribution):
         m = len(self.alphabet)
         for i, s in assignment.items():
             self._check_player(i)
-            if not 0 <= s < m or self.marginals[i][s] == 0:
+            if not self._symbols((s,)) or self.marginals[i][s] == 0:
                 raise NullConditionError(
                     f"conditioning on null event: player {i} never takes symbol {s}")
         rows = list(self.marginals)

@@ -497,7 +497,7 @@ def majp_tightness(n: int, p: Fraction, alpha_grid: Sequence[Fraction],
         if seed is None:
             raise PivotalError("Monte Carlo mode needs an explicit seed")
         devs = estimate_majp_deviations(n, p, samples, seed)
-        marginal = majp_dist(n, p).single_marginal(0)
+        marginal = majp_dist(1, p).single_marginal(0)  # every player's row
         pairs = [(marginal[s], dev) for s, (dev, _) in devs.items()]
         mode, hw = "monte-carlo", max(hw for _, hw in devs.values())
     return [TightnessRow(alpha, Fraction(n) if _mass_past(pairs, alpha) > p else ZERO,

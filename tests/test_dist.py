@@ -36,6 +36,7 @@ from pivotal.boolfn import (
     ParityFn,
     PartialTable,
     StatisticFn,
+    UpwardClosure,
 )
 from pivotal.dist import (
     Distribution,
@@ -215,14 +216,66 @@ class TestCondition:
             d.condition({0: 1})
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["product", "explicit"])
-    @pytest.mark.parametrize("symbol", [-1, len(PARTICIPATION)], ids=["minus-one", "m"])
+    @pytest.mark.parametrize("symbol", [-1, len(PARTICIPATION), 0.0, 0.5, F(1), "0"],
+                             ids=["minus-one", "m", "float-zero", "half", "whole-fraction", "str"])
     def test_symbol_outside_alphabet_is_null(self, explicit, symbol):
+        # Only ints in 0..m-1 are symbols, so 0.0 is not 0 and F(1) is not 1.
         d = majp_dist(3, HALF)
         if explicit:
             d = d.to_explicit()
         assert d.weight((symbol, 0, 0)) == 0
         with pytest.raises(NullConditionError):
             d.condition({0: symbol})
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["product", "explicit"])
+    def test_weight_of_a_wrong_length_outcome_is_an_error(self, explicit):
+        d = majp_dist(3, HALF)
+        if explicit:
+            d = d.to_explicit()
+        with pytest.raises(DistributionError, match="wrong arity"):
+            d.weight((0, 0))
+
+
+@pytest.mark.parametrize("d", [
+    majp_dist(3, HALF).to_explicit(),
+    hadamard_mu(2),
+    mixture_D(2),
+    ExplicitDist(PARTICIPATION, 2, [((0, 2), F(1, 3)), ((2, 1), F(2, 3))]),
+], ids=["majp3", "hadamard2", "mixture2", "sparse-participation"])
+def test_explicit_weight_matches_oracle_on_the_whole_grid(d):
+    """bisect on the sorted support finds every point, in and out of it."""
+    for x in itertools.product(range(len(d.alphabet)), repeat=d.n):
+        assert d.weight(x) == brute_event_mass(d, dict(enumerate(x)))
+    assert d.weight(list(d.support[-1][0])) == d.support[-1][1]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ExplicitDist(BINARY, 2.5, [((0, 0), F(1))]),
+    lambda: ProductDist(BINARY, 2.5, [(HALF, HALF)] * 2),
+    lambda: PartialTable(BINARY, 2.5, {(0, 0): F(0)}),
+    lambda: UpwardClosure("2", [(0, 1)]),
+    lambda: UpwardClosure.from_masks(2.0, [1]),
+    lambda: majp_dist(3, HALF).single_marginal(0.5),
+    lambda: hadamard_mu(2).single_marginal(0.5),
+    lambda: majp_dist(3, HALF).marginal([0.5]),
+    lambda: hadamard_mu(2).marginal([0.5]),
+    lambda: majp_dist(3, HALF).condition({0.5: 1}),
+    lambda: hadamard_mu(2).condition({0.5: 1}),
+], ids=["explicit", "product", "table", "closure", "closure-masks",
+        "product-single-marginal", "explicit-single-marginal", "product-marginal",
+        "explicit-marginal", "product-condition", "explicit-condition"])
+def test_arity_and_player_index_must_be_ints(call):
+    """Refused with the class's own error, never truncated or left to a TypeError."""
+    with pytest.raises(PivotalError, match=r"must be an int|player index 0\.5"):
+        call()
+
+
+def test_bool_counts_as_an_int():
+    # The isinstance test of the outcome rule: True is 1, as a symbol and as an index.
+    d = ExplicitDist(BINARY, True, [((True,), HALF), ((0,), HALF)])
+    assert d.n == 1 and d.weight((1,)) == HALF
+    assert hadamard_mu(2).single_marginal(True) == (HALF, HALF)
+    assert uniform_product(2).condition({True: True}).marginals[1] == (F(0), F(1))
 
 
 class TestMixture:

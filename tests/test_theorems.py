@@ -39,6 +39,7 @@ from pivotal import (
     verify_warmup,
 )
 from pivotal.dist import mixture
+from pivotal.theorems import TightnessRow
 
 from oracles import brute_deviating_mass, brute_indicator_law, brute_signed_effect
 
@@ -487,3 +488,21 @@ class TestMajpTightness:
         from pivotal import PivotalError
         with pytest.raises(PivotalError, match="alpha"):
             majp_tightness(5, HALF, grid, samples=samples, seed=1)
+
+    def test_monte_carlo_builds_one_n_player_space(self, monkeypatch):
+        # The estimate builds the space and its three conditioned copies; the
+        # marginal row is read from a one-player space.
+        arities = []
+        init = ProductDist.__init__
+
+        def counting_init(self, alphabet, n, marginals):
+            arities.append(n)
+            init(self, alphabet, n, marginals)
+
+        monkeypatch.setattr(ProductDist, "__init__", counting_init)
+        rows = majp_tightness(4, F(2, 5), [F(1, 50), F(1)], samples=100, seed="s")
+        assert arities == [4, 4, 4, 4, 1]
+        # Frozen; every player has the row (1/5, 1/5, 3/5), whichever space it is read from.
+        hw = 0.5432406062962478
+        assert rows == [TightnessRow(F(1, 50), F(4), F(50000), "monte-carlo", hw),
+                        TightnessRow(F(1), F(0), F(20), "monte-carlo", hw)]
