@@ -101,17 +101,20 @@ class PartialTable(PlayerFunction):
         self.alphabet = alphabet
         self.n = as_int(n, "arity", PivotalError)
         pairs = values.items() if isinstance(values, Mapping) else values
-        self.entries = tuple(sorted((tuple(x), as_exact(v, "value", PivotalError))
-                                    for x, v in pairs))
+        pairs = [(tuple(x), as_exact(v, "value", PivotalError)) for x, v in pairs]
+        bad = first_bad_outcome([x for x, _ in pairs], self.n, len(alphabet))
+        try:
+            self.entries = tuple(sorted(pairs))
+        except TypeError:  # only a symbol that is not an int fails to order, so bad is set
+            raise PivotalError(f"invalid outcome {bad} in table") from None
         self._lookup = dict(self.entries)
         if len(self._lookup) != len(self.entries):
             raise PivotalError("outcome mapped twice in table")
-        # Keys are the entries' own outcomes, so the first bad one is found by
-        # identity; values are checked once each, and walked only on a failure.
-        bad = first_bad_outcome(self._lookup, self.n, len(alphabet))
+        # Values are checked once each; on a failure the sorted entries are
+        # walked to name the first bad outcome or value.
         if bad is not None or not all(map(_in_value_range, set(self._lookup.values()))):
             for x, v in self.entries:
-                if x is bad:
+                if first_bad_outcome((x,), self.n, len(alphabet)) is not None:
                     raise PivotalError(f"invalid outcome {x} in table")
                 _check_value_range(x, v)
 

@@ -39,11 +39,14 @@ symbols' weights. Each entry is the grid walk's integer sum, grouped by
 total, so both paths return equal ``GroupedSums``, with the same dict
 order. Any other input walks the grid.
 
-Values are immutable after construction and every operation is a pure
-function of its inputs, so concurrent use needs no coordination.
-Sampling takes its seed and draw index explicitly. Its integer cumulative
-tables are cached on the instance at the first draw (the running sums of
-its integer weights); whichever caller builds a cache builds the same one.
+Each constructor checks its value once and builds the integer view of
+the weights and the draw tables of ``sample`` (their running sums). Only
+an explicit support's bitsets wait for their first query: they cost about
+half as much as the construction itself, and only k-wise checks and
+single marginals read them. Values are immutable after construction and
+every operation is a pure function of its inputs, so concurrent use needs
+no coordination; whichever caller builds the bitsets builds the same
+ones. Sampling takes its seed and draw index explicitly.
 """
 
 from __future__ import annotations
@@ -195,17 +198,6 @@ def _scale(weights: Sequence[Fraction]) -> tuple[int, list[int]]:
     return denom, [w.numerator * (denom // w.denominator) for w in weights]
 
 
-def _cumulative(weights: Sequence[Fraction | int]) -> list[int]:
-    """Integer cumulative table for ``_draw``.
-
-    With D the lcm of the weights' denominators, entry i is
-    D * (w_0 + ... + w_i), so the last entry is the total D * sum(w). A
-    zero weight repeats the entry before it. Integer weights, such as a
-    support's already scaled ones, have D = 1 and are summed as they are.
-    """
-    return list(itertools.accumulate(_scale(weights)[1]))
-
-
 def _draw(rng: random.Random, cum: Sequence[int]) -> int:
     """Pick index i with probability exactly (cum[i] - cum[i-1]) / cum[-1].
 
@@ -354,10 +346,6 @@ class Distribution(ABC):
     def sample(self, seed: int | str, index: int = 0) -> Outcome:
         """Draw one outcome; deterministic given (seed, index)."""
 
-    @abstractmethod
-    def validate(self) -> None:
-        """Re-check every construction invariant, raising on the first failure."""
-
     def _check_player(self, i: int) -> None:
         if not isinstance(i, int) or not 0 <= i < self.n:
             raise DistributionError(f"player index {i!r} out of range for n={self.n}")
@@ -453,32 +441,32 @@ class ExplicitDist(Distribution):
                  support: Sequence[tuple[Outcome, Fraction]]):
         self.alphabet = alphabet
         self.n = as_int(n, "arity")
-        self.support = tuple(sorted((tuple(x), as_exact(w, "weight")) for x, w in support))
-        # The lcm denominator and the integer weights aligned with support.
-        self._denom, self._ints = _scale([w for _, w in self.support])
-        self._cum: list[int] | None = None  # built by the first sample()
-        self._bits: _Bitsets | None = None  # built by _bitsets()
-        self.validate()
-
-    def validate(self) -> None:
+        support = [(tuple(x), as_exact(w, "weight")) for x, w in support]
         if self.n < 1:
             raise DistributionError(f"arity must be >= 1, got {self.n}")
-        if not self.support:
+        if not support:
             raise DistributionError("support is empty")
-        points = list(map(itemgetter(0), self.support))
-        if (x := first_bad_outcome(points, self.n, len(self.alphabet))) is not None:
+        # Checked before sorting: a symbol that is not an int may not order against one.
+        x = first_bad_outcome(list(map(itemgetter(0), support)), self.n, len(alphabet))
+        if x is not None:
             if len(x) != self.n:
                 raise DistributionError(f"outcome {x} has length {len(x)}, expected arity {self.n}")
             raise DistributionError(f"outcome {x} uses a symbol index outside the alphabet")
+        self.support = tuple(sorted(support))
+        points = list(map(itemgetter(0), self.support))
         # Sorted, so equal outcomes sit next to each other.
         for x in itertools.compress(points, map(eq, points, points[1:])):
             raise DistributionError(f"duplicate outcome {x} in support")
+        # The lcm denominator and the integer weights aligned with support.
+        self._denom, self._ints = _scale([w for _, w in self.support])
         if min(self._ints) <= 0:
             x, w = next(point for point, iw in zip(self.support, self._ints) if iw <= 0)
             raise DistributionError(f"weight of {x} is {w}, must be positive")
         if sum(self._ints) != self._denom:
             raise DistributionError(
                 f"weights sum to {Fraction(sum(self._ints), self._denom)}, expected 1")
+        self._cum = list(itertools.accumulate(self._ints))  # the draw table of sample()
+        self._bits: _Bitsets | None = None  # built by _bitsets()
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ExplicitDist)
@@ -557,19 +545,17 @@ class ExplicitDist(Distribution):
     def condition(self, assignment: Mapping[int, int]) -> "ExplicitDist":
         for i in assignment:
             self._check_player(i)
-        kept = [(x, w) for x, w in self.support
+        kept = [(x, w) for x, w in zip(map(itemgetter(0), self.support), self._ints)
                 if all(x[i] == s for i, s in assignment.items())]
-        mass = sum((w for _, w in kept), ZERO)
+        mass = sum(w for _, w in kept)
         if mass == 0 or not self._symbols(tuple(assignment.values())):
             raise NullConditionError(f"conditioning on null event {dict(assignment)!r}")
-        return ExplicitDist(self.alphabet, self.n, [(x, w / mass) for x, w in kept])
+        return ExplicitDist(self.alphabet, self.n, [(x, Fraction(w, mass)) for x, w in kept])
 
     def to_explicit(self) -> "ExplicitDist":
         return self
 
     def sample(self, seed: int | str, index: int = 0) -> Outcome:
-        if self._cum is None:
-            self._cum = _cumulative(self._ints)
         return self.support[_draw(_rng_for(seed, index), self._cum)][0]
 
 
@@ -588,10 +574,6 @@ class ProductDist(Distribution):
         self.n = as_int(n, "arity")
         self.marginals = tuple(tuple(as_exact(p, "marginal") for p in row) for row in marginals)
         self._rows = [_scale(row) for row in self.marginals]  # (lcm, integer weights) per row
-        self._cums: list[list[int]] | None = None  # built by the first sample()
-        self.validate()
-
-    def validate(self) -> None:
         if self.n < 1:
             raise DistributionError(f"arity must be >= 1, got {self.n}")
         if len(self.marginals) != self.n:
@@ -607,6 +589,7 @@ class ProductDist(Distribution):
             if sum(ints) != row_den:
                 raise DistributionError(
                     f"player {i} marginal sums to {Fraction(sum(ints), row_den)}, expected 1")
+        self._cums = [list(itertools.accumulate(ints)) for _, ints in self._rows]  # for sample()
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ProductDist)
@@ -754,8 +737,6 @@ class ProductDist(Distribution):
         return ExplicitDist(self.alphabet, self.n, list(self.items()))
 
     def sample(self, seed: int | str, index: int = 0) -> Outcome:
-        if self._cums is None:
-            self._cums = [_cumulative(ints) for _, ints in self._rows]
         rng = _rng_for(seed, index)
         return tuple([_draw(rng, cum) for cum in self._cums])
 

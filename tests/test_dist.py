@@ -42,7 +42,6 @@ from pivotal.dist import (
     Distribution,
     KwiseWitness,
     PivotalError,
-    _cumulative,
     _draw,
     _power,
     _scale,
@@ -120,7 +119,7 @@ class TestAlphabet:
 
 class TestValidation:
     def test_uniform_even_parity_ok(self, even_parity3):
-        even_parity3.validate()
+        assert ExplicitDist(BINARY, 3, even_parity3.support) == even_parity3
 
     def test_bad_weight_sum_reports_total(self):
         with pytest.raises(DistributionError, match="13/12"):
@@ -167,6 +166,20 @@ class TestValidation:
     def test_symbol_must_be_an_integer_index(self, symbol):
         with pytest.raises(DistributionError, match="outside the alphabet"):
             ExplicitDist(BINARY, 2, [((symbol, 0), HALF), ((1, 1), HALF)])
+
+    @pytest.mark.parametrize("symbol", ["a", None, 0.5, F(1), -1, len(BINARY)],
+                             ids=["str", "none", "half", "whole-fraction", "minus-one", "m"])
+    @pytest.mark.parametrize("build, error, text", [
+        (lambda x: ExplicitDist(BINARY, 1, [(x, HALF), ((0,), HALF)]),
+         DistributionError, "outside the alphabet"),
+        (lambda x: PartialTable(BINARY, 1, {x: F(0), (0,): F(1)}), PivotalError, "invalid outcome"),
+        (lambda x: DenseTable(BINARY, 1, {x: F(0), (0,): F(1)}), PivotalError, "invalid outcome"),
+    ], ids=["explicit", "partial", "dense"])
+    def test_non_symbol_outcome_is_refused_before_sorting(self, build, error, text, symbol):
+        # A str or None does not order against an int, so it must be named
+        # before the outcomes are sorted, never left to a TypeError.
+        with pytest.raises(error, match=text):
+            build((symbol,))
 
 
 class TestMarginal:
@@ -567,20 +580,17 @@ SAMPLED = {
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLED))
-def test_sample_stream_matches_oracle(name, monkeypatch):
+def test_sample_stream_matches_oracle(name):
     d = SAMPLED[name]()
-    built = []
-
-    def counted(weights):
-        built.append(weights)
-        return _cumulative(weights)
-
-    monkeypatch.setattr(dist_module, "_cumulative", counted)
+    tables = d._cums if isinstance(d, ProductDist) else [d._cum]
+    copies = [list(cum) for cum in tables]
     for seed in (0, "a", 123456789):
         for j in range(200):
             assert d.sample(seed, j) == brute_sample(d, seed, j), (seed, j)
-    # Tables are built once per instance, at the first draw.
-    assert len(built) == (d.n if isinstance(d, ProductDist) else 1)
+    # Drawing builds no table: the constructor's tables are the same, unchanged objects.
+    after = d._cums if isinstance(d, ProductDist) else [d._cum]
+    assert len(after) == len(tables) and all(a is b for a, b in zip(after, tables))
+    assert after == copies
 
 
 def _count_scale_calls(monkeypatch) -> list:
@@ -636,7 +646,7 @@ class _ScriptedRng:
 
 
 def test_draw_maps_cumulative_boundaries_and_redraws():
-    cum = _cumulative([QUARTER, F(0), QUARTER, HALF])
+    cum = list(itertools.accumulate([1, 0, 1, 2]))  # the weights 1/4, 0, 1/4, 1/2 over 4
     assert cum == [1, 1, 2, 4]
 
     def draw(*values):
@@ -652,7 +662,7 @@ def test_draw_maps_cumulative_boundaries_and_redraws():
     assert draw(6, 4, 1) == 2  # draws at or past the total are redrawn
     # A point mass still consumes its one-bit draws.
     rng = _ScriptedRng([1, 0])
-    assert _draw(rng, _cumulative([F(0), F(1), F(0)])) == 1
+    assert _draw(rng, list(itertools.accumulate([0, 1, 0]))) == 1
     assert rng.widths == [1, 1]
 
 
