@@ -58,14 +58,18 @@ class SymbolDeviation:
     deviation: Fraction  # E[f | X_i = s] - E[f]
 
 
+def _deviates(dev: Fraction, alpha: Fraction, sign: int = 0) -> bool:
+    """Whether dev strays strictly past alpha: either way for sign 0, else toward sign."""
+    return (sign * dev if sign else abs(dev)) > alpha
+
+
 def _mass_past(pairs: Iterable[tuple[Fraction, Fraction]], alpha: Fraction,
                sign: int = 0) -> Fraction:
     """Mass of the (mass, deviation) pairs whose deviation strays past alpha.
 
-    sign 0 counts both ways, else only the direction of sign. The (p, alpha)
-    rule compares this mass strictly with p.
+    The (p, alpha) rule compares this mass strictly with p.
     """
-    return sum((m for m, dev in pairs if (sign * dev if sign else abs(dev)) > alpha), ZERO)
+    return sum((m for m, dev in pairs if _deviates(dev, alpha, sign)), ZERO)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ Every grouped sum over the support goes through one kernel,
 denominator and builds each ``Fraction`` once, after the pass. Each
 distribution scales its weights once, at construction: an explicit
 support keeps its lcm denominator and integer weights, a product form
-each row's, and the weights are checked on that integer view.
+each distinct row's, and the weights are checked on that integer view.
 
 Exact k-wise checks and single marginals do not use the kernel. They see
 an explicit support as bitsets, one per (player, symbol) and one per
@@ -198,6 +198,12 @@ def _scale(weights: Sequence[Fraction]) -> tuple[int, list[int]]:
     return denom, [w.numerator * (denom // w.denominator) for w in weights]
 
 
+# A distinct row of a product form: the lcm den of its denominators, den * weight
+# per symbol, its symbols of positive weight with their ints, and sample()'s table.
+_Row = NamedTuple("_Row", [("den", int), ("ints", list[int]), ("symbols", list[int]),
+                           ("weights", list[int]), ("cum", list[int])])
+
+
 def _draw(rng: random.Random, cum: Sequence[int]) -> int:
     """Pick index i with probability exactly (cum[i] - cum[i-1]) / cum[-1].
 
@@ -371,7 +377,9 @@ class Distribution(ABC):
         Weights are summed as integers per (joint symbols, value of f) and
         turned into fractions only at the end.
         """
-        groups = self._check_groups(groups)
+        return self._sums(self._check_groups(groups), f)
+
+    def _sums(self, groups: list[tuple[int, ...]], f: Evaluable | None) -> GroupedSums:
         getters = [itemgetter(*T) for T in groups]
         accs: list[dict] = [{} for _ in groups]
         slots = {ONE: 0} if f is None else {}
@@ -566,30 +574,36 @@ class ProductDist(Distribution):
     queries on e.g. a 3^12 grid keep memory flat.
     """
 
-    __slots__ = ("alphabet", "n", "marginals", "_rows", "_cums")
+    __slots__ = ("alphabet", "n", "marginals", "_entries", "_index")
 
     def __init__(self, alphabet: Alphabet, n: int,
                  marginals: Sequence[Sequence[Fraction]]):
         self.alphabet = alphabet
         self.n = as_int(n, "arity")
-        self.marginals = tuple(tuple(as_exact(p, "marginal") for p in row) for row in marginals)
-        self._rows = [_scale(row) for row in self.marginals]  # (lcm, integer weights) per row
+        rows, by_id, by_row = list(marginals), {}, {}  # the held rows keep their ids apart
+        for row in rows:
+            if id(row) not in by_id:  # each input row object is converted and scaled once
+                exact = tuple(as_exact(p, "marginal") for p in row)
+                den, ints = _scale(exact)  # equal rows scale alike, so they share one entry
+                by_id[id(row)] = by_row.setdefault((den, *ints), (len(by_row), exact))
+        self._index = [by_id[id(row)][0] for row in rows]  # each player's entry
+        self.marginals = tuple([by_id[id(row)][1] for row in rows])  # equal rows share a tuple
+        self._entries = [_Row(den, ints, [s for s, w in enumerate(ints) if w],
+                              [w for w in ints if w], list(itertools.accumulate(ints)))
+                         for den, *ints in by_row]
         if self.n < 1:
             raise DistributionError(f"arity must be >= 1, got {self.n}")
         if len(self.marginals) != self.n:
             raise DistributionError(
                 f"{len(self.marginals)} marginal vectors for arity {self.n}")
         m = len(self.alphabet)
-        for i, (row_den, ints) in enumerate(self._rows):
-            if len(ints) != m:
-                raise DistributionError(
-                    f"player {i} marginal has {len(ints)} entries, alphabet has {m}")
-            if any(w < 0 for w in ints):
-                raise DistributionError(f"player {i} marginal has a negative entry")
-            if sum(ints) != row_den:
-                raise DistributionError(
-                    f"player {i} marginal sums to {Fraction(sum(ints), row_den)}, expected 1")
-        self._cums = [list(itertools.accumulate(ints)) for _, ints in self._rows]  # for sample()
+        for j, (den, ints, *_) in enumerate(self._entries):
+            fault = (f"has {len(ints)} entries, alphabet has {m}" if len(ints) != m
+                     else "has a negative entry" if any(w < 0 for w in ints)
+                     else f"sums to {Fraction(sum(ints), den)}, expected 1" if sum(ints) != den
+                     else None)
+            if fault:
+                raise DistributionError(f"player {self._index.index(j)} marginal {fault}")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ProductDist)
@@ -608,18 +622,11 @@ class ProductDist(Distribution):
         return ((x, Fraction(w, denom)) for x, w in points)
 
     def scaled_items(self) -> tuple[int, Iterator[tuple[Outcome, int]]]:
-        # Row i is scaled by the lcm of its denominators, so every grid
-        # weight is an integer product over the product of those lcms.
-        symbols, ints, denom = [], [], 1
-        for row_den, row_ints in self._rows:
-            symbols.append([s for s, w in enumerate(row_ints) if w])
-            ints.append([w for w in row_ints if w])
-            denom *= row_den
-        return denom, zip(itertools.product(*symbols),
-                          map(math.prod, itertools.product(*ints)))
+        dens, _, symbols, weights, _ = zip(*map(self._entries.__getitem__, self._index))
+        return math.prod(dens), zip(itertools.product(*symbols),
+                                    map(math.prod, itertools.product(*weights)))
 
-    def sums(self, groups: Sequence[Sequence[int]],
-             f: Evaluable | None = None) -> GroupedSums:
+    def _sums(self, groups: list[tuple[int, ...]], f: Evaluable | None) -> GroupedSums:
         """``Distribution.sums``, over the law of f's statistic when that is exact.
 
         When every row is equal, f is None or a function of a score total
@@ -627,13 +634,11 @@ class ProductDist(Distribution):
         statistic path sums over the law of that total. Otherwise the grid
         is walked as for any distribution.
         """
-        groups = self._check_groups(groups)
-        row = self.marginals[0]
         if ((f is None or hasattr(f, "of_total"))
-                and all(r == row for r in self.marginals)
+                and len(self._entries) == 1
                 and all(len(set(T)) == len(T) for T in groups)):
             return self._statistic_sums(groups, f)
-        return super().sums(groups, f)
+        return super()._sums(groups, f)
 
     def _statistic_sums(self, groups: list[tuple[int, ...]],
                         f: Evaluable | None) -> GroupedSums:
@@ -641,8 +646,7 @@ class ProductDist(Distribution):
         # symbols are left out, as in the grid walk. With lo the least score,
         # power(r)[i] is the weight of r players reaching the total r * lo + i.
         n = self.n
-        row_den, row_ints = self._rows[0]
-        symbols = [s for s, w in enumerate(row_ints) if w]
+        row_den, row_ints, symbols, _, _ = self._entries[0]
         if f is not None:
             f._check_arity((symbols[0],) * n)  # as the grid walk's first evaluation would
         score = {s: 0 if f is None else f.scores.get(s, 0) for s in symbols}
@@ -738,7 +742,8 @@ class ProductDist(Distribution):
 
     def sample(self, seed: int | str, index: int = 0) -> Outcome:
         rng = _rng_for(seed, index)
-        return tuple([_draw(rng, cum) for cum in self._cums])
+        cums = [r.cum for r in self._entries]
+        return tuple([_draw(rng, cums[j]) for j in self._index])
 
 
 def mixture(d1: Distribution, d2: Distribution, q: Fraction) -> ExplicitDist:

@@ -30,10 +30,12 @@ HALF = Fraction(1, 2)
 # refuses before building anything.
 _HADAMARD_K_LIMIT = 10
 
-# A product space keeps one marginal row per player, and every draw or
-# Monte Carlo sample costs one symbol per player. At n = 10,000 a space is
-# built in about 0.2 s, its JSON is about 0.5 MB and one draw takes about
-# 10 ms. Past the limit the constructors refuse before building any row.
+# A product space keeps one entry per distinct row and one index per player,
+# and every draw or Monte Carlo sample costs one symbol per player. At
+# n = 10,000 (Python 3.11, 2-vCPU Xeon) a space of equal rows builds in about
+# 4 ms, its JSON is about 0.5 MB and loads in about 0.25 s (each row is parsed),
+# and one draw takes about 5 ms. Past the limit the constructors refuse before
+# building any row.
 _PRODUCT_N_LIMIT = 10_000
 
 

@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .analysis import (
     EFFECT_VARIANCE_RATIO,
+    _deviates,
     _deviating_mass,
     _mass_past,
     _require_pairwise,
@@ -224,7 +225,7 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
     if k > _REDUCTION_ARITY_LIMIT:
         raise PivotalError(f"reduction would enumerate 2^{k} indicator vectors")
     p_values = tuple(r.mass_past(alpha, sign) for r in chosen)
-    dev_syms = [{sd.symbol for sd in r.deviations if sign * sd.deviation > alpha}
+    dev_syms = [{sd.symbol for sd in r.deviations if _deviates(sd.deviation, alpha, sign)}
                 for r in chosen]
 
     # Masses and f-weighted sums are integers over one denominator D.

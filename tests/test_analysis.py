@@ -36,7 +36,7 @@ from pivotal import (
     signed_effect,
     uniform_product,
 )
-from pivotal.analysis import EFFECT_VARIANCE_RATIO
+from pivotal.analysis import EFFECT_VARIANCE_RATIO, _deviates
 from pivotal.boolfn import PreconditionError
 
 from oracles import (
@@ -176,6 +176,15 @@ class TestPivotal:
         assert not ok  # mass 1 is not > 1, deviation 1/2 is not > 1/2
         ok, _ = pivotal_player(f, d, 0, F(99, 100), F(49, 100))
         assert ok
+
+    @pytest.mark.parametrize("dev, sign, past", [
+        (F(1, 4), 0, False), (F(-1, 4), 0, False), (F(1, 4), 1, False), (F(-1, 4), -1, False),
+        (F(-1, 2), 0, True), (F(-1, 2), 1, False), (F(-1, 2), -1, True),
+        (F(1, 2), 1, True), (F(1, 2), -1, False),
+    ])
+    def test_deviates_is_strict_and_signed(self, dev, sign, past):
+        # One predicate for report masses and the reduction's deviating symbols.
+        assert _deviates(dev, F(1, 4), sign) is past
 
 
 class TestPivotalSet:

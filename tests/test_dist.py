@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,8 @@ QUARTER = F(1, 4)
 @pytest.mark.parametrize("build, error", [
     (lambda: ExplicitDist(BINARY, 1, [((0,), 0.5), ((1,), HALF)]), DistributionError),
     (lambda: ProductDist(BINARY, 1, [(0.1, F(9, 10))]), DistributionError),
+    # Equal in value to the exact row before it: converted before it is compared.
+    (lambda: ProductDist(BINARY, 2, [(HALF, HALF), (0.5, 0.5)]), DistributionError),
     (lambda: DenseTable(BINARY, 1, {(0,): 0.5, (1,): F(0)}), PivotalError),
     (lambda: PartialTable(BINARY, 1, {(0,): 0.5}), PivotalError),
     (lambda: ConstantFn(2, 0.5), PivotalError),
@@ -90,10 +93,10 @@ QUARTER = F(1, 4)
     (lambda: majp_tightness(5, 0.5, [F(1, 8)]), PivotalError),
     (lambda: majp_dist(3, 0.5), DistributionError),
     (lambda: mixture(uniform_product(2), uniform_product(2), 0.5), DistributionError),
-], ids=["explicit", "product", "dense", "partial", "constant", "pivotal_report",
-        "pivotal_player", "pivotal_set", "count_effect", "positive", "verify_reduction",
-        "verify_elimination", "convex_decomposition_check", "majp_tightness", "majp_dist",
-        "mixture"])
+], ids=["explicit", "product", "product-equal-float-row", "dense", "partial", "constant",
+        "pivotal_report", "pivotal_player", "pivotal_set", "count_effect", "positive",
+        "verify_reduction", "verify_elimination", "convex_decomposition_check",
+        "majp_tightness", "majp_dist", "mixture"])
 def test_constructors_reject_floats(build, error):
     """Only int and Fraction are exact; a float is refused, never converted.
 
@@ -153,9 +156,17 @@ class TestValidation:
          "player 0 marginal has a negative entry"),
         (lambda: ProductDist(BINARY, 2, [(HALF, HALF), (HALF, F(1, 3))]),
          "player 1 marginal sums to 5/6, expected 1"),
+        (lambda: ProductDist(BINARY, 3, [(HALF, HALF), (HALF, F(1, 3)), (HALF, F(1, 3))]),
+         "player 1 marginal sums to 5/6, expected 1"),
+        (lambda: ProductDist(BINARY, 2, [(HALF, HALF), (HALF, F(1, 3)), (HALF, F(1, 3))]),
+         "3 marginal vectors for arity 2"),
+        (lambda: ProductDist(BINARY, 2, []), "0 marginal vectors for arity 2"),
+        (lambda: ProductDist(BINARY, 0, []), "arity must be >= 1, got 0"),
         (lambda: ExplicitDist(BINARY, 1, [((0,), F(-1, 2)), ((1,), F(3, 2))]),
          "weight of (0,) is -1/2, must be positive"),
-    ], ids=["product-negative", "product-sum", "explicit-nonpositive"])
+    ], ids=["product-negative", "product-sum", "product-sum-repeated",
+            "product-count-before-rows", "product-no-rows", "product-arity-before-count",
+            "explicit-nonpositive"])
     def test_validate_error_text(self, build, text):
         with pytest.raises(DistributionError) as err:
             build()
@@ -579,18 +590,38 @@ SAMPLED = {
 }
 
 
+def _draw_tables(d) -> list:
+    # One table per distinct product row, or the one table of an explicit support.
+    return [row.cum for row in d._entries] if isinstance(d, ProductDist) else [d._cum]
+
+
 @pytest.mark.parametrize("name", sorted(SAMPLED))
 def test_sample_stream_matches_oracle(name):
     d = SAMPLED[name]()
-    tables = d._cums if isinstance(d, ProductDist) else [d._cum]
+    tables = _draw_tables(d)
     copies = [list(cum) for cum in tables]
+    if isinstance(d, ProductDist):
+        assert len(tables) == len(set(d.marginals))
     for seed in (0, "a", 123456789):
         for j in range(200):
             assert d.sample(seed, j) == brute_sample(d, seed, j), (seed, j)
     # Drawing builds no table: the constructor's tables are the same, unchanged objects.
-    after = d._cums if isinstance(d, ProductDist) else [d._cum]
+    after = _draw_tables(d)
     assert len(after) == len(tables) and all(a is b for a, b in zip(after, tables))
     assert after == copies
+
+
+def test_equal_product_rows_are_stored_once():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        d = majp_dist(10_000, HALF)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # One scaled row and draw table per player retained 3.26 MiB.
+    assert retained < 512 * 1024, retained
+    assert len(d._entries) == 1 and len(set(map(id, d.marginals))) == 1
 
 
 def _count_scale_calls(monkeypatch) -> list:
