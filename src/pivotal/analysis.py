@@ -26,6 +26,7 @@ from .dist import (
     ProductDist,
     ZERO,
     as_exact,
+    as_int,
 )
 
 Table = dict[Outcome, tuple[Fraction, Fraction]]
@@ -189,10 +190,7 @@ def pivotal_set(f: PlayerFunction, d: Distribution, players: Sequence[int],
                 p: Fraction, alpha: Fraction) -> bool:
     """Whether the joint signal of the given players is (p, alpha)-pivotal."""
     p, alpha = as_exact(p, "p", PivotalError), as_exact(alpha, "alpha", PivotalError)
-    T = sorted(set(players))
-    if not T:
-        raise PivotalError("pivotal set must be non-empty")
-    sums = d.sums([T], f)
+    sums = d.sums([d._player_set(players)], f)
     return _deviating_mass(sums.tables[0], sums.mean, alpha) > p
 
 
@@ -315,6 +313,7 @@ def hoeffding_halfwidth(samples: int) -> float:
     2 / samples each, so the two-sided Hoeffding bound at confidence 0.95
     gives 2 * sqrt(ln(2 / (1 - 0.95)) / samples).
     """
+    samples = as_int(samples, "samples", PivotalError, 1)
     return 2.0 * math.sqrt(math.log(2.0 / (1.0 - 0.95)) / samples)
 
 
@@ -335,8 +334,7 @@ def estimate_effect(f: PlayerFunction, d: ProductDist, i: int,
 def estimate_expectation(f: PlayerFunction, d: Distribution,
                          samples: int, seed: int | str) -> EffectEstimate:
     """Sample mean of f under d with a single-mean Hoeffding half-width."""
-    if samples < 1:
-        raise PivotalError(f"samples must be >= 1, got {samples}")
+    samples = as_int(samples, "samples", PivotalError, 1)
     acc = ZERO
     for j in range(samples):
         acc += f.evaluate(d.sample(seed, j))

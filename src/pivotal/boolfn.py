@@ -70,6 +70,10 @@ class PlayerFunction:
     alphabet: Alphabet = BINARY
     n: int
 
+    def __post_init__(self) -> None:
+        # The builtins are frozen dataclasses; each keeps its arity as a plain int.
+        object.__setattr__(self, "n", as_int(self.n, "arity", PivotalError))
+
     def evaluate(self, x: Outcome) -> Fraction:
         raise NotImplementedError
 
@@ -197,8 +201,9 @@ class DictatorFn(PlayerFunction):
     player: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.player < self.n:
-            raise PivotalError(f"dictator index {self.player} out of range for n={self.n}")
+        super().__post_init__()
+        object.__setattr__(self, "player",
+                           as_int(self.player, "dictator index", PivotalError, 0, self.n - 1))
 
     def evaluate(self, x: Outcome) -> Fraction:
         self._check_arity(x)
@@ -212,6 +217,7 @@ class ConstantFn(StatisticFn):
     alphabet: Alphabet = BINARY
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         object.__setattr__(self, "value", as_exact(self.value, "value", PivotalError))
         _check_value_range((), self.value)
 
@@ -256,10 +262,10 @@ class UpwardClosure(PlayerFunction):
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "UpwardClosure":
-        n, masks = as_int(n, "arity", PivotalError), set(masks)
-        bad = sorted(m for m in masks if not 0 <= m < (1 << n))
-        if bad:
-            raise PivotalError(f"generator mask {bad[0]} out of range for n={n}")
+        n = as_int(n, "arity", PivotalError)
+        masks = {as_int(m, "generator mask", PivotalError) for m in masks}
+        for m in sorted(masks):  # so the smallest out-of-range mask is named
+            as_int(m, "generator mask", PivotalError, 0, (1 << n) - 1)
         obj = cls.__new__(cls)
         obj._setup(n, masks)
         return obj
@@ -423,8 +429,7 @@ def effect_counterexample(k: int) -> tuple[UpwardClosure, ExplicitDist, Certific
     effect. Requires k >= 3 so no non-extreme points of the two supports
     are comparable.
     """
-    if k < 3:
-        raise PreconditionError(f"k must be >= 3, got {k}")
+    k = as_int(k, "k", PreconditionError, 3)
     mu = hadamard_mu(k)
     mubar = complement_mu(mu)
     d = mixture(mu, mubar, Fraction(1, 2))
@@ -463,8 +468,7 @@ def influence_counterexample(k: int) -> tuple[UpwardClosure, ExplicitDist, Certi
     certifies this can fail for small k; the error then names the
     violating (point, generator) pair.
     """
-    if k < 3:
-        raise PreconditionError(f"k must be >= 3, got {k}")
+    k = as_int(k, "k", PreconditionError, 3)
     mu = hadamard_mu(k)
     mubar = complement_mu(mu)
     d = mixture(mu, mubar, Fraction(1, 2))

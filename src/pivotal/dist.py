@@ -12,7 +12,7 @@ An outcome of n players over an m-symbol alphabet is a tuple of n ints in
 tables and closures are checked through it at construction, and a
 ``weight`` or ``condition`` query applies it to its point or assignment,
 where a wrong length is an error and a value that is not a symbol has no
-mass.
+mass. ``as_int`` applies the same test, and a range, to integer arguments.
 
 Every grouped sum over the support goes through one kernel,
 ``Distribution.sums``. It accumulates integer weights over a common
@@ -101,6 +101,8 @@ class Alphabet:
     symbols: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.symbols, tuple) and all(isinstance(s, str) for s in self.symbols)):
+            raise DistributionError(f"alphabet must be a tuple of strings, got {self.symbols!r}")
         if not self.symbols:
             raise DistributionError("alphabet must have at least one symbol")
         if len(set(self.symbols)) != len(self.symbols):
@@ -164,11 +166,16 @@ def as_exact(value: object, what: str, error: type = DistributionError) -> Fract
     return Fraction(value)
 
 
-def as_int(value: object, what: str, error: type = DistributionError) -> int:
-    """value as an int; the same ``isinstance`` test as the outcome rule."""
+def as_int(value: object, what: str, error: type = DistributionError,
+           lo: int | None = None, hi: int | None = None) -> int:
+    """value as a plain int (the outcome rule's ``isinstance``: True is 1), in lo..hi or >= lo."""
     if not isinstance(value, int):
         raise error(f"{what} must be an int, got {value!r}")
-    return int(value)
+    value = int(value)
+    if lo is not None and (value < lo or hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise error(f"{what} must be {bounds}, got {value}")
+    return value
 
 
 def _follows_rule(outcomes: Collection[Outcome], n: int, m: int) -> bool:
@@ -352,22 +359,29 @@ class Distribution(ABC):
     def sample(self, seed: int | str, index: int = 0) -> Outcome:
         """Draw one outcome; deterministic given (seed, index)."""
 
-    def _check_player(self, i: int) -> None:
-        if not isinstance(i, int) or not 0 <= i < self.n:
-            raise DistributionError(f"player index {i!r} out of range for n={self.n}")
+    def _check_player(self, i: int) -> int:
+        return as_int(i, "player index", DistributionError, 0, self.n - 1)
+
+    def _player_set(self, players: Iterable[int]) -> list[int]:
+        """The sorted distinct players of a non-empty set, each checked before it is hashed."""
+        T = sorted({self._check_player(i) for i in players})
+        if not T:
+            raise DistributionError("player set must be non-empty")
+        return T
 
     def _symbols(self, values: Outcome) -> bool:
         """Whether every value is a symbol of the alphabet; others have no mass."""
         return _follows_rule((values,), len(values), len(self.alphabet))
 
     def _check_groups(self, groups: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-        groups = [tuple(T) for T in groups]
+        checked = []
         for T in groups:
+            if not isinstance(T, (tuple, list, Sequence)):  # the ABC test is the slow one
+                raise DistributionError(f"player group must be a sequence, got {T!r}")
             if not T:
                 raise DistributionError("player group must be non-empty")
-            for i in T:
-                self._check_player(i)
-        return groups
+            checked.append(tuple(map(self._check_player, T)))
+        return checked
 
     def sums(self, groups: Sequence[Sequence[int]],
              f: Evaluable | None = None) -> GroupedSums:
@@ -415,9 +429,7 @@ class Distribution(ABC):
 
         Coordinates of the result follow the sorted player order.
         """
-        T = sorted(set(players))
-        if not T:
-            raise DistributionError("marginal requires at least one player")
+        T = self._player_set(players)
         (table,) = self.sums([T]).tables
         return ExplicitDist(self.alphabet, len(T),
                             [(key, mass) for key, (mass, _) in table.items()])
@@ -435,8 +447,7 @@ class Distribution(ABC):
         canonical. The scan runs on the explicit support (see
         ``ExplicitDist._kwise_scan``) and stops at the first failure.
         """
-        if not 1 <= k <= self.n:
-            raise DistributionError(f"k={k} out of range 1..{self.n}")
+        k = as_int(k, "k", DistributionError, 1, self.n)
         return self.to_explicit()._kwise_scan(k)
 
 
@@ -450,8 +461,7 @@ class ExplicitDist(Distribution):
         self.alphabet = alphabet
         self.n = as_int(n, "arity")
         support = [(tuple(x), as_exact(w, "weight")) for x, w in support]
-        if self.n < 1:
-            raise DistributionError(f"arity must be >= 1, got {self.n}")
+        as_int(self.n, "arity", DistributionError, 1)
         if not support:
             raise DistributionError("support is empty")
         # Checked before sorting: a symbol that is not an int may not order against one.
@@ -551,8 +561,7 @@ class ExplicitDist(Distribution):
         return tuple(Fraction(w, self._denom) for w in self._bitsets().singles[i])
 
     def condition(self, assignment: Mapping[int, int]) -> "ExplicitDist":
-        for i in assignment:
-            self._check_player(i)
+        assignment = {self._check_player(i): s for i, s in assignment.items()}
         kept = [(x, w) for x, w in zip(map(itemgetter(0), self.support), self._ints)
                 if all(x[i] == s for i, s in assignment.items())]
         mass = sum(w for _, w in kept)
@@ -591,8 +600,7 @@ class ProductDist(Distribution):
         self._entries = [_Row(den, ints, [s for s, w in enumerate(ints) if w],
                               [w for w in ints if w], list(itertools.accumulate(ints)))
                          for den, *ints in by_row]
-        if self.n < 1:
-            raise DistributionError(f"arity must be >= 1, got {self.n}")
+        as_int(self.n, "arity", DistributionError, 1)
         if len(self.marginals) != self.n:
             raise DistributionError(
                 f"{len(self.marginals)} marginal vectors for arity {self.n}")
@@ -700,18 +708,12 @@ class ProductDist(Distribution):
         return math.prod(map(getitem, self.marginals, x), start=ONE)
 
     def single_marginal(self, i: int) -> tuple[Fraction, ...]:
-        self._check_player(i)
-        return self.marginals[i]
+        return self.marginals[self._check_player(i)]
 
     def marginal(self, players: Sequence[int]) -> ExplicitDist:
         # Factorizes: only the selected players' grid is enumerated.
-        T = sorted(set(players))
-        for i in T:
-            self._check_player(i)
-        if not T:
-            raise DistributionError("marginal requires at least one player")
-        rows = [self.marginals[i] for i in T]
-        return ProductDist(self.alphabet, len(T), rows).to_explicit()
+        rows = [self.marginals[i] for i in self._player_set(players)]
+        return ProductDist(self.alphabet, len(rows), rows).to_explicit()
 
     def condition(self, assignment: Mapping[int, int]) -> "ProductDist":
         # Pinning a player keeps the product form.
@@ -727,8 +729,7 @@ class ProductDist(Distribution):
         return ProductDist(self.alphabet, self.n, rows)
 
     def check_kwise(self, k: int) -> KwiseResult:
-        if not 1 <= k <= self.n:
-            raise DistributionError(f"k={k} out of range 1..{self.n}")
+        as_int(k, "k", DistributionError, 1, self.n)
         return KwiseResult(True, None)
 
     def grid_size(self) -> int:

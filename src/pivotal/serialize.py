@@ -116,7 +116,13 @@ def dist_from_obj(obj: dict) -> Distribution:
                        for entry in obj["support"]]
             return ExplicitDist(alphabet, n, support)
         if kind == "product":
-            marginals = [[parse_rational(p) for p in row] for row in obj["marginals"]]
+            parsed: dict[tuple, list[Fraction]] = {}  # equal rows are parsed once, into one list
+            marginals = []
+            for row in map(tuple, obj["marginals"]):
+                try:
+                    marginals.append(parsed[row])
+                except (KeyError, TypeError):  # a new row, or an unhashable one that cannot parse
+                    marginals.append(parsed.setdefault(row, [parse_rational(p) for p in row]))
             return ProductDist(alphabet, n, marginals)
     except KeyError as exc:
         raise DistributionError(f"distribution object missing field {exc}") from None

@@ -39,6 +39,7 @@ from .dist import (
     ZERO,
     _scale,
     as_exact,
+    as_int,
     mixture,
 )
 from .generators import majp_dist
@@ -123,11 +124,7 @@ def _equal_binary_marginals(d: Distribution) -> Fraction:
 def verify_sum_bound(f: PlayerFunction, d: Distribution,
                      players: Sequence[int]) -> Verdict:
     """Sum of effects over a player subset against sqrt(2k / p), compared in squares."""
-    T = sorted(set(players))
-    if not T:
-        raise PreconditionError("player subset must be non-empty")
-    for i in T:
-        d._check_player(i)
+    T = d._player_set(players)
     q = _equal_binary_marginals(d)
     _require_pairwise(d)
     p = min(q, 1 - q)
@@ -332,8 +329,7 @@ def elimination_set(f: PlayerFunction, d: Distribution, m: int,
     not the pivotal scan, and is no independent evidence.
     """
     p, alpha = _positive("p", p), _positive("alpha", alpha)
-    if not 1 <= m <= _ELIMINATION_M_LIMIT:
-        raise PreconditionError(f"m must be in 1..{_ELIMINATION_M_LIMIT}, got {m}")
+    m = as_int(m, "m", PreconditionError, 1, _ELIMINATION_M_LIMIT)
     if d.n > _ELIMINATION_N_LIMIT:
         raise PreconditionError(f"n={d.n} exceeds the enumeration limit {_ELIMINATION_N_LIMIT}")
     res = d.check_kwise(min(2 * m, d.n))

@@ -24,6 +24,8 @@ from pivotal import dist as dist_module
 from pivotal.analysis import (
     count_effect,
     effect_report,
+    estimate_effect,
+    hoeffding_halfwidth,
     pivotal_player,
     pivotal_report,
     pivotal_set,
@@ -36,8 +38,11 @@ from pivotal.boolfn import (
     MajPFn,
     ParityFn,
     PartialTable,
+    PreconditionError,
     StatisticFn,
     UpwardClosure,
+    effect_counterexample,
+    influence_counterexample,
 )
 from pivotal.dist import (
     Distribution,
@@ -52,9 +57,11 @@ from pivotal.generators import hadamard_mu, majp_dist, mixture_D, uniform_produc
 from pivotal.theorems import (
     _positive,
     convex_decomposition_check,
+    elimination_set,
     majp_tightness,
     verify_elimination,
     verify_reduction,
+    verify_sum_bound,
 )
 
 from oracles import (
@@ -118,6 +125,15 @@ class TestAlphabet:
 
     def test_order_matters(self):
         assert Alphabet(("0", "1")) != Alphabet(("1", "0"))
+
+    # Symbols are a tuple of str, as in a file: a product over (0, 1) would save
+    # a file its loader refuses, and one over "01" would reload as BINARY.
+    @pytest.mark.parametrize("symbols", [(0, 1), "01", ["0", "1"], ("0", 1), []],
+                             ids=["ints", "string", "list", "mixed", "empty-list"])
+    def test_symbols_must_be_a_tuple_of_strings(self, symbols):
+        with pytest.raises(DistributionError,
+                           match=r"^alphabet must be a tuple of strings, got "):
+            Alphabet(symbols)
 
 
 class TestValidation:
@@ -218,6 +234,19 @@ class TestMarginal:
             even_parity3.marginal([3])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: uniform_product(3).marginal([]),
+    lambda: hadamard_mu(2).marginal(()),
+    lambda: pivotal_set(MajorityFn(3), uniform_product(3), [], HALF, HALF),
+    lambda: verify_sum_bound(MajorityFn(3), uniform_product(3), iter([])),
+], ids=["product-marginal", "explicit-marginal", "pivotal-set", "sum-bound"])
+def test_empty_player_set_is_one_error(call):
+    """Every player-set argument goes through one helper, so one class and text."""
+    with pytest.raises(DistributionError, match=r"^player set must be non-empty$") as info:
+        call()
+    assert type(info.value) is DistributionError
+
+
 class TestCondition:
     def test_even_parity_pins_first_bit(self, even_parity3):
         got = even_parity3.condition({0: 1})
@@ -273,25 +302,58 @@ def test_explicit_weight_matches_oracle_on_the_whole_grid(d):
     assert d.weight(list(d.support[-1][0])) == d.support[-1][1]
 
 
-@pytest.mark.parametrize("call", [
-    lambda: ExplicitDist(BINARY, 2.5, [((0, 0), F(1))]),
-    lambda: ProductDist(BINARY, 2.5, [(HALF, HALF)] * 2),
-    lambda: PartialTable(BINARY, 2.5, {(0, 0): F(0)}),
-    lambda: UpwardClosure("2", [(0, 1)]),
-    lambda: UpwardClosure.from_masks(2.0, [1]),
-    lambda: majp_dist(3, HALF).single_marginal(0.5),
-    lambda: hadamard_mu(2).single_marginal(0.5),
-    lambda: majp_dist(3, HALF).marginal([0.5]),
-    lambda: hadamard_mu(2).marginal([0.5]),
-    lambda: majp_dist(3, HALF).condition({0.5: 1}),
-    lambda: hadamard_mu(2).condition({0.5: 1}),
+@pytest.mark.parametrize("call, error", [
+    (lambda: ExplicitDist(BINARY, 2.5, [((0, 0), F(1))]), DistributionError),
+    (lambda: ProductDist(BINARY, 2.5, [(HALF, HALF)] * 2), DistributionError),
+    (lambda: PartialTable(BINARY, 2.5, {(0, 0): F(0)}), PivotalError),
+    (lambda: UpwardClosure("2", [(0, 1)]), PivotalError),
+    (lambda: UpwardClosure.from_masks(2.0, [1]), PivotalError),
+    (lambda: majp_dist(3, HALF).single_marginal(0.5), DistributionError),
+    (lambda: hadamard_mu(2).single_marginal(0.5), DistributionError),
+    (lambda: majp_dist(3, HALF).marginal([0.5]), DistributionError),
+    (lambda: hadamard_mu(2).marginal([0.5]), DistributionError),
+    (lambda: majp_dist(3, HALF).condition({0.5: 1}), DistributionError),
+    (lambda: hadamard_mu(2).condition({0.5: 1}), DistributionError),
+    (lambda: uniform_product("3"), DistributionError),
+    (lambda: majp_dist(3.0, HALF), DistributionError),
+    (lambda: hadamard_mu(2.0), DistributionError),
+    (lambda: hadamard_mu(2).check_kwise("2"), DistributionError),
+    (lambda: uniform_product(3).check_kwise(None), DistributionError),
+    (lambda: elimination_set(MajorityFn(3), uniform_product(3), "2", HALF, HALF),
+     PreconditionError),
+    (lambda: effect_counterexample("3"), PreconditionError),
+    (lambda: influence_counterexample(3.0), PreconditionError),
+    (lambda: UpwardClosure.from_masks(3, [1.5]), PivotalError),
+    (lambda: estimate_effect(ParityFn(3), uniform_product(3), 0, 2.5, 0), PivotalError),
+    (lambda: hoeffding_halfwidth(None), PivotalError),
+    (lambda: majp_tightness("5", HALF, [F(1, 8)]), PivotalError),
+    # Each player is checked before the set is sorted or hashed, so "a" is no TypeError.
+    (lambda: uniform_product(3).marginal(["a", 0]), DistributionError),
+    (lambda: hadamard_mu(2).marginal(["a", 0]), DistributionError),
+    (lambda: pivotal_set(MajorityFn(3), uniform_product(3), ["a", 1], HALF, HALF),
+     DistributionError),
+    (lambda: verify_sum_bound(MajorityFn(3), uniform_product(3), ["a", 1]), DistributionError),
+    (lambda: uniform_product(3).sums([3]), DistributionError),
+    (lambda: DictatorFn(3, "a"), PivotalError),
+    # A float index would otherwise pass and fail only when the dictator is evaluated.
+    (lambda: DictatorFn(3, 1.0), PivotalError),
+    (lambda: ParityFn(3.0), PivotalError),
+    (lambda: MajorityFn("3"), PivotalError),
 ], ids=["explicit", "product", "table", "closure", "closure-masks",
         "product-single-marginal", "explicit-single-marginal", "product-marginal",
-        "explicit-marginal", "product-condition", "explicit-condition"])
-def test_arity_and_player_index_must_be_ints(call):
-    """Refused with the class's own error, never truncated or left to a TypeError."""
-    with pytest.raises(PivotalError, match=r"must be an int|player index 0\.5"):
+        "explicit-marginal", "product-condition", "explicit-condition",
+        "uniform-product", "majp-dist", "hadamard-mu", "explicit-check-kwise",
+        "product-check-kwise", "elimination-set", "effect-counterexample",
+        "influence-counterexample", "closure-mask-value", "estimate-effect-samples",
+        "hoeffding-samples", "majp-tightness", "product-marginal-set", "explicit-marginal-set",
+        "pivotal-set", "sum-bound", "sums-group", "dictator-player", "dictator-float-player",
+        "parity-arity", "majority-arity"])
+def test_arity_and_player_index_must_be_ints(call, error):
+    """Refused with the module's own error, never truncated or left to a TypeError."""
+    text = r" must be an int, got |^player group must be a sequence, got 3$"
+    with pytest.raises(error, match=text) as info:
         call()
+    assert type(info.value) is error
 
 
 def test_bool_counts_as_an_int():
@@ -300,6 +362,7 @@ def test_bool_counts_as_an_int():
     assert d.n == 1 and d.weight((1,)) == HALF
     assert hadamard_mu(2).single_marginal(True) == (HALF, HALF)
     assert uniform_product(2).condition({True: True}).marginals[1] == (F(0), F(1))
+    assert type(DictatorFn(3, True).player) is int and type(MajorityFn(True).n) is int
 
 
 class TestMixture:
@@ -881,9 +944,9 @@ def test_statistic_path_never_evaluates():
 
 @pytest.mark.parametrize("groups, message", [
     ([(0,), ()], "non-empty"),
-    ([(0, 3), (1, 1)], "out of range"),
-    ([(1, 1), (-1,)], "out of range"),
-])
+    ([(0, 3), (1, 1)], r"^player index must be in 0\.\.2, got 3$"),
+    ([(1, 1), (-1,)], r"^player index must be in 0\.\.2, got -1$"),
+], ids=["groups0-non-empty", "groups1-out of range", "groups2-out of range"])
 def test_symmetric_path_validates_groups_first(groups, message):
     with pytest.raises(DistributionError, match=message):
         majp_dist(3, HALF).sums(groups, MajPFn(3))

@@ -23,6 +23,7 @@ from pivotal import (
     mixture_D,
     uniform_product,
 )
+from pivotal import serialize
 from pivotal.cli import GENERATORS, VERIFIERS, main
 from pivotal.generators import _HADAMARD_K_LIMIT, _PRODUCT_N_LIMIT
 from pivotal.serialize import (
@@ -63,12 +64,21 @@ class TestDistRoundTrip:
         mixture_D(3),
         uniform_product(4),
         majp_dist(3, F(2, 5)),
-    ], ids=["hadamard", "mixture", "uniform", "majp"])
+        ProductDist(BINARY, 3, [(F(1, 3), F(2, 3)), (F(1, 2), F(1, 2)), (F(1, 3), F(2, 3))]),
+    ], ids=["hadamard", "mixture", "uniform", "majp", "repeated-row"])
     def test_byte_identical_round_trip(self, d):
         text = canonical_dumps(dist_to_obj(d))
         parsed = dist_from_obj(json.loads(text))
         assert parsed == d
         assert canonical_dumps(dist_to_obj(parsed)) == text
+
+    def test_equal_rows_are_parsed_once(self, monkeypatch):
+        calls = []
+        parse = serialize.parse_rational
+        monkeypatch.setattr(serialize, "parse_rational", lambda t: calls.append(t) or parse(t))
+        d = dist_from_obj(json.loads(canonical_dumps(dist_to_obj(majp_dist(50, F(1, 2))))))
+        assert calls == ["1/4", "1/4", "1/2"]
+        assert len(d._entries) == 1 and d == majp_dist(50, F(1, 2))
 
     def test_unsorted_input_is_canonicalized(self):
         obj = {
@@ -102,8 +112,11 @@ class TestFnRoundTrip:
         DictatorFn(4, 2),
         ConstantFn(3, F(1, 3)),
         ConstantFn(2, F(1), PARTICIPATION),
+        # A bool is an int, stored as a plain int, so the file holds 1, not true.
+        DictatorFn(4, True),
+        MajorityFn(True),
     ], ids=["table", "upward", "majp", "parity", "majority",
-            "dictator", "constant", "constant-ternary"])
+            "dictator", "constant", "constant-ternary", "dictator-bool", "majority-bool"])
     def test_round_trip(self, f):
         text = canonical_dumps(fn_to_obj(f))
         parsed = fn_from_obj(json.loads(text))
