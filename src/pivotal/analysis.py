@@ -10,6 +10,7 @@ exact; the only floats are Hoeffding half-widths on Monte Carlo estimates.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -181,6 +182,7 @@ def pivotal_report(f: PlayerFunction, d: Distribution,
 def pivotal_player(f: PlayerFunction, d: Distribution, i: int,
                    p: Fraction, alpha: Fraction) -> tuple[bool, PivotalRow]:
     p, alpha = as_exact(p, "p", PivotalError), as_exact(alpha, "alpha", PivotalError)
+    i = d._check_player(i)
     sums = d.sums([(i,)], f)
     devs, q = _deviations(sums.tables[0], sums.mean, alpha)
     return q > p, PivotalRow(i, devs, q, q > p)
@@ -328,16 +330,17 @@ def estimate_effect(f: PlayerFunction, d: ProductDist, i: int,
     d0 = d.condition({i: d.alphabet.index("0")})
     est1 = estimate_expectation(f, d1, samples, f"{seed}/1")
     est0 = estimate_expectation(f, d0, samples, f"{seed}/0")
-    return EffectEstimate(est1.estimate - est0.estimate, hoeffding_halfwidth(samples), samples)
+    return EffectEstimate(est1.estimate - est0.estimate,
+                          hoeffding_halfwidth(est1.samples), est1.samples)
 
 
 def estimate_expectation(f: PlayerFunction, d: Distribution,
                          samples: int, seed: int | str) -> EffectEstimate:
     """Sample mean of f under d with a single-mean Hoeffding half-width."""
     samples = as_int(samples, "samples", PivotalError, 1)
-    acc = ZERO
-    for j in range(samples):
-        acc += f.evaluate(d.sample(seed, j))
+    # Each distinct value is added once, times its count: the same exact sum.
+    tally = Counter(f.evaluate(d.sample(seed, j)) for j in range(samples))
+    acc = sum((v * c for v, c in tally.items()), ZERO)
     # Single mean of [-1, 1] samples: half-width sqrt(2 ln(2/0.05) / samples).
     hw = math.sqrt(2.0 * math.log(2.0 / 0.05) / samples)
     return EffectEstimate(acc / samples, hw, samples)

@@ -9,6 +9,7 @@ bogus pair.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -264,8 +265,11 @@ class UpwardClosure(PlayerFunction):
     def from_masks(cls, n: int, masks: Iterable[int]) -> "UpwardClosure":
         n = as_int(n, "arity", PivotalError)
         masks = {as_int(m, "generator mask", PivotalError) for m in masks}
-        for m in sorted(masks):  # so the smallest out-of-range mask is named
-            as_int(m, "generator mask", PivotalError, 0, (1 << n) - 1)
+        # The smallest bad mask is named: the smallest, or else the first past top.
+        ordered, top = sorted(masks), (1 << n) - 1
+        past = bisect.bisect_right(ordered, top)
+        for m in ordered[:1] + ordered[past:past + 1]:
+            as_int(m, "generator mask", PivotalError, 0, top)
         obj = cls.__new__(cls)
         obj._setup(n, masks)
         return obj

@@ -39,8 +39,20 @@ symbols' weights. Each entry is the grid walk's integer sum, grouped by
 total, so both paths return equal ``GroupedSums``, with the same dict
 order. Any other input walks the grid.
 
+Sampling follows one stream contract: ``sample(seed, index)`` seeds one
+generator and makes one ``_draw`` per player, in player order (one for
+an explicit support). A product form draws each run of consecutive
+players on one row at once when the row's total is below 256 and it has
+at most 255 symbols. Each such draw is the top bits of the generator's
+next 32-bit word (CPython's ``getrandbits``, checked at import), so one
+``getrandbits(32 * c)`` call yields c draws as the top bytes of its
+words, low word first, and a 256-byte table maps each top byte to its
+symbol or to a redraw. The draws, and so the outcomes, are those of the
+per-player path.
+
 Each constructor checks its value once and builds the integer view of
-the weights and the draw tables of ``sample`` (their running sums). Only
+the weights and the draw tables of ``sample`` (their running sums, and a
+product row's byte table and runs). Only
 an explicit support's bitsets wait for their first query: they cost about
 half as much as the construction itself, and only k-wise checks and
 single marginals read them. Values are immutable after construction and
@@ -206,9 +218,10 @@ def _scale(weights: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 
 # A distinct row of a product form: the lcm den of its denominators, den * weight
-# per symbol, its symbols of positive weight with their ints, and sample()'s table.
+# per symbol, its symbols of positive weight with their ints, and sample()'s
+# tables: the running sums, and the byte table of _draw_run (None if too large).
 _Row = NamedTuple("_Row", [("den", int), ("ints", list[int]), ("symbols", list[int]),
-                           ("weights", list[int]), ("cum", list[int])])
+                           ("weights", list[int]), ("cum", list[int]), ("tops", bytes | None)])
 
 
 def _draw(rng: random.Random, cum: Sequence[int]) -> int:
@@ -219,7 +232,8 @@ def _draw(rng: random.Random, cum: Sequence[int]) -> int:
     length, redrawn while at or past the total), then r maps to the first
     index whose cumulative entry exceeds it. Draws therefore match a linear
     scan over the lcm-scaled weights, and a total of 1 still consumes its
-    one-bit draws.
+    one-bit draws. With k <= 32 each draw is the top k bits of the next
+    32-bit word of the generator, which ``_draw_run`` relies on.
     """
     total = cum[-1]
     k = total.bit_length()
@@ -227,6 +241,52 @@ def _draw(rng: random.Random, cum: Sequence[int]) -> int:
     while r >= total:
         r = rng.getrandbits(k)
     return bisect.bisect_right(cum, r)
+
+
+def _packs_words() -> bool:
+    # Whether getrandbits(32 * c) is the next c 32-bit words, low word first,
+    # and a k-bit draw (k <= 32) the top k bits of the next word, as in CPython.
+    a, b = random.Random(0), random.Random(0)
+    return (a.getrandbits(64) == b.getrandbits(32) | b.getrandbits(32) << 32
+            and a.getrandbits(3) == b.getrandbits(32) >> 29)
+
+
+_PACKS_WORDS = _packs_words()
+_SYMBOL_BYTES = [bytes([s]) for s in range(255)]  # 0xff is left for a redraw
+
+
+def _byte_table(ints: Sequence[int], total: int) -> bytes | None:
+    """Each top byte of a word mapped to the symbol _draw reads from it, 0xff for a redraw.
+
+    A row of total below 256 draws k <= 8 bits, the top k bits of the word's
+    top byte, so value r owns 2^(8 - k) consecutive bytes; 0xff is no symbol
+    when there are at most 255. None where the table does not apply.
+    """
+    if not _PACKS_WORDS or total >= 256 or len(ints) > 255:
+        return None
+    shift = 8 - total.bit_length()
+    spans = [_SYMBOL_BYTES[s] * (w << shift) for s, w in enumerate(ints)]
+    return b"".join(spans).ljust(256, b"\xff")
+
+
+def _draw_run(rng: random.Random, tops: bytes, count: int, last: bool) -> bytes:
+    """count successive ``_draw`` results of one row with byte table tops.
+
+    Each draw reads one word, and a redraw the next, so the draws of the
+    run are the top bytes of a block of words, translated, with the
+    redraws dropped. Unless the run is the last use of rng, exactly the
+    words the draws consume are drawn. Nothing reads rng after the last
+    run, so it draws 2 * count + 8 words at once, usually enough, as a
+    draw is accepted with probability at least 1/2.
+    """
+    got = b""
+    while len(got) < count:
+        words = count - len(got)
+        if last:
+            words = 2 * words + 8
+        block = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        got += block[3::4].translate(tops).replace(b"\xff", b"")
+    return got[:count]
 
 
 def _law_and_mean(slots: dict[Fraction, int], value_mass: list[int],
@@ -583,7 +643,7 @@ class ProductDist(Distribution):
     queries on e.g. a 3^12 grid keep memory flat.
     """
 
-    __slots__ = ("alphabet", "n", "marginals", "_entries", "_index")
+    __slots__ = ("alphabet", "n", "marginals", "_entries", "_index", "_runs")
 
     def __init__(self, alphabet: Alphabet, n: int,
                  marginals: Sequence[Sequence[Fraction]]):
@@ -597,21 +657,25 @@ class ProductDist(Distribution):
                 by_id[id(row)] = by_row.setdefault((den, *ints), (len(by_row), exact))
         self._index = [by_id[id(row)][0] for row in rows]  # each player's entry
         self.marginals = tuple([by_id[id(row)][1] for row in rows])  # equal rows share a tuple
-        self._entries = [_Row(den, ints, [s for s, w in enumerate(ints) if w],
-                              [w for w in ints if w], list(itertools.accumulate(ints)))
-                         for den, *ints in by_row]
         as_int(self.n, "arity", DistributionError, 1)
         if len(self.marginals) != self.n:
             raise DistributionError(
                 f"{len(self.marginals)} marginal vectors for arity {self.n}")
         m = len(self.alphabet)
-        for j, (den, ints, *_) in enumerate(self._entries):
+        for j, (den, *ints) in enumerate(by_row):
             fault = (f"has {len(ints)} entries, alphabet has {m}" if len(ints) != m
                      else "has a negative entry" if any(w < 0 for w in ints)
                      else f"sums to {Fraction(sum(ints), den)}, expected 1" if sum(ints) != den
                      else None)
             if fault:
                 raise DistributionError(f"player {self._index.index(j)} marginal {fault}")
+        self._entries = [_Row(den, ints, [s for s, w in enumerate(ints) if w],
+                              [w for w in ints if w], list(itertools.accumulate(ints)),
+                              _byte_table(ints, den))
+                         for den, *ints in by_row]
+        # sample()'s walk: each run of consecutive players on one row, with its length.
+        self._runs = [(self._entries[j], len(list(players)))
+                      for j, players in itertools.groupby(self._index)]
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ProductDist)
@@ -630,7 +694,7 @@ class ProductDist(Distribution):
         return ((x, Fraction(w, denom)) for x, w in points)
 
     def scaled_items(self) -> tuple[int, Iterator[tuple[Outcome, int]]]:
-        dens, _, symbols, weights, _ = zip(*map(self._entries.__getitem__, self._index))
+        dens, _, symbols, weights, *_ = zip(*map(self._entries.__getitem__, self._index))
         return math.prod(dens), zip(itertools.product(*symbols),
                                     map(math.prod, itertools.product(*weights)))
 
@@ -654,7 +718,7 @@ class ProductDist(Distribution):
         # symbols are left out, as in the grid walk. With lo the least score,
         # power(r)[i] is the weight of r players reaching the total r * lo + i.
         n = self.n
-        row_den, row_ints, symbols, _, _ = self._entries[0]
+        row_den, row_ints, symbols, *_ = self._entries[0]
         if f is not None:
             f._check_arity((symbols[0],) * n)  # as the grid walk's first evaluation would
         score = {s: 0 if f is None else f.scores.get(s, 0) for s in symbols}
@@ -742,9 +806,16 @@ class ProductDist(Distribution):
         return ExplicitDist(self.alphabet, self.n, list(self.items()))
 
     def sample(self, seed: int | str, index: int = 0) -> Outcome:
+        # The runs in player order: the draws are those of one _draw per player.
         rng = _rng_for(seed, index)
-        cums = [r.cum for r in self._entries]
-        return tuple([_draw(rng, cums[j]) for j in self._index])
+        out: list[int] = []
+        last = len(self._runs) - 1
+        for j, (row, count) in enumerate(self._runs):
+            if row.tops is None:
+                out += [_draw(rng, row.cum) for _ in range(count)]
+            else:
+                out += _draw_run(rng, row.tops, count, j == last)
+        return tuple(out)
 
 
 def mixture(d1: Distribution, d2: Distribution, q: Fraction) -> ExplicitDist:

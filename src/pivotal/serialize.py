@@ -102,6 +102,14 @@ def dist_to_obj(d: Distribution) -> dict:
     raise PivotalError(f"cannot serialize {type(d).__name__}")
 
 
+def _parse_once(parsed: dict, text, parse: Callable):
+    """parse(text), or the value an equal text already parsed to."""
+    try:
+        return parsed[text]
+    except (KeyError, TypeError):  # a new text, or an unhashable one that cannot parse
+        return parsed.setdefault(text, parse(text))
+
+
 def dist_from_obj(obj: dict) -> Distribution:
     if not isinstance(obj, dict):
         raise DistributionError(
@@ -111,18 +119,15 @@ def dist_from_obj(obj: dict) -> Distribution:
         alphabet = _json_alphabet(obj["alphabet"])
         n = _json_int(obj["n"], "n")
         if kind == "explicit":
+            weights: dict[str, Fraction] = {}  # each distinct weight text is parsed once
             support = [(tuple(_json_int(s, "symbol") for s in entry["x"]),
-                        parse_rational(entry["w"]))
+                        _parse_once(weights, entry["w"], parse_rational))
                        for entry in obj["support"]]
             return ExplicitDist(alphabet, n, support)
         if kind == "product":
-            parsed: dict[tuple, list[Fraction]] = {}  # equal rows are parsed once, into one list
-            marginals = []
-            for row in map(tuple, obj["marginals"]):
-                try:
-                    marginals.append(parsed[row])
-                except (KeyError, TypeError):  # a new row, or an unhashable one that cannot parse
-                    marginals.append(parsed.setdefault(row, [parse_rational(p) for p in row]))
+            rows: dict[tuple, list[Fraction]] = {}  # equal rows are parsed once, into one list
+            marginals = [_parse_once(rows, row, lambda r: [parse_rational(p) for p in r])
+                         for row in map(tuple, obj["marginals"])]
             return ProductDist(alphabet, n, marginals)
     except KeyError as exc:
         raise DistributionError(f"distribution object missing field {exc}") from None

@@ -359,6 +359,7 @@ def verify_elimination(f: PlayerFunction, d: Distribution, m: int,
                        p: Fraction, alpha: Fraction) -> Verdict:
     """Certificate plus the size bounds on the union and the family."""
     p, alpha = _positive("p", p), _positive("alpha", alpha)
+    m = as_int(m, "m", PreconditionError, 1, _ELIMINATION_M_LIMIT)
     result = elimination_set(f, d, m, p, alpha)
     t_bound = 8 / (p * alpha ** 2)
     c_bound = 8 * m / (p * alpha ** 2)
@@ -402,6 +403,7 @@ def convex_decomposition_check(f: PlayerFunction, d1: Distribution,
         if not 0 < m1[1] < 1:
             raise DistributionError(f"player {j} marginal {m1[1]} not inside (0, 1)")
     mixed = mixture(d1, d2, q)
+    i = mixed._check_player(i)
     lhs = signed_effect(f, mixed, i)
     rhs = q * signed_effect(f, d1, i) + (1 - q) * signed_effect(f, d2, i)
     return Verdict(

@@ -218,6 +218,19 @@ class TestUpwardClosure:
         with pytest.raises(PivotalError, match=r"^generator mask must be in 0\.\.7, got 8$"):
             UpwardClosure.from_masks(3, (m for m in [3, 8]))
 
+    @pytest.mark.parametrize("masks, bad", [
+        ([9, 20, -2, 8, 1, -1], -2),  # the smallest mask, below 0
+        ([20, 9, 1, 8, 3], 8),  # the first mask past 7
+        ([7, 0, 64, 1 << 40], 64),
+    ])
+    def test_from_masks_names_the_smallest_bad_mask(self, masks, bad):
+        with pytest.raises(PivotalError, match=rf"^generator mask must be in 0\.\.7, got {bad}$"):
+            UpwardClosure.from_masks(3, iter(masks))
+
+    def test_from_masks_checks_each_type(self):
+        with pytest.raises(PivotalError, match=r"^generator mask must be an int, got 2\.0$"):
+            UpwardClosure.from_masks(3, [1, 2.0, 9])
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 8), st.data())
     def test_closure_matches_pairwise_oracle(self, n, data):

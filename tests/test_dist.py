@@ -25,6 +25,7 @@ from pivotal.analysis import (
     count_effect,
     effect_report,
     estimate_effect,
+    estimate_expectation,
     hoeffding_halfwidth,
     pivotal_player,
     pivotal_report,
@@ -365,6 +366,20 @@ def test_bool_counts_as_an_int():
     assert type(DictatorFn(3, True).player) is int and type(MajorityFn(True).n) is int
 
 
+@pytest.mark.parametrize("result", [
+    lambda: estimate_effect(DictatorFn(3, 0), uniform_product(3), 0, True, 0).samples,
+    lambda: verify_elimination(MajorityFn(3), uniform_product(3), True, QUARTER, QUARTER).inputs["m"],
+    lambda: convex_decomposition_check(MajorityFn(3), uniform_product(3), hadamard_mu(2),
+                                       HALF, True).inputs["player"],
+    lambda: pivotal_player(DictatorFn(3, 1), uniform_product(3), True, QUARTER, QUARTER)[1].player,
+], ids=["estimate_effect-samples", "verify_elimination-m", "convex_decomposition_check-player",
+        "pivotal_player-player"])
+def test_results_carry_the_checked_int(result):
+    # True is accepted as 1, and the result carries the int 1, not the argument.
+    value = result()
+    assert type(value) is int and value == 1
+
+
 class TestMixture:
     def test_idempotent(self, even_parity3):
         assert mixture(even_parity3, even_parity3, F(1, 3)) == even_parity3
@@ -650,28 +665,102 @@ SAMPLED = {
     "skewed-explicit": lambda: ProductDist(PARTICIPATION, 3, [
         (F(1, 6), F(1, 3), HALF), (F(1, 10), F(7, 10), F(1, 5)),
         (F(0), F(4, 9), F(5, 9))]).to_explicit(),
+    # Two rows alternating player by player: every player starts a new run.
+    "alternating-rows": lambda: ProductDist(PARTICIPATION, 12, [
+        (F(1, 5), F(1, 5), F(3, 5)), (F(0), F(2, 7), F(5, 7))] * 6),
+    "pinned-middle-and-last": lambda: majp_dist(9, F(2, 5)).condition({4: 0, 8: 2}),
+    # Row totals on both sides of the byte tables' limit of 255, in both orders,
+    # so that the last run is drawn from a table in one space and not in the other.
+    "totals-128-to-257": lambda: ProductDist(BINARY, 8, [
+        row for den in (128, 255, 256, 257) for row in [(F(1, den), 1 - F(1, den))] * 2]),
+    "totals-257-to-128": lambda: ProductDist(BINARY, 8, [
+        row for den in (257, 256, 255, 128) for row in [(F(1, den), 1 - F(1, den))] * 2]),
+    # Totals of 22 bits (one word per draw) and of 43 bits (two words per draw).
+    "total-22-bits": lambda: ProductDist(PARTICIPATION, 5, [
+        (F(1, 3), F(1, 5), F(7, 15))] + [(F(1, 10 ** 6), F(1, 3), 1 - F(1, 3) - F(1, 10 ** 6))] * 3
+        + [(F(1, 3), F(1, 5), F(7, 15))]),
+    "total-over-32-bits": lambda: ProductDist(PARTICIPATION, 5, [
+        (F(1, 3), F(1, 5), F(7, 15))] + [(F(1, 2 ** 40), F(3, 7), 1 - F(3, 7) - F(1, 2 ** 40))] * 3
+        + [(F(1, 3), F(1, 5), F(7, 15))]),
+    # 256 symbols: too many for a byte table although the total is 4.
+    "256-symbols": lambda: ProductDist(Alphabet(tuple(map(str, range(256)))), 3, [
+        tuple(F(1, 4) if s in (0, 7, 200, 255) else F(0) for s in range(256))] * 3),
 }
 
 
 def _draw_tables(d) -> list:
-    # One table per distinct product row, or the one table of an explicit support.
-    return [row.cum for row in d._entries] if isinstance(d, ProductDist) else [d._cum]
+    # Per distinct product row its running sums and byte table, or an explicit support's sums.
+    if isinstance(d, ProductDist):
+        return [table for row in d._entries for table in (row.cum, row.tops)]
+    return [d._cum]
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLED))
 def test_sample_stream_matches_oracle(name):
     d = SAMPLED[name]()
     tables = _draw_tables(d)
-    copies = [list(cum) for cum in tables]
+    copies = [None if t is None else list(t) for t in tables]
     if isinstance(d, ProductDist):
-        assert len(tables) == len(set(d.marginals))
+        assert len(tables) == 2 * len(set(d.marginals))
     for seed in (0, "a", 123456789):
         for j in range(200):
             assert d.sample(seed, j) == brute_sample(d, seed, j), (seed, j)
     # Drawing builds no table: the constructor's tables are the same, unchanged objects.
     after = _draw_tables(d)
     assert len(after) == len(tables) and all(a is b for a, b in zip(after, tables))
-    assert after == copies
+    assert [None if t is None else list(t) for t in after] == copies
+
+
+@pytest.mark.parametrize("name, tabled", [
+    ("majp-9", [True]), ("totals-128-to-257", [True, True, False, False]),
+    ("total-22-bits", [True, False]), ("total-over-32-bits", [True, False]),
+    ("256-symbols", [False]),
+])
+def test_byte_tables_only_for_small_rows(name, tabled):
+    assert [row.tops is not None for row in SAMPLED[name]()._entries] == tabled
+
+
+def test_runs_follow_the_players():
+    d = SAMPLED["pinned-middle-and-last"]()
+    assert [(d._entries.index(row), count) for row, count in d._runs] == [
+        (0, 4), (1, 1), (0, 3), (2, 1)]
+    assert [count for _, count in SAMPLED["alternating-rows"]()._runs] == [1] * 12
+
+
+@st.composite
+def sampled_products(draw):
+    # A few distinct rows, placed in runs and repeats, with totals up to 2^40.
+    alphabet = draw(st.sampled_from([BINARY, PARTICIPATION]))
+    m = len(alphabet)
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        den = draw(st.sampled_from([1, 2, 5, 7, 128, 255, 256, 257, 1000, 2 ** 32 + 1, 2 ** 40]))
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=m - 1, max_size=m - 1)))
+        rows.append(tuple(F(b - a, den) for a, b in zip([0] + cuts, cuts + [den])))
+    n = draw(st.integers(1, 8))
+    return ProductDist(alphabet, n, [rows[draw(st.integers(0, len(rows) - 1))] for _ in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampled_products(), st.one_of(st.integers(0, 10 ** 6), st.text(max_size=3)),
+       st.integers(0, 10 ** 6))
+def test_sample_matches_oracle_on_random_products(d, seed, index):
+    assert d.sample(seed, index) == brute_sample(d, seed, index)
+
+
+def test_estimate_is_the_sequential_sum():
+    # Values -1, 1/3 and 1: the tally by value must give the exact sum of the draws.
+    values = [F(-1), F(1, 3), F(1)]
+    f = DenseTable(PARTICIPATION, 3, {x: values[(x[0] + 2 * x[1] + x[2]) % 3]
+                                      for x in itertools.product(range(3), repeat=3)})
+    d = majp_dist(3, F(2, 5))
+    for samples in (1, 7, 500):
+        acc = F(0)
+        for j in range(samples):
+            acc += f.evaluate(d.sample("t", j))
+        est = estimate_expectation(f, d, samples, "t")
+        assert est.estimate == acc / samples and type(est.estimate) is F
+    assert {f.evaluate(d.sample("t", j)) for j in range(500)} == set(values)
 
 
 def test_equal_product_rows_are_stored_once():

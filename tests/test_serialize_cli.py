@@ -80,6 +80,23 @@ class TestDistRoundTrip:
         assert calls == ["1/4", "1/4", "1/2"]
         assert len(d._entries) == 1 and d == majp_dist(50, F(1, 2))
 
+    def test_equal_weights_are_parsed_once(self, monkeypatch):
+        calls = []
+        parse = serialize.parse_rational
+        monkeypatch.setattr(serialize, "parse_rational", lambda t: calls.append(t) or parse(t))
+        want = majp_dist(5, F(2, 5)).to_explicit()
+        d = dist_from_obj(json.loads(canonical_dumps(dist_to_obj(want))))
+        # 243 support points, one call per distinct weight text.
+        texts = {rational_str(w) for _, w in want.items()}
+        assert sorted(calls) == sorted(texts) and len(texts) == 6
+        assert d == want
+
+    def test_unhashable_weight_is_refused(self):
+        obj = {"kind": "explicit", "alphabet": ["0", "1"], "n": 1,
+               "support": [{"x": [0], "w": "1/2"}, {"x": [1], "w": ["1/2"]}]}
+        with pytest.raises(PivotalError, match=r"exact rational.*\['1/2'\]"):
+            dist_from_obj(obj)
+
     def test_unsorted_input_is_canonicalized(self):
         obj = {
             "kind": "explicit", "alphabet": ["0", "1"], "n": 1,
