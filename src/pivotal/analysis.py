@@ -3,8 +3,10 @@
 Conditional expectations come from the grouped-sum kernel
 ``Distribution.sums``: one pass over the support yields E[f] and the
 conditional sums for every player group a report needs, so per-player
-reports on product grids stay linear in the grid size. Everything is
-exact; the only floats are Hoeffding half-widths on Monte Carlo estimates.
+reports on product grids stay linear in the grid size. ``influence``
+sums the integer weights of ``Distribution.scaled_items`` over the points
+where a flip changes f and builds one ``Fraction``. Everything is exact;
+the only floats are Hoeffding half-widths on Monte Carlo estimates.
 """
 
 from __future__ import annotations
@@ -148,13 +150,10 @@ def influence(f: PlayerFunction, d: Distribution, i: int) -> Fraction:
     """Probability that flipping player i's bit changes the value."""
     if d.alphabet != BINARY:
         raise DistributionError("influence is defined for the binary alphabet only")
-    d._check_player(i)
-    total = ZERO
-    for x, w in d.items():
-        flipped = tuple(1 - s if j == i else s for j, s in enumerate(x))
-        if f.evaluate(x) != f.evaluate(flipped):
-            total += w
-    return total
+    i = d._check_player(i)
+    denom, points = d.scaled_items()
+    return Fraction(sum(w for x, w in points
+                        if f.evaluate(x) != f.evaluate(x[:i] + (1 - x[i],) + x[i + 1:])), denom)
 
 
 def _deviations(table: Table, mean: Fraction,

@@ -208,7 +208,7 @@ class DictatorFn(PlayerFunction):
 
     def evaluate(self, x: Outcome) -> Fraction:
         self._check_arity(x)
-        return Fraction(x[self.player])
+        return ONE if x[self.player] == 1 else ZERO
 
 
 @dataclass(frozen=True)
@@ -477,24 +477,13 @@ def influence_counterexample(k: int) -> tuple[UpwardClosure, ExplicitDist, Certi
     mubar = complement_mu(mu)
     d = mixture(mu, mubar, Fraction(1, 2))
     n = mu.n
-    full = (1 << n) - 1
-
-    gens: set[int] = set()
-    for x, _ in mubar.items():
-        m = outcome_to_mask(x)
-        if m == full:
-            continue
-        for j in range(n):
-            if m & (1 << j):
-                gens.add(m ^ (1 << j))
-    for j in range(n):
-        gens.add(full ^ (1 << j))
-    f = UpwardClosure.from_masks(n, gens)
+    bar = [outcome_to_mask(x) for x, _ in mubar.items()]
+    f = UpwardClosure.from_masks(n, {m ^ (1 << j) for m in bar for j in range(n) if m >> j & 1})
 
     checks = []
     violation = None
 
-    ball_bar = sorted(_neighborhood([outcome_to_mask(x) for x, _ in mubar.items()], n))
+    ball_bar = sorted(_neighborhood(bar, n))
     bad1 = [m for m, i in zip(ball_bar, f.first_dominated(ball_bar)) if i is None]
     checks.append(CertCheck(
         "one_on_complement_ball", not bad1,

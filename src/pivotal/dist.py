@@ -781,15 +781,13 @@ class ProductDist(Distribution):
 
     def condition(self, assignment: Mapping[int, int]) -> "ProductDist":
         # Pinning a player keeps the product form.
-        m = len(self.alphabet)
+        rows = list(self.marginals)
         for i, s in assignment.items():
             self._check_player(i)
             if not self._symbols((s,)) or self.marginals[i][s] == 0:
                 raise NullConditionError(
                     f"conditioning on null event: player {i} never takes symbol {s}")
-        rows = list(self.marginals)
-        for i, s in assignment.items():
-            rows[i] = tuple(ONE if t == s else ZERO for t in range(m))
+            rows[i] = tuple(ONE if t == s else ZERO for t in range(len(self.alphabet)))
         return ProductDist(self.alphabet, self.n, rows)
 
     def check_kwise(self, k: int) -> KwiseResult:
@@ -831,10 +829,8 @@ def mixture(d1: Distribution, d2: Distribution, q: Fraction) -> ExplicitDist:
     if d1.n != d2.n:
         raise DistributionError(f"mixture components have arities {d1.n} and {d2.n}")
     masses: dict[Outcome, Fraction] = {}
-    if q > 0:
-        for x, w in d1.items():
-            masses[x] = masses.get(x, ZERO) + q * w
-    if q < 1:
-        for x, w in d2.items():
-            masses[x] = masses.get(x, ZERO) + (1 - q) * w
+    for share, d in ((q, d1), (1 - q, d2)):
+        if share:
+            for x, w in d.items():
+                masses[x] = masses.get(x, ZERO) + share * w
     return ExplicitDist(d1.alphabet, d1.n, [(x, w) for x, w in masses.items() if w > 0])

@@ -8,11 +8,13 @@ byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .boolfn import (
     ConstantFn,
@@ -52,6 +54,21 @@ def _json_int(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _json_points(rows: Iterable, what: str) -> Callable[[object], tuple]:
+    """How to read each row of JSON integers into a tuple.
+
+    One pass over the distinct entry types clears rows of plain ints, which
+    are taken as they are. Otherwise, or when a row cannot be read, each
+    entry goes through ``_json_int``, which raises the first error.
+    """
+    try:
+        if set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+            return tuple
+    except (KeyError, TypeError):
+        pass
+    return lambda row: tuple(_json_int(s, what) for s in row)
 
 
 def _json_alphabet(value: object) -> Alphabet:
@@ -120,9 +137,10 @@ def dist_from_obj(obj: dict) -> Distribution:
         n = _json_int(obj["n"], "n")
         if kind == "explicit":
             weights: dict[str, Fraction] = {}  # each distinct weight text is parsed once
-            support = [(tuple(_json_int(s, "symbol") for s in entry["x"]),
-                        _parse_once(weights, entry["w"], parse_rational))
-                       for entry in obj["support"]]
+            entries = obj["support"]
+            point = _json_points(map(itemgetter("x"), entries), "symbol")
+            support = [(point(entry["x"]), _parse_once(weights, entry["w"], parse_rational))
+                       for entry in entries]
             return ExplicitDist(alphabet, n, support)
         if kind == "product":
             rows: dict[tuple, list[Fraction]] = {}  # equal rows are parsed once, into one list
@@ -237,9 +255,8 @@ def fn_from_obj(obj: dict) -> PlayerFunction:
                 values[outcome] = parse_rational(v)
             return DenseTable(alphabet, _json_int(obj["n"], "n"), values)
         if kind == "upward":
-            return UpwardClosure(_json_int(obj["n"], "n"),
-                                 [tuple(_json_int(s, "generator bit") for s in g)
-                                  for g in obj["generators"]])
+            n, gens = _json_int(obj["n"], "n"), obj["generators"]
+            return UpwardClosure(n, list(map(_json_points(gens, "generator bit"), gens)))
         if kind == "builtin":
             b = BUILTINS.get(obj.get("name"))
             if b is None:

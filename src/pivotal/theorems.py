@@ -28,7 +28,7 @@ from .analysis import (
     pivotal_report,
     signed_effect,
 )
-from .boolfn import DenseTable, MajPFn, PlayerFunction, PreconditionError
+from .boolfn import DenseTable, MajPFn, PlayerFunction, PreconditionError, mask_to_outcome
 from .dist import (
     BINARY,
     Distribution,
@@ -248,7 +248,7 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
         zero_one = all(v in (0, 1) for v in sums.law)
         wsum = [m - s if zero_one else -s for m, s in zip(mass, wsum)]
         total = 1 - total if zero_one else -total
-    vectors = [tuple((y >> j) & 1 for j in range(k)) for y in range(1 << k)]
+    vectors = [mask_to_outcome(y, k) for y in range(1 << k)]
     y_dist = ExplicitDist(BINARY, k, [(v, Fraction(m, denom))
                                       for v, m in zip(vectors, mass) if m > 0])
     # A vector without mass gets E[g], which keeps g's total.

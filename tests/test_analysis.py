@@ -118,6 +118,19 @@ class TestInfluence:
             for i in range(3):
                 assert influence(f, d, i) == brute_influence(f, d, i)
 
+    @pytest.mark.parametrize("d", [
+        ExplicitDist(BINARY, 3, [((0, 0, 0), F(1, 6)), ((0, 1, 1), F(1, 3)),
+                                 ((1, 0, 1), F(1, 12)), ((1, 1, 0), F(5, 12))]),
+        ProductDist(BINARY, 3, [(F(1, 3), F(2, 3)), (F(1, 2), F(1, 2)), (F(4, 5), F(1, 5))]),
+        ExplicitDist(BINARY, 3, [((True, 0, 1), F(2, 7)), ((0, True, True), F(5, 7))]),
+    ], ids=["explicit-unequal-weights", "product-unequal-rows", "true-as-symbol"])
+    def test_matches_brute_force_on_integer_weights(self, d):
+        rng = random.Random(11)
+        for f in [MajorityFn(3), DictatorFn(3, 2)] + [
+                DenseTable(BINARY, 3, random_table(3, rng, (0, F(1, 3), 1))) for _ in range(5)]:
+            for i in range(3):
+                assert influence(f, d, i) == brute_influence(f, d, i)
+
 
 class TestPivotal:
     def test_dictator_is_pivotal(self):

@@ -26,9 +26,13 @@ from pivotal import (
     UndefinedPointError,
     UpwardClosure,
     effect_counterexample,
+    complement_mu,
+    hadamard_mu,
     influence_counterexample,
+    majp_dist,
     monotone_check,
     monotone_extend,
+    pivotal_report,
 )
 from pivotal.boolfn import mask_to_outcome, outcome_to_mask
 
@@ -58,6 +62,14 @@ class TestEvaluate:
         f = DictatorFn(3, 0)
         assert f.evaluate((1, 0, 0)) == 1
         assert f.evaluate((0, 1, 1)) == 0
+
+    def test_dictator_off_the_binary_alphabet(self):
+        # The abstain symbol 2 is not a 1, so it evaluates to 0, inside [-1, 1].
+        f = DictatorFn(3, 0)
+        assert [f.evaluate((s, 1, 1)) for s in (0, 1, 2)] == [0, 1, 0]
+        d = majp_dist(3, F(1, 2))
+        assert pivotal_report(f, d, F(1, 4), F(1, 8)).expectation == F(1, 4)
+        assert brute_expectation(f, d) == F(1, 4)
 
     def test_constant(self):
         assert ConstantFn(2, F(1, 2)).evaluate((0, 1)) == F(1, 2)
@@ -356,6 +368,17 @@ class TestInfluenceCounterexample:
             for i in range(d.n):
                 flipped = x[:i] + (1 - x[i],) + x[i + 1:]
                 assert f.evaluate(flipped) == fx
+
+    @pytest.mark.parametrize("k, count", [(4, 105), (5, 465), (6, 1953)])
+    def test_generators_are_lowered_complement_vectors(self, k, count):
+        # Every complement-support vector lowered by one coordinate, minimized;
+        # the all-ones vector is among them, as the base holds the all-zeros string.
+        bar = [outcome_to_mask(x) for x, _ in complement_mu(hadamard_mu(k)).items()]
+        assert (1 << (2 ** k - 1)) - 1 in bar
+        lowered = {m & ~(1 << j) for m in bar for j in range(2 ** k - 1) if m >> j & 1}
+        f, _, _ = influence_counterexample(k)
+        assert f.generators == brute_minimal_generators(lowered)
+        assert len(f.generators) == count
 
     def test_k4_zero_influence_everywhere(self):
         f, d, _ = influence_counterexample(4)

@@ -1,6 +1,7 @@
 """File formats, canonical round-trips, and the command-line surface."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,6 +96,31 @@ class TestDistRoundTrip:
         obj = {"kind": "explicit", "alphabet": ["0", "1"], "n": 1,
                "support": [{"x": [0], "w": "1/2"}, {"x": [1], "w": ["1/2"]}]}
         with pytest.raises(PivotalError, match=r"exact rational.*\['1/2'\]"):
+            dist_from_obj(obj)
+
+    def test_integer_symbols_skip_the_per_symbol_check(self, monkeypatch):
+        calls = []
+        check = serialize._json_int
+        monkeypatch.setattr(serialize, "_json_int", lambda v, what: calls.append(what) or check(v, what))
+        want = majp_dist(4, F(2, 5)).to_explicit()
+        assert dist_from_obj(json.loads(canonical_dumps(dist_to_obj(want)))) == want
+        f = UpwardClosure(3, [(1, 1, 0), (0, 1, 1)])
+        assert fn_from_obj(json.loads(canonical_dumps(fn_to_obj(f)))) == f
+        assert calls == ["n", "n"]
+
+    @pytest.mark.parametrize("support, text", [
+        ([{"x": [0], "w": "1/2"}, {"x": [True], "w": "1/2"}],
+         "malformed distribution object: symbol must be an integer, got True"),
+        ([{"x": [1.0], "w": "1/2"}, {"x": [0], "w": "0.5"}],
+         "malformed distribution object: symbol must be an integer, got 1.0"),
+        ([{"x": [0], "w": "0.5"}, {"x": [1.0], "w": "1/2"}], "got '0.5'"),
+        ([{"x": [0], "w": "0.5"}, {"w": "1/2"}], "got '0.5'"),
+        ([{"x": [0], "w": "1/2"}, {"w": "1/2"}], "distribution object missing field 'x'"),
+    ], ids=["bool-symbol", "float-symbol-first", "weight-first", "weight-before-missing-x",
+            "missing-x"])
+    def test_first_bad_entry_is_named(self, support, text):
+        obj = {"kind": "explicit", "alphabet": ["0", "1"], "n": 1, "support": support}
+        with pytest.raises(PivotalError, match=re.escape(text)):
             dist_from_obj(obj)
 
     def test_unsorted_input_is_canonicalized(self):
@@ -307,6 +333,16 @@ class TestCliVerify:
         obj = json.loads(capsys.readouterr().out)
         assert obj["computed"]["ratio"] == "4"
         assert obj["computed"]["expected_ratio"] == "4"
+
+    def test_thm2_past_the_enumeration_limit_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "u17.json"
+        save_dist(path, uniform_product(17))
+        assert main(["verify", "--which", "thm2", "--dist", str(path), "--fn", "majority",
+                     "--m", "1", "--p", "1/2", "--alpha", "1/4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("pivotal: error:")
+        assert "n=17 exceeds the enumeration limit 16" in err
 
     def test_missing_argument_is_usage_error(self, mu_file, capsys):
         assert main(["verify", "--which", "thm1", "--dist", mu_file,

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,9 @@ from pivotal import (
     MajorityFn,
     MajPFn,
     PARTICIPATION,
+    ParityFn,
     PartialTable,
+    PivotalError,
     PreconditionError,
     ProductDist,
     UpwardClosure,
@@ -28,6 +32,7 @@ from pivotal import (
     majp_dist,
     majp_tightness,
     mixture_D,
+    monotone_check,
     reduce_to_binary,
     uniform_product,
     verify_binary_bound,
@@ -350,10 +355,27 @@ class TestElimination:
             elimination_set(ParityLike(), not_pairwise_dist(), 1, F(1, 4), F(1, 4))
 
     def test_limits_enforced(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=re.escape("m must be in 1..3, got 4")):
             elimination_set(ConstantFn(2, F(1)), uniform_product(2), 4, F(1, 4), F(1, 4))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError,
+                           match=re.escape("n=17 exceeds the enumeration limit 16")):
             elimination_set(ConstantFn(17, F(1)), uniform_product(17), 2, F(1, 4), F(1, 4))
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: reduce_to_binary(MajPFn(21), majp_dist(21, HALF), F(1, 4), F(1, 1000)),
+     PivotalError, "reduction would enumerate 2^21 indicator vectors"),
+    (lambda: monotone_check(ParityFn(25)), PivotalError, "n=25 exceeds the enumeration limit 24"),
+    (lambda: majp_dist(14, HALF).to_explicit(), DistributionError,
+     "grid of 4782969 points is too large to expand explicitly"),
+], ids=["reduction-arity", "monotone-check-arity", "explicit-expansion"])
+def test_size_refusal_comes_before_enumeration(call, error, text):
+    # Each input is past its limit by one step; enumerating it would take far
+    # longer than the refusal.
+    start = time.perf_counter()
+    with pytest.raises(error, match=re.escape(text)):
+        call()
+    assert time.perf_counter() - start < 1.0
 
 
 class TestConvexDecomposition:
