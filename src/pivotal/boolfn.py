@@ -53,16 +53,28 @@ class CertificateError(PivotalError):
         self.violation = violation
 
 
+# Byte 0 to the binary digit 0 and any other byte to 1, and the digits back to bytes 0 and 1.
+_TO_DIGITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def outcome_to_mask(x: Outcome) -> int:
-    mask = 0
-    for j, s in enumerate(x):
-        if s:
-            mask |= 1 << j
-    return mask
+    """Bitmask of x's truthy symbols, bit j for player j."""
+    x = x if isinstance(x, tuple) else tuple(x)
+    try:
+        symbols = bytes(x)  # ints in 0..255, as symbols are
+    except (TypeError, ValueError):
+        symbols = bytes(map(bool, x))
+    digits = symbols.translate(_TO_DIGITS)[::-1]  # the last player first
+    return int(digits, 2) if digits else 0
 
 
 def mask_to_outcome(mask: int, n: int) -> Outcome:
-    return tuple((mask >> j) & 1 for j in range(n))
+    """The low n bits of mask (two's complement if negative), bit j as player j's symbol."""
+    if n <= 0:
+        return ()
+    digits = format(mask & (1 << n) - 1 | 1 << n, "b").encode()  # bit n fixes the length
+    return tuple(digits[:0:-1].translate(_FROM_DIGITS))
 
 
 class PlayerFunction:

@@ -15,18 +15,34 @@ where a wrong length is an error and a value that is not a symbol has no
 mass. ``as_int`` applies the same test, and a range, to integer arguments.
 
 Every grouped sum over the support goes through one kernel,
-``Distribution.sums``. It accumulates integer weights over a common
-denominator and builds each ``Fraction`` once, after the pass. Each
-distribution scales its weights once, at construction: an explicit
-support keeps its lcm denominator and integer weights, a product form
-each distinct row's, and the weights are checked on that integer view.
+``Distribution.sums``. Each distribution scales its weights once, at
+construction: an explicit support keeps its lcm denominator and integer
+weights, a product form each distinct row's, and the weights are checked
+on that integer view. The kernel sees the support as bitsets, bit j for
+support point j: one per (player, symbol), and one per distinct integer
+weight when there are at most as many as |supp| has bits. It evaluates f
+once per point, in support order, codes each point by its value's slot
+and adds the point's weight to that value's mass, for the law. The mass
+of a set of points is weighed class by class by popcount, or summed over
+its set bits where classes do not apply; a second such mass, over the
+weights times the scaled values, gives an f-weighted sum. A group's table
+keys are the nonempty ANDs of its players' bitsets, inserted in order of
+their lowest set bit, their first support point. The kernel runs over
+windows of at most ``_WINDOW`` consecutive points, adding each window's
+integer sums to the last; a value that brings a new denominator moves
+the f-weighted sums taken so far onto the larger lcm. So a group with
+many keys costs O(|supp|) bit steps per symbol of its players, not
+O(|supp|) per key. Each ``Fraction`` is built once, after the pass.
 
-Exact k-wise checks and single marginals do not use the kernel. They see
-an explicit support as bitsets, one per (player, symbol) and one per
-distinct integer weight, built at the first such query and kept, with
-each player's symbol masses. The joint mass of an assignment is the AND of
-its players' bitsets, weighed class by class by popcount, and
-factorization is decided in integers over the lcm denominator.
+An explicit support builds its bitsets at the first query that reads
+them, with each player's symbol masses, and keeps them: ``sums``, exact
+k-wise checks and single marginals share them, and ``sums`` cuts them
+into windows. A product form keeps nothing. Each call builds the bitsets
+of the sub-grid of its last players, at most ``_WINDOW`` points, and each
+window fixes the other players' symbols, so memory does not grow with the
+grid. The joint mass of an assignment in a k-wise check is the AND of
+its players' bitsets, and factorization is decided in integers over the
+lcm denominator.
 
 A product form whose rows are all equal has a statistic path. When f is
 None or a function of one integer statistic, the total of per-symbol
@@ -35,9 +51,9 @@ kernel never evaluates f. The law of the total over r players is the
 r-th power of the row polynomial Q(x) = sum_s r_s x^score(s), in the
 row's integer weights, so f's law comes from Q^n and each table entry
 from Q^(n - k), shifted by the group's own score and weighed by its
-symbols' weights. Each entry is the grid walk's integer sum, grouped by
-total, so both paths return equal ``GroupedSums``, with the same dict
-order. Any other input walks the grid.
+symbols' weights. Each entry is the bitset kernel's integer sum, grouped
+by total, so both paths return equal ``GroupedSums``, with the same dict
+order. Any other input goes through the bitset kernel.
 
 Sampling follows one stream contract: ``sample(seed, index)`` seeds one
 generator and makes one ``_draw`` per player, in player order (one for
@@ -54,8 +70,8 @@ Each constructor checks its value once and builds the integer view of
 the weights and the draw tables of ``sample`` (their running sums, and a
 product row's byte table and runs). Only
 an explicit support's bitsets wait for their first query: they cost about
-half as much as the construction itself, and only k-wise checks and
-single marginals read them. Values are immutable after construction and
+half as much as the construction itself, and a distribution that is
+only sampled never reads them. Values are immutable after construction and
 every operation is a pure function of its inputs, so concurrent use needs
 no coordination; whichever caller builds the bitsets builds the same
 ones. Sampling takes its seed and draw index explicitly.
@@ -82,6 +98,12 @@ ONE = Fraction(1)
 # Expanding a product form materializes its grid; past this many points
 # we refuse rather than exhaust memory (streaming queries stay lazy).
 _EXPANSION_LIMIT = 1 << 21
+
+# Distribution.sums runs over windows of at most this many points (a
+# multiple of 8, as explicit bitsets are cut through their bytes), so that
+# a group with many joint symbols costs O(|supp|) bit steps per symbol of
+# its players rather than O(|supp|) per key.
+_WINDOW = 1 << 10
 
 
 class PivotalError(Exception):
@@ -320,7 +342,7 @@ def _power(q: Sequence[int], r: int) -> list[int]:
 
 
 class _Bitsets(NamedTuple):
-    """An explicit support as bitsets: bit j stands for support point j."""
+    """A support as bitsets: bit j stands for support point j."""
 
     columns: list[list[int]]  # columns[i][s]: the points where player i shows s
     classes: list[tuple[int, int]]  # (integer weight w, the points weighing w); [] if many
@@ -330,14 +352,17 @@ class _Bitsets(NamedTuple):
     def mass(self, bits: int) -> int:
         """Integer mass of a set of points.
 
-        Weighs each class by its popcount when there are classes and no
-        more of them than set bits. Otherwise adds the weights of the set
-        bits, found by scanning the bits' binary text once, so the cost is
-        O(|supp|) plus one step per set bit. The sets of one subset's
-        assignments are disjoint, so its walks add up to at most |supp| steps.
+        Reads one point's weight directly. Weighs each class by its
+        popcount when there are classes and no more of them than set bits.
+        Otherwise adds the weights of the set bits, found by scanning the
+        bits' binary text once, so the cost is O(|supp|) plus one step per
+        set bit. The sets of one subset's assignments are disjoint, so its
+        walks add up to at most |supp| steps.
         """
-        total = 0
-        if 0 < len(self.classes) <= bits.bit_count():
+        total, count = 0, bits.bit_count()
+        if count == 1:
+            return self.ints[bits.bit_length() - 1]
+        if 0 < len(self.classes) <= count:
             for w, points in self.classes:
                 total += w * (bits & points).bit_count()
             return total
@@ -351,20 +376,93 @@ class _Bitsets(NamedTuple):
 
 
 @functools.cache
-def _marks(count: int) -> list[dict[int, str]]:
-    """Per code 0..count-1, the translation of code characters to its bits."""
+def _marks(count: int) -> list[bytes] | list[dict[int, str]]:
+    """Per code 0..count-1, the translation of code bytes (past 256 codes, characters) to bits."""
+    if count <= 256:
+        return [bytes(b"01"[c == code] for c in range(256)) for code in range(count)]
     return [{c: "1" if c == code else "0" for c in range(count)} for code in range(count)]
 
 
 def _indicators(codes: Iterable[int], count: int) -> list[int]:
     """Bitset of the points with each code 0..count-1, given codes last point first.
 
-    The codes become one character per point (int reads the most
-    significant digit first), and one translation per code turns them
-    into that code's bitset, in O(|supp|) per code.
+    The codes become one byte per point, or one character when there are
+    more than 256 codes (int reads the most significant digit first), and
+    one translation per code turns them into that code's bitset, in
+    O(|supp|) per code.
     """
-    text = "".join(map(chr, codes))
+    text = bytes(codes) if count <= 256 else "".join(map(chr, codes))
     return [int(text.translate(marks), 2) for marks in _marks(count)]
+
+
+def _classes(ints: Sequence[int]) -> list[tuple[int, int]]:
+    """(w, the points weighing w) per distinct weight; [] if there are more than |supp| has bits."""
+    weights = list(dict.fromkeys(ints))
+    if len(weights) > len(ints).bit_length():
+        return []
+    index = {w: c for c, w in enumerate(weights)}
+    return list(zip(weights, _indicators(map(index.__getitem__, reversed(ints)), len(weights))))
+
+
+def _cut(bits: _Bitsets) -> Iterator[tuple[int, _Bitsets]]:
+    """bits cut at every _WINDOW points, each window with its first point, renumbered from 0.
+
+    Columns and classes are cut through their bytes, in O(|supp|) per
+    bitset. A class with no point in a window is left out of it.
+    """
+    size = len(bits.ints)
+    if size <= _WINDOW:
+        yield 0, bits
+        return
+    length = (size + 7) // 8
+    columns = [[b.to_bytes(length, "little") for b in row] for row in bits.columns]
+    classes = [(w, b.to_bytes(length, "little")) for w, b in bits.classes]
+    for lo in range(0, size, _WINDOW):
+        cut = slice(lo // 8, (lo + _WINDOW) // 8)
+        yield lo, _Bitsets([[int.from_bytes(b[cut], "little") for b in row] for row in columns],
+                           [(w, c) for w, b in classes if (c := int.from_bytes(b[cut], "little"))],
+                           bits.ints[lo:lo + _WINDOW], [])
+
+
+def _value_codes(f: Evaluable, points: Iterable[Outcome], slots: dict[Fraction, int],
+                 values: list[Fraction], by_id: dict[int, int]) -> list[int]:
+    """Each point's slot: the index of f's value there in values, whose slots maps it back.
+
+    A value not seen before is added to both. A value object seen before is
+    found by id in by_id, skipping one Fraction.__hash__ per point. Only
+    the first object of each value is filed by id, and values holds it, so
+    its id cannot be reused while by_id is read.
+    """
+    codes = []
+    for v in map(f.evaluate, points):
+        j = by_id.get(id(v))
+        if j is None:
+            j = slots.get(v)
+            if j is None:
+                j = by_id[id(v)] = slots[v] = len(values)
+                values.append(v)
+        codes.append(j)
+    return codes
+
+
+def _parts(columns: list[list[int]], T: tuple[int, ...],
+           known: dict[tuple[int, ...], list[tuple[Outcome, int]]]) -> list[tuple[Outcome, int]]:
+    """The nonempty (joint symbols, points showing them) of group T.
+
+    The parts of T[:-1], kept in known, are refined by the columns of T's
+    last player.
+    """
+    if T not in known:
+        cols = columns[T[-1]]
+        known[T] = ([((s,), b) for s, b in enumerate(cols) if b] if len(T) == 1 else
+                    [(key + (s,), c) for key, b in _parts(columns, T[:-1], known)
+                     for s, col in enumerate(cols) if (c := b & col)])
+    return known[T]
+
+
+def _first_point(part: tuple[Outcome, int]) -> int:
+    """The lowest set bit of a part's points: the part's first point."""
+    return part[1] & -part[1]
 
 
 def _support_bitsets(points: Sequence[Outcome], ints: Sequence[int], m: int) -> _Bitsets:
@@ -375,13 +473,7 @@ def _support_bitsets(points: Sequence[Outcome], ints: Sequence[int], m: int) -> 
     mass weighed by class costs at most that many bit steps.
     """
     columns = [_indicators(col, m) for col in zip(*reversed(points))]
-    weights = list(dict.fromkeys(ints))
-    classes = []
-    if len(weights) <= len(points).bit_length():
-        index = {w: c for c, w in enumerate(weights)}
-        classes = list(zip(weights, _indicators(map(index.__getitem__, reversed(ints)),
-                                                len(weights))))
-    unweighed = _Bitsets(columns, classes, ints, [])
+    unweighed = _Bitsets(columns, _classes(ints), ints, [])
     return unweighed._replace(singles=[list(map(unweighed.mass, row)) for row in columns])
 
 
@@ -448,41 +540,58 @@ class Distribution(ABC):
         """Law of f and per-group conditional sums, in one support pass.
 
         ``f=None`` stands for the constant 1, so the tables carry masses.
-        Weights are summed as integers per (joint symbols, value of f) and
+        Masses and f-weighted sums are integers over common denominators,
         turned into fractions only at the end.
         """
         return self._sums(self._check_groups(groups), f)
 
+    @abstractmethod
+    def _windows(self) -> tuple[int, Iterator[tuple[Iterable[Outcome], _Bitsets]]]:
+        """The common denominator, and the support in windows of consecutive points.
+
+        A window holds at most _WINDOW points, or a player's symbols where a
+        player has more: their outcomes in support order, and their
+        bitsets, bit j for the window's point j.
+        """
+
     def _sums(self, groups: list[tuple[int, ...]], f: Evaluable | None) -> GroupedSums:
-        getters = [itemgetter(*T) for T in groups]
-        accs: list[dict] = [{} for _ in groups]
-        slots = {ONE: 0} if f is None else {}
-        value_mass = [0] if f is None else []
-        denom, points = self.scaled_items()
-        for x, w in points:
-            if f is None:
-                j = 0
-            else:
-                v = f.evaluate(x)
-                j = slots.get(v)
-                if j is None:
-                    j = slots[v] = len(value_mass)
-                    value_mass.append(0)
-            value_mass[j] += w
-            for get, acc in zip(getters, accs):
-                key = get(x), j
-                acc[key] = acc.get(key, 0) + w
-        law, mean, vden, scaled = _law_and_mean(slots, value_mass, denom)
-        tables = []
-        for T, acc in zip(groups, accs):
-            ints: dict = {}
-            for (key, j), w in acc.items():
-                m, s = ints.get(key, (0, 0))
-                ints[key] = (m + w, s + w * scaled[j])
-            tables.append({(key if len(T) > 1 else (key,)):
-                           (Fraction(m, denom), Fraction(s, denom * vden))
-                           for key, (m, s) in ints.items()})
-        return GroupedSums(law, mean, tuple(tables))
+        denom, windows = self._windows()
+        slots: dict[Fraction, int] = {ONE: 0} if f is None else {}
+        values, by_id = list(slots), {}
+        value_mass = [denom] if f is None else []
+        vden = 1  # the lcm of the denominators of the values seen so far
+        accs: dict[tuple[int, ...], dict] = {T: {} for T in groups}
+        for points, window in windows:
+            heavy = None  # f is 1: each f-sum is its mass
+            if f is not None:
+                codes = _value_codes(f, points, slots, values, by_id)
+                new = values[len(value_mass):]
+                value_mass += [0] * len(new)
+                grown = math.lcm(vden, *(v.denominator for v in new))
+                if grown != vden:  # the f-sums so far move onto the new lcm
+                    for acc in accs.values():
+                        for key, (m, s) in acc.items():
+                            acc[key] = m, s * (grown // vden)
+                    vden = grown
+                for j, w in zip(codes, window.ints):
+                    value_mass[j] += w
+                # The points weighing w * vden * f: a mass of these is an f-sum.
+                scaled = {j: values[j].numerator * (vden // values[j].denominator)
+                          for j in dict.fromkeys(codes)}
+                ints = list(map(int.__mul__, window.ints, map(scaled.__getitem__, codes)))
+                heavy = _Bitsets([], _classes(ints), ints, [])
+
+            known: dict[tuple[int, ...], list[tuple[Outcome, int]]] = {}
+            for T, acc in accs.items():
+                # Keys in order of their first point, the lowest set bit.
+                for key, b in sorted(_parts(window.columns, T, known), key=_first_point):
+                    m = window.mass(b)
+                    m0, s0 = acc.get(key, (0, 0))
+                    acc[key] = m0 + m, s0 + (m if heavy is None else heavy.mass(b))
+        law, mean, vden, _ = _law_and_mean(slots, value_mass, denom)
+        tables = {T: {key: (Fraction(m, denom), Fraction(s, denom * vden))
+                      for key, (m, s) in acc.items()} for T, acc in accs.items()}
+        return GroupedSums(law, mean, tuple(map(tables.__getitem__, groups)))
 
     def marginal(self, players: Sequence[int]) -> "ExplicitDist":
         """Joint law of the given players, as an explicit distribution.
@@ -570,6 +679,11 @@ class ExplicitDist(Distribution):
             self._bits = _support_bitsets(points, self._ints, len(self.alphabet))
         return self._bits
 
+    def _windows(self) -> tuple[int, Iterator[tuple[Iterable[Outcome], _Bitsets]]]:
+        # The kept bitsets, cut at every _WINDOW points.
+        return self._denom, ((map(itemgetter(0), self.support[lo:lo + len(bits.ints)]), bits)
+                             for lo, bits in _cut(self._bitsets()))
+
     def _kwise_scan(self, k: int) -> KwiseResult:
         # Joint masses stay integers over the support's denominator D: the
         # subset T factorizes at a iff joint * D^(|T|-1) == prod of the
@@ -639,8 +753,10 @@ class ExplicitDist(Distribution):
 class ProductDist(Distribution):
     """Fully independent players, one marginal vector per player.
 
-    Enumeration streams the symbol grid without materializing it, so
-    queries on e.g. a 3^12 grid keep memory flat.
+    Enumeration and grouped sums stream the symbol grid without
+    materializing it: a grouped sum off the statistic path holds one
+    window of at most ``_WINDOW`` points at a time, so on the 531,441
+    points of a 3^12 grid its traced memory peaks at about 0.1 MiB.
     """
 
     __slots__ = ("alphabet", "n", "marginals", "_entries", "_index", "_runs")
@@ -698,13 +814,40 @@ class ProductDist(Distribution):
         return math.prod(dens), zip(itertools.product(*symbols),
                                     map(math.prod, itertools.product(*weights)))
 
+    def _windows(self) -> tuple[int, Iterator[tuple[Iterable[Outcome], _Bitsets]]]:
+        # The grid is in mixed-radix order, the last player fastest. The last
+        # players whose own grid has at most _WINDOW points (at least the
+        # last player) form the tail; each window fixes the other players'
+        # symbols and runs through the tail. Its bitsets are the tail's, a
+        # fixed player's column is all or nothing, and its weights are the
+        # tail's times the fixed players' weight.
+        dens, _, symbols, weights, *_ = zip(*map(self._entries.__getitem__, self._index))
+        split = len(symbols) - 1
+        while split and math.prod(map(len, symbols[split - 1:])) <= _WINDOW:
+            split -= 1
+        m = len(self.alphabet)
+        tail = _support_bitsets(list(itertools.product(*symbols[split:])),
+                                list(map(math.prod, itertools.product(*weights[split:]))), m)
+        every = (1 << len(tail.ints)) - 1
+        fixed = [[every if t == s else 0 for t in range(m)] for s in range(m)]
+
+        def windows() -> Iterator[tuple[Iterable[Outcome], _Bitsets]]:
+            for head in itertools.product(*map(zip, symbols[:split], weights[:split])):
+                a = math.prod(w for _, w in head)
+                yield (itertools.product(*[(s,) for s, _ in head], *symbols[split:]),
+                       _Bitsets([fixed[s] for s, _ in head] + tail.columns,
+                                [(a * w, b) for w, b in tail.classes],
+                                [a * w for w in tail.ints], []))
+
+        return math.prod(dens), windows()
+
     def _sums(self, groups: list[tuple[int, ...]], f: Evaluable | None) -> GroupedSums:
         """``Distribution.sums``, over the law of f's statistic when that is exact.
 
         When every row is equal, f is None or a function of a score total
         (it has ``of_total``), and no group names a player twice, the
-        statistic path sums over the law of that total. Otherwise the grid
-        is walked as for any distribution.
+        statistic path sums over the law of that total. Otherwise the
+        bitset kernel runs over the grid, as for any distribution.
         """
         if ((f is None or hasattr(f, "of_total"))
                 and len(self._entries) == 1
@@ -715,12 +858,12 @@ class ProductDist(Distribution):
     def _statistic_sums(self, groups: list[tuple[int, ...]],
                         f: Evaluable | None) -> GroupedSums:
         # Weights stay integers over row_den ** n, and the row's zero-weight
-        # symbols are left out, as in the grid walk. With lo the least score,
+        # symbols are left out, as the grid leaves them out. With lo the least score,
         # power(r)[i] is the weight of r players reaching the total r * lo + i.
         n = self.n
         row_den, row_ints, symbols, *_ = self._entries[0]
         if f is not None:
-            f._check_arity((symbols[0],) * n)  # as the grid walk's first evaluation would
+            f._check_arity((symbols[0],) * n)  # as the kernel's first evaluation would
         score = {s: 0 if f is None else f.scores.get(s, 0) for s in symbols}
         lo = min(score.values())
         q = [0] * (max(score.values()) - lo + 1)
@@ -743,9 +886,10 @@ class ProductDist(Distribution):
         # power(n - k)[t], so the entry's mass is w / row_den^k and its
         # f-weighted sum w * sum_t power(n - k)[t] * by_total[t + sigma] over
         # row_den^n * vden: it depends only on (k, w, sigma). A table walks
-        # the symbols a of its sorted players in product order, the grid
-        # walk's order; key position p holds a[rank[p]], the symbol of T[p]'s
-        # place among them, so groups of equal rank share one table object.
+        # the symbols a of its sorted players in product order, the order of
+        # their first grid points; key position p holds a[rank[p]], the
+        # symbol of T[p]'s place among them, so groups of equal rank share
+        # one table object.
         entries: dict[tuple[int, int, int], tuple[Fraction, Fraction]] = {}
         by_rank: dict[tuple[int, ...], dict[Outcome, tuple[Fraction, Fraction]]] = {}
         tables = []

@@ -3,8 +3,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# CI runs with --hypothesis-profile=ci: the same examples on every run, and a
+# failure prints the blob that replays it with @reproduce_failure.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 from pivotal import BINARY, ExplicitDist
 

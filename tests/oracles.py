@@ -3,11 +3,14 @@
 Everything here recomputes probability logic from first principles
 (filter, renormalize, sum), independently of the library's accumulation
 passes, so a test comparing the two exercises genuinely different code
-paths. The participation-majority oracle works through binomial sums
-rather than grid enumeration. The sampling oracle draws with
+paths. The grouped-sum oracle adds Fractions point by point, where the
+library ANDs bitsets and weighs them by popcount. The
+participation-majority oracle works through binomial sums rather than
+grid enumeration. The sampling oracle draws with
 ``randrange`` over lcm-scaled weights and a linear scan, without the
 library's cumulative tables. The closure oracles compare every pair of
-raw bitmasks, with no ordering by popcount and no per-coordinate bitsets.
+raw bitmasks, with no ordering by popcount and no per-coordinate bitsets,
+and the mask oracles convert one bit at a time.
 """
 
 from __future__ import annotations
@@ -78,6 +81,27 @@ def brute_set_deviating_mass(f, d, players, alpha: Fraction) -> Fraction:
         if ms > 0 and abs(brute_conditional(f, d, assignment) - ef) > alpha:
             mass += ms
     return mass
+
+
+def brute_grouped_sums(f, d, groups):
+    """(law, mean, tables) of ``d.sums(groups, f)``, by one Fraction walk over d.items().
+
+    f=None stands for the constant 1. The law lists its values in ascending
+    order, and each table lists its joint symbols in order of their first
+    support point, as the library's dicts do.
+    """
+    law: dict = {}
+    mean = F(0)
+    tables = [{} for _ in groups]
+    for x, w in d.items():
+        v = F(1) if f is None else f.evaluate(x)
+        law[v] = law.get(v, F(0)) + w
+        mean += w * v
+        for T, table in zip(groups, tables):
+            key = tuple(x[i] for i in T)
+            mass, total = table.get(key, (F(0), F(0)))
+            table[key] = (mass + w, total + w * v)
+    return {v: law[v] for v in sorted(law)}, mean, tables
 
 
 def brute_kwise(d, k: int):
@@ -206,6 +230,20 @@ def brute_sample(d, seed, index: int):
 
 # ----------------------------------------------------------------------
 # Upward closures on raw bitmasks (bit j = player j), pairwise comparison
+
+
+def brute_outcome_to_mask(x) -> int:
+    """Bit j set iff symbol j of x is truthy, one bit at a time."""
+    mask = 0
+    for j, s in enumerate(x):
+        if s:
+            mask |= 1 << j
+    return mask
+
+
+def brute_mask_to_outcome(mask: int, n: int) -> tuple[int, ...]:
+    """Bits 0..n-1 of mask (two's complement if negative), one shift at a time."""
+    return tuple((mask >> j) & 1 for j in range(n))
 
 
 def brute_minimal_generators(masks) -> tuple[int, ...]:

@@ -40,7 +40,9 @@ from oracles import (
     brute_closure_value,
     brute_expectation,
     brute_influence,
+    brute_mask_to_outcome,
     brute_minimal_generators,
+    brute_outcome_to_mask,
     brute_signed_effect,
 )
 
@@ -224,6 +226,16 @@ class TestUpwardClosure:
         for n in (1, 3, 6):
             for m in range(1 << n):
                 assert outcome_to_mask(mask_to_outcome(m, n)) == m
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-(1 << 80), 1 << 80), st.integers(-2, 80), st.lists(st.one_of(
+        st.integers(-2, 300), st.booleans(), st.none(), st.sampled_from(["", "a", 0.0, 0.5, F(0)])),
+        max_size=70), st.sampled_from([tuple, list, iter]))
+    def test_mask_conversions_match_bit_loops(self, mask, n, symbols, container):
+        # Low n bits of any mask, negative ones included, and n <= 0 gives ().
+        assert mask_to_outcome(mask, n) == brute_mask_to_outcome(mask, n)
+        # Any truthy symbol sets its bit, in any sequence or one-shot iterator.
+        assert outcome_to_mask(container(symbols)) == brute_outcome_to_mask(symbols)
 
     def test_from_masks_accepts_one_shot_iterator(self):
         assert UpwardClosure.from_masks(3, (m for m in [3, 5])).generators == (3, 5)

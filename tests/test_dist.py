@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from pivotal import (
     ExplicitDist,
     NullConditionError,
     ProductDist,
+    UndefinedPointError,
     mixture,
 )
 from pivotal import dist as dist_module
@@ -69,6 +71,7 @@ from oracles import (
     brute_conditional,
     brute_event_mass,
     brute_expectation,
+    brute_grouped_sums,
     brute_kwise,
     brute_sample,
     brute_set_deviating_mass,
@@ -571,10 +574,11 @@ def test_kwise_bitsets_built_once(monkeypatch):
 
     monkeypatch.setattr(dist_module, "_support_bitsets", counted)
     d.expectation(ParityFn(d.n))
-    assert built == []  # other queries do not build them
+    assert len(built) == 1  # built by the first sums call
     for k in (2, 3, 1, 2, 3):
         assert d.check_kwise(k).ok
-    # The bitsets are built at the first check and reused by the later ones.
+    d.sums([(0,), (1, 2)], ParityFn(d.n))
+    # sums and check_kwise share the one set of bitsets.
     assert len(built) == 1
 
 
@@ -1039,6 +1043,127 @@ def test_statistic_path_never_evaluates():
 def test_symmetric_path_validates_groups_first(groups, message):
     with pytest.raises(DistributionError, match=message):
         majp_dist(3, HALF).sums(groups, MajPFn(3))
+
+
+# ----------------------------------------------------------------------
+# The grouped-sum kernel against the Fraction oracle
+
+
+def _assert_matches_oracle(d, groups, f):
+    # Equal values, and the dict order of the oracle's walk.
+    got = d.sums(groups, f)
+    law, mean, tables = brute_grouped_sums(f, d, groups)
+    assert list(got.law.items()) == list(law.items())
+    assert got.mean == mean
+    assert [list(t.items()) for t in got.tables] == [list(t.items()) for t in tables]
+
+
+@st.composite
+def kernel_cases(draw):
+    """A space, a function on its support and player groups.
+
+    Spaces are products with equal or unequal rows (zero weights allowed),
+    or explicit supports on part of the grid whose weights take few values
+    (weight classes) or are all distinct (the set-bit scan). Functions are
+    None, a table on the support with few or many distinct values, so the
+    f-weighted masses take either branch too, a closure, or MajPFn. Groups
+    may name a player twice, and the last one names every player.
+    """
+    alphabet = draw(st.sampled_from([BINARY, PARTICIPATION]))
+    m = len(alphabet)
+    n = draw(st.integers(1, 5 if m == 2 else 4))
+    grid = list(itertools.product(range(m), repeat=n))
+    kind = draw(st.sampled_from(["equal-rows", "unequal-rows", "few-weights", "distinct-weights"]))
+    if kind.endswith("rows"):
+        row = st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any)
+        rows = [draw(row)] * n if kind == "equal-rows" else [draw(row) for _ in range(n)]
+        d = ProductDist(alphabet, n, [tuple(F(v, sum(r)) for v in r) for r in rows])
+    else:
+        weight = st.integers(0, 2) if kind == "few-weights" else st.integers(0, 10 ** 6)
+        raw = draw(st.lists(weight, min_size=len(grid), max_size=len(grid)).filter(any))
+        d = ExplicitDist(alphabet, n, [(x, F(w, sum(raw))) for x, w in zip(grid, raw) if w])
+    points = [x for x, _ in d.items()]
+    fkind = draw(st.sampled_from(["none", "few-values", "many-values",
+                                  "closure" if m == 2 else "majp"]))
+    if fkind == "none":
+        f = None
+    elif fkind.endswith("values"):
+        values = st.sampled_from([F(0), F(1), F(-1, 2)]) if fkind == "few-values" else mixed_values
+        f = PartialTable(alphabet, n, {x: draw(values) for x in points})
+    elif fkind == "closure":
+        f = UpwardClosure(n, draw(st.lists(st.sampled_from(grid), max_size=3)))
+    else:
+        f = MajPFn(n)
+    groups = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=3).map(tuple),
+                           max_size=4))
+    return d, groups + [tuple(range(n))], f
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases())
+def test_grouped_sums_match_oracle(case):
+    _assert_matches_oracle(*case)
+
+
+_ROWS = [(HALF, QUARTER, QUARTER), (F(2, 3), F(1, 6), F(1, 6))]
+
+
+def _spread_weights(n, m, seed, classes):
+    # The whole m^n grid, weights drawn from `classes` values (None: all distinct).
+    rng = random.Random(seed)
+    grid = list(itertools.product(range(m), repeat=n))
+    raw = (rng.sample(range(1, 10 ** 9), len(grid)) if classes is None
+           else [rng.randint(1, classes) for _ in grid])
+    return [(x, F(w, sum(raw))) for x, w in zip(grid, raw)]
+
+
+@pytest.mark.parametrize("d, f, weighed_by_class", [
+    (ProductDist(PARTICIPATION, 7, _ROWS * 3 + [(F(0), HALF, HALF)]), MajPFn(7), True),
+    (ExplicitDist(PARTICIPATION, 7, _spread_weights(7, 3, 1, None)),
+     PartialTable(PARTICIPATION, 7, {x: F(j % 7 - 3, 3) for j, x in
+                                     enumerate(itertools.product(range(3), repeat=7))}), False),
+    # Whole values in the first window and thirds after it, so the f-sums
+    # already taken move onto a larger common denominator.
+    (ExplicitDist(BINARY, 11, _spread_weights(11, 2, 2, 3)),
+     DenseTable(BINARY, 11, {x: F(sum(x) % 2) if j < 1024 else F(j % 5 - 2, 3) for j, x in
+                             enumerate(itertools.product(range(2), repeat=11))}), True),
+], ids=["product-unequal-rows", "explicit-distinct-weights", "explicit-three-weights"])
+def test_grouped_sums_match_oracle_across_windows(d, f, weighed_by_class):
+    # More points than one window holds, so every table is summed window by window.
+    n = d.n
+    assert len(list(d.items())) > dist_module._WINDOW
+    assert bool(next(d._windows()[1])[1].classes) == weighed_by_class
+    groups = [(i,) for i in range(n)] + [(n - 1, 0), (3, 3), (1, 2, 4), tuple(range(n))]
+    _assert_matches_oracle(d, groups, f)
+    _assert_matches_oracle(d, groups[:2], None)
+
+
+def test_product_sums_keep_nothing():
+    d = ProductDist(PARTICIPATION, 10, _ROWS * 5)
+    groups, f = [(0,), (9, 1), (2, 2)], MajPFn(10)
+    want = d.sums(groups, f)  # any first-call cache is filled here
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = d.sums(groups, f)
+        retained, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # The result alone is retained, and the 59,049 grid points are held one
+    # window at a time: a bitset, weight or code per point would take MiBs.
+    assert retained < 64 * 1024, retained
+    assert peak < 512 * 1024, peak
+
+
+@pytest.mark.parametrize("d", [ProductDist(PARTICIPATION, 4, _ROWS * 2), mixture_D(3)],
+                         ids=["product", "explicit"])
+def test_first_undefined_point_in_support_order_is_named(d):
+    points = [x for x, _ in d.items()]
+    undefined = {points[-1], points[5], points[2]}
+    f = PartialTable(d.alphabet, d.n, {x: F(0) for x in points if x not in undefined})
+    with pytest.raises(UndefinedPointError, match=re.escape(f"undefined at {points[2]}")):
+        d.sums([(0,), (1, 2)], f)
 
 
 def test_condition_then_expectation_matches_restriction(even_parity3):
