@@ -3,7 +3,8 @@
 Conditional expectations come from the grouped-sum kernel
 ``Distribution.sums``: one pass over the support yields E[f] and the
 conditional sums for every player group a report needs, so per-player
-reports on product grids stay linear in the grid size. ``influence``
+reports on product grids stay linear in the grid size. Reports and the
+(p, alpha) set rule decide once per distinct table object. ``influence``
 sums the integer weights of ``Distribution.scaled_items`` over the points
 where a flip changes f and builds one ``Fraction``. Everything is exact;
 the only floats are Hoeffding half-widths on Monte Carlo estimates.
@@ -23,6 +24,7 @@ from .dist import (
     Distribution,
     DistributionError,
     ExplicitDist,
+    GroupedSums,
     NullConditionError,
     Outcome,
     PivotalError,
@@ -121,9 +123,10 @@ def _signed(i: int, table: Table) -> Fraction:
     return s1 / m1 - s0 / m0
 
 
-def _deviating_mass(table: Table, mean: Fraction, alpha: Fraction) -> Fraction:
-    """Mass of the joint symbols whose conditional mean strays past alpha."""
-    return _mass_past(((m, s / m - mean) for m, s in table.values()), alpha)
+def _pivotal_groups(sums: GroupedSums, p: Fraction, alpha: Fraction) -> list[bool]:
+    """The set rule per group: mass of symbols deviating past alpha > p, once per table object."""
+    return _once_per_table(sums.tables, lambda _, t: _mass_past(
+        ((m, s / m - sums.mean) for m, s in t.values()), alpha) > p)
 
 
 def signed_effect(f: PlayerFunction, d: Distribution, i: int) -> Fraction:
@@ -189,10 +192,9 @@ def pivotal_player(f: PlayerFunction, d: Distribution, i: int,
 
 def pivotal_set(f: PlayerFunction, d: Distribution, players: Sequence[int],
                 p: Fraction, alpha: Fraction) -> bool:
-    """Whether the joint signal of the given players is (p, alpha)-pivotal."""
+    """Whether the joint signal of the given players is (p, alpha)-pivotal, by the set rule."""
     p, alpha = as_exact(p, "p", PivotalError), as_exact(alpha, "alpha", PivotalError)
-    sums = d.sums([d._player_set(players)], f)
-    return _deviating_mass(sums.tables[0], sums.mean, alpha) > p
+    return _pivotal_groups(d.sums([d._player_set(players)], f), p, alpha)[0]
 
 
 def count_effect(f: PlayerFunction, d: Distribution, alpha: Fraction) -> int:

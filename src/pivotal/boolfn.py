@@ -127,9 +127,10 @@ class PartialTable(PlayerFunction):
         self._lookup = dict(self.entries)
         if len(self._lookup) != len(self.entries):
             raise PivotalError("outcome mapped twice in table")
-        # Values are checked once each; on a failure the sorted entries are
-        # walked to name the first bad outcome or value.
-        if bad is not None or not all(map(_in_value_range, set(self._lookup.values()))):
+        # Values are checked once per distinct object and value; on a failure
+        # the sorted entries are walked to name the first bad outcome or value.
+        values = {id(v): v for v in self._lookup.values()}.values()
+        if bad is not None or not all(map(_in_value_range, set(values))):
             for x, v in self.entries:
                 if first_bad_outcome((x,), self.n, len(alphabet)) is not None:
                     raise PivotalError(f"invalid outcome {x} in table")

@@ -938,13 +938,10 @@ class ProductDist(Distribution):
         as_int(k, "k", DistributionError, 1, self.n)
         return KwiseResult(True, None)
 
-    def grid_size(self) -> int:
-        return len(self.alphabet) ** self.n
-
     def to_explicit(self) -> ExplicitDist:
-        if self.grid_size() > _EXPANSION_LIMIT:
-            raise DistributionError(
-                f"grid of {self.grid_size()} points is too large to expand explicitly")
+        points = math.prod(len(row.symbols) ** count for row, count in self._runs)
+        if points > _EXPANSION_LIMIT:
+            raise DistributionError(f"grid of {points} points is too large to expand explicitly")
         return ExplicitDist(self.alphabet, self.n, list(self.items()))
 
     def sample(self, seed: int | str, index: int = 0) -> Outcome:

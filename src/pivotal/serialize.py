@@ -246,13 +246,13 @@ def fn_from_obj(obj: dict) -> PlayerFunction:
             if any(len(s) != 1 for s in alphabet.symbols):
                 raise PivotalError("table parsing needs single-character symbols")
             index = {s: i for i, s in enumerate(alphabet.symbols)}
-            values = {}
+            values, parsed = {}, {}  # each distinct value text is parsed once
             for key, v in obj["values"].items():
                 try:
                     outcome = tuple(index[ch] for ch in key)
                 except KeyError as exc:
                     raise PivotalError(f"unknown symbol {exc} in table key {key!r}") from None
-                values[outcome] = parse_rational(v)
+                values[outcome] = _parse_once(parsed, v, parse_rational)
             return DenseTable(alphabet, _json_int(obj["n"], "n"), values)
         if kind == "upward":
             n, gens = _json_int(obj["n"], "n"), obj["generators"]

@@ -16,8 +16,8 @@ from typing import Sequence
 from .analysis import (
     EFFECT_VARIANCE_RATIO,
     _deviates,
-    _deviating_mass,
     _mass_past,
+    _pivotal_groups,
     _require_pairwise,
     count_effect,
     count_pivotal,
@@ -324,9 +324,11 @@ def elimination_set(f: PlayerFunction, d: Distribution, m: int,
                     p: Fraction, alpha: Fraction) -> EliminationResult:
     """Greedy maximal disjoint family of pivotal sets of size at most m.
 
-    The certificate reads the same pivotal list that the loop consumed, so
-    it holds by the family's maximality: it checks the loop's bookkeeping,
-    not the pivotal scan, and is no independent evidence.
+    One kernel pass yields every subset's table, and ``pivotal_set``'s rule
+    gives one verdict per distinct table object. The certificate reads the
+    same pivotal list that the loop consumed, so it holds by the family's
+    maximality: it checks the loop's bookkeeping, not the pivotal scan, and
+    is no independent evidence.
     """
     p, alpha = _positive("p", p), _positive("alpha", alpha)
     m = as_int(m, "m", PreconditionError, 1, _ELIMINATION_M_LIMIT)
@@ -336,13 +338,10 @@ def elimination_set(f: PlayerFunction, d: Distribution, m: int,
     if not res.ok:
         raise PreconditionError(f"distribution is not {2 * m}-wise independent",
                                 witness=res.witness)
-    # Canonical scan order: by size, then lexicographic. One support pass
-    # yields the table of every small subset.
+    # Canonical scan order: by size, then lexicographic.
     subsets = [T for size in range(1, m + 1)
                for T in itertools.combinations(range(d.n), size)]
-    sums = d.sums(subsets, f)
-    pivotal = [T for T, t in zip(subsets, sums.tables)
-               if _deviating_mass(t, sums.mean, alpha) > p]
+    pivotal = list(itertools.compress(subsets, _pivotal_groups(d.sums(subsets, f), p, alpha)))
     family: list[tuple[int, ...]] = []
     union: set[int] = set()
     for T in pivotal:

@@ -108,6 +108,19 @@ class TestEvaluate:
         with pytest.raises(PivotalError, match=message):
             PartialTable(BINARY, 2, values)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: PartialTable(BINARY, 1, [((0,), F(0)), ((0,), F(1))]),
+         "outcome mapped twice in table"),
+        (lambda: UpwardClosure(2, [(1, 0)]).evaluate((2, 0)),
+         "non-binary outcome (2, 0) for an upward closure"),
+        (lambda: monotone_extend(PartialTable(PARTICIPATION, 1, {(0,): F(0)})),
+         "monotone extension is defined for the binary alphabet only"),
+    ], ids=["table-outcome-twice", "closure-non-binary", "extend-participation"])
+    def test_refusal_names_its_fault(self, call, message):
+        with pytest.raises(PivotalError) as info:
+            call()
+        assert str(info.value) == message
+
     def test_partial_table_undefined_point(self):
         pt = PartialTable(BINARY, 2, {(0, 0): F(1)})
         assert pt.evaluate((0, 0)) == 1

@@ -919,6 +919,25 @@ def test_product_condition_matches_explicit(d, data):
     assert got == want
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: BINARY.index("2"), "symbol '2' not in alphabet ('0', '1')"),
+    (lambda: ExplicitDist(BINARY, 1, []), "support is empty"),
+], ids=["alphabet-index", "empty-support"])
+def test_refusal_names_its_fault(call, message):
+    with pytest.raises(DistributionError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_expansion_limit_counts_support_points():
+    # A grid of 3^14 points, of which the 2^14 without the zero-weight symbol
+    # are the support: they are expanded, not refused by the grid's size.
+    d = ProductDist(PARTICIPATION, 14, [(HALF, HALF, 0)] * 14)
+    ex = d.to_explicit()
+    assert len(ex.support) == 1 << 14
+    assert ex.support[-1] == ((1,) * 14, F(1, 1 << 14))
+
+
 # ----------------------------------------------------------------------
 # The statistic path of ProductDist.sums against the grid walk
 
@@ -1136,6 +1155,36 @@ def test_grouped_sums_match_oracle_across_windows(d, f, weighed_by_class):
     groups = [(i,) for i in range(n)] + [(n - 1, 0), (3, 3), (1, 2, 4), tuple(range(n))]
     _assert_matches_oracle(d, groups, f)
     _assert_matches_oracle(d, groups[:2], None)
+
+
+def _wide_space(seed, size, rows):
+    """An explicit support of `size` points over a 300-symbol alphabet.
+
+    Past 256 symbols the kernel codes each point's symbol as a character,
+    not a byte. Player j shows one of rows[j] symbols, and each point weighs
+    1, 2 or 3 parts, so the points fall into weight classes.
+    """
+    rng = random.Random(seed)
+    points = rng.sample(list(itertools.product(*map(range, rows))), size)
+    raw = [rng.choice((1, 2, 3)) for _ in points]
+    alphabet = Alphabet(tuple(map(str, range(300))))
+    return ExplicitDist(alphabet, len(rows), [(x, F(w, sum(raw))) for x, w in zip(points, raw)])
+
+
+def test_grouped_sums_past_256_symbols_match_oracle():
+    d = _wide_space(300, 2000, (300, 300, 3))
+    f = PartialTable(d.alphabet, 3, {x: F(j % 401 - 200, 200)  # 401 distinct values
+                                     for j, (x, _) in enumerate(d.items())})
+    groups = [(0,), (1,), (2,), (0, 1), (2, 0)]
+    _assert_matches_oracle(d, groups, f)
+    _assert_matches_oracle(d, groups, None)
+
+
+def test_kwise_past_256_symbols_matches_oracle():
+    d = _wide_space(256, 300, (300, 300))
+    assert d.single_marginal(1) == tuple(brute_event_mass(d, {1: s}) for s in range(300))
+    _assert_kwise_matches_brute_force(d, 2)
+    assert not d.check_kwise(2).ok
 
 
 def test_product_sums_keep_nothing():

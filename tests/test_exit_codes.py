@@ -5,7 +5,8 @@ or input error; argparse reports its usage errors as ``SystemExit(2)``.
 Nothing else may escape ``main``, and 1 comes only with a verdict or
 certificate on stdout whose "ok" is false. Inputs are arbitrary JSON files,
 files holding valid spaces and functions, and builtin specs, well formed or
-not. Sizes stay tiny: k <= 4, n <= 7, at most 50 samples.
+not, among them spaces where no marginal lies inside (0, 1) and function
+files of the wrong arity. Sizes stay tiny: k <= 4, n <= 7, at most 50 samples.
 """
 
 import contextlib
@@ -20,7 +21,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from pivotal import (
+    BINARY,
     DenseTable,
+    ProductDist,
     UpwardClosure,
     hadamard_mu,
     majp_dist,
@@ -34,7 +37,7 @@ F = Fraction
 
 KEYS = ["kind", "alphabet", "n", "support", "x", "w", "marginals", "values",
         "name", "params", "i", "c", "generators"]
-WORDS = ["explicit", "product", "table", "builtin", "upward", *BUILTINS,
+WORDS = ["explicit", "product", "table", "builtin", "upward", *BUILTINS, "nosuch",
          "0", "1", "01", "00", "1/2", "1/0", "-1/3", "0.5", "⊥"]
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 8) | st.floats()
@@ -49,6 +52,8 @@ spaces = st.one_of(
     st.integers(1, 2).map(mixture_D),
     st.integers(1, 6).map(uniform_product),
     st.builds(majp_dist, st.integers(1, 4), st.sampled_from([F(1, 3), F(1, 2)])),
+    # Every player always shows 0: no effect is defined, and no marginal is inside (0, 1).
+    st.integers(1, 3).map(lambda n: ProductDist(BINARY, n, [(F(1), F(0))] * n)),
 )
 
 RATIONALS = ["1/2", "1/4", "1/5", "1", "0", "-1/4"]
@@ -91,9 +96,11 @@ def _input_file(data, tmp: Path, name: str, space) -> str:
 
 
 def _function_arg(data, tmp: Path, space) -> str:
-    choice = data.draw(st.sampled_from(["spec"] * 3 + ["bad spec", "file", "file"]))
+    choice = data.draw(st.sampled_from(["spec"] * 3 + ["bad spec", "file", "file", "arity"]))
     if choice == "file":
         return _json_file(data, tmp / "fn.json", fn_to_obj(_function(data, space)))
+    if choice == "arity":  # a function of one player more than the space has
+        return _json_file(data, tmp / "fn.json", fn_to_obj(UpwardClosure(space.n + 1, [])))
     return data.draw(st.sampled_from(SPECS if choice == "spec" else BAD_SPECS))
 
 

@@ -1,5 +1,6 @@
 """File formats, canonical round-trips, and the command-line surface."""
 
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from pivotal import (
     BINARY,
     PARTICIPATION,
+    Alphabet,
     ConstantFn,
     DenseTable,
     DictatorFn,
@@ -17,8 +19,10 @@ from pivotal import (
     MajPFn,
     ParityFn,
     PivotalError,
+    PartialTable,
     ProductDist,
     UpwardClosure,
+    count_pivotal,
     hadamard_mu,
     majp_dist,
     mixture_D,
@@ -176,6 +180,30 @@ class TestFnRoundTrip:
         with pytest.raises(PivotalError):
             fn_from_obj({"kind": "mystery"})
 
+    def test_equal_table_values_are_parsed_once(self, monkeypatch):
+        calls = []
+        parse = serialize.parse_rational
+        monkeypatch.setattr(serialize, "parse_rational", lambda t: calls.append(t) or parse(t))
+        grid = itertools.product((0, 1), repeat=4)
+        want = DenseTable(BINARY, 4, {x: F(sum(x) % 2) for x in grid})
+        f = fn_from_obj(json.loads(canonical_dumps(fn_to_obj(want))))
+        # 16 entries, one call and one value object per distinct value text.
+        assert sorted(calls) == ["0", "1"]
+        assert len({id(v) for _, v in f.entries}) == 2
+        assert f == want
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: fn_to_obj(DenseTable(Alphabet(("00", "1")), 1, {(0,): F(0), (1,): F(1)})),
+         "table serialization needs single-character symbols"),
+        (lambda: fn_to_obj(PartialTable(BINARY, 1, {(0,): F(0)})),
+         "cannot serialize PartialTable"),
+        (lambda: dist_to_obj(object()), "cannot serialize object"),
+    ], ids=["table-long-symbols", "function-type", "distribution-type"])
+    def test_unsavable_value_names_its_fault(self, call, message):
+        with pytest.raises(PivotalError) as info:
+            call()
+        assert str(info.value) == message
+
 
 class TestCliGen:
     def test_gen_hadamard_to_file(self, tmp_path, capsys):
@@ -258,6 +286,14 @@ class TestCliAnalyze:
                      "--what", "counts", "--alpha", "1/2"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["count_effect"] == 1
+
+    def test_pivotal_counts(self, uniform3_file, capsys):
+        assert main(["analyze", "--dist", uniform3_file, "--fn", "dictator:1",
+                     "--what", "counts", "--p", "1/4", "--alpha", "1/4"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        want = count_pivotal(DictatorFn(3, 1), uniform_product(3), F(1, 4), F(1, 4))
+        assert obj == {"what": "counts", "p": "1/4", "alpha": "1/4", "count_pivotal": want}
+        assert want == 1
 
     def test_function_file_input(self, tmp_path, uniform3_file, capsys):
         fn_path = tmp_path / "f.json"
@@ -476,6 +512,65 @@ def test_malformed_input_is_input_error(tmp_path, mu_file, capsys, dist_obj, fn)
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("pivotal: error:")
+
+
+# Input files named in the argument lists below, by file name.
+FILES = {
+    "u3.json": dist_to_obj(uniform_product(3)),
+    "u2.json": dist_to_obj(uniform_product(2)),
+    "majp3.json": dist_to_obj(majp_dist(3, F(1, 2))),
+    "degenerate.json": dist_to_obj(ProductDist(BINARY, 2, [(F(1), F(0))] * 2)),
+    "edge.json": dist_to_obj(ProductDist(BINARY, 2, [(F(1), F(0)), (F(1, 2), F(1, 2))])),
+    "arity2.json": fn_to_obj(UpwardClosure(2, [(1, 0)])),
+    "nosuch.json": {"kind": "builtin", "name": "nosuch", "params": {"n": 3}},
+    "badkey.json": {"kind": "table", "alphabet": ["0", "1"], "n": 1,
+                    "values": {"0": "0", "x": "1"}},
+    "long.json": {"kind": "table", "alphabet": ["00", "1"], "n": 1, "values": {}},
+}
+CONVEX = ["verify", "--which", "convex", "--player", "0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--dist", "u3.json", "--fn", "no-such-spec", "--what", "effects"],
+     f"'no-such-spec' is neither a file nor a builtin ({BUILTIN_SPECS})"),
+    (["analyze", "--dist", "u3.json", "--fn", "arity2.json", "--what", "effects"],
+     "function arity 2 does not match distribution arity 3"),
+    (["analyze", "--dist", "u3.json", "--fn", "nosuch.json", "--what", "effects"],
+     "unknown builtin 'nosuch'"),
+    (["analyze", "--dist", "u3.json", "--fn", "badkey.json", "--what", "effects"],
+     "unknown symbol 'x' in table key 'x'"),
+    (["analyze", "--dist", "u3.json", "--fn", "long.json", "--what", "effects"],
+     "table parsing needs single-character symbols"),
+    (["analyze", "--dist", "majp3.json", "--fn", "majp", "--what", "effects"],
+     "effect is defined for the binary alphabet only"),
+    (["analyze", "--dist", "majp3.json", "--fn", "majp", "--what", "influences"],
+     "influence is defined for the binary alphabet only"),
+    (["verify", "--which", "effect-identity", "--dist", "majp3.json", "--fn", "majp"],
+     "Fourier engine needs the binary alphabet"),
+    (["verify", "--which", "binary-bound", "--dist", "degenerate.json", "--fn", "majority",
+      "--alpha", "1/4"], "degenerate shared marginal Pr[0]=1"),
+    (CONVEX + ["--dist", "u3.json", "--dist2", "u3.json", "--fn", "majority", "--q", "3/2"],
+     "mixture weight 3/2 outside [0, 1]"),
+    (CONVEX + ["--dist", "majp3.json", "--dist2", "majp3.json", "--fn", "majp", "--q", "1/2"],
+     "decomposition applies to the binary alphabet only"),
+    (CONVEX + ["--dist", "u3.json", "--dist2", "u2.json", "--fn", "majority", "--q", "1/2"],
+     "components have different arities"),
+    (CONVEX + ["--dist", "edge.json", "--dist2", "edge.json", "--fn", "majority",
+               "--q", "1/2"], "player 0 marginal 0 not inside (0, 1)"),
+], ids=["fn-neither-file-nor-builtin", "fn-file-arity", "fn-unknown-builtin",
+        "table-unknown-symbol", "table-long-symbols", "effects-participation",
+        "influences-participation", "effect-identity-participation",
+        "binary-bound-degenerate", "convex-q-outside", "convex-participation",
+        "convex-arities", "convex-marginal-at-edge"])
+def test_refused_input_names_its_fault(tmp_path, monkeypatch, capsys, argv, message):
+    """Exit 2 with the refusal's own message on one stderr line."""
+    monkeypatch.chdir(tmp_path)
+    for name, obj in FILES.items():
+        (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"pivotal: error: {message}\n"
 
 
 K_PAST = str(_HADAMARD_K_LIMIT + 1)

@@ -11,6 +11,7 @@ import pytest
 from pivotal import (
     BINARY,
     ConstantFn,
+    DenseTable,
     DictatorFn,
     DistributionError,
     ExplicitDist,
@@ -43,10 +44,16 @@ from pivotal import (
     verify_thm1,
     verify_warmup,
 )
+from pivotal import analysis
 from pivotal.dist import mixture
 from pivotal.theorems import TightnessRow
 
-from oracles import brute_deviating_mass, brute_indicator_law, brute_signed_effect
+from oracles import (
+    brute_deviating_mass,
+    brute_indicator_law,
+    brute_set_deviating_mass,
+    brute_signed_effect,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -360,6 +367,35 @@ class TestElimination:
         with pytest.raises(PreconditionError,
                            match=re.escape("n=17 exceeds the enumeration limit 16")):
             elimination_set(ConstantFn(17, F(1)), uniform_product(17), 2, F(1, 4), F(1, 4))
+
+    @pytest.mark.parametrize("case, evaluations", [("majority", 2), ("dense", 5 + 10)])
+    def test_set_rule_decided_once_per_table(self, monkeypatch, case, evaluations):
+        # Majority on equal rows shares one table per subset size; a dense
+        # table shares none, so each subset gets its own verdict.
+        if case == "majority":
+            f, d, m, p, alpha = MajorityFn(8), uniform_product(8), 2, F(1, 4), F(1, 16)
+        else:
+            rng = random.Random(21)
+            f = DenseTable(BINARY, 5, {x: F(rng.choice((0, 1)))
+                                       for x in itertools.product((0, 1), repeat=5)})
+            d, m, p, alpha = uniform_product(5), 2, F(1, 4), F(1, 5)
+        calls = []
+        once = analysis._once_per_table
+
+        def counting(tables, make):
+            return once(tables, lambda i, t: calls.append(i) or make(i, t))
+
+        monkeypatch.setattr(analysis, "_once_per_table", counting)
+        res = elimination_set(f, d, m, p, alpha)
+        assert len(calls) == evaluations
+        # The family is the greedy one over the oracle's verdicts.
+        family, union = [], set()
+        for T in (T for size in range(1, m + 1) for T in itertools.combinations(range(d.n), size)):
+            if not union.intersection(T) and brute_set_deviating_mass(f, d, T, alpha) > p:
+                family.append(T)
+                union.update(T)
+        assert res.family == tuple(family)
+        assert res.certificate_ok
 
 
 @pytest.mark.parametrize("call, error, text", [
