@@ -529,11 +529,23 @@ class Distribution(ABC):
         checked = []
         for T in groups:
             if not isinstance(T, (tuple, list, Sequence)):  # the ABC test is the slow one
-                raise DistributionError(f"player group must be a sequence, got {T!r}")
-            if not T:
-                raise DistributionError("player group must be non-empty")
-            checked.append(tuple(map(self._check_player, T)))
-        return checked
+                fault = f"player group must be a sequence, got {T!r}"
+            elif not T:
+                fault = "player group must be non-empty"
+            else:
+                checked.append(tuple(T))
+                continue
+            self._check_players(checked)  # a bad player of an earlier group comes first
+            raise DistributionError(fault)
+        return self._check_players(checked)
+
+    def _check_players(self, groups: list[tuple]) -> list[tuple[int, ...]]:
+        # One pass over the distinct types and the extremes clears plain ints
+        # in range; otherwise each player is checked in turn, naming the first bad one.
+        if (groups and set(map(type, itertools.chain.from_iterable(groups))) == {int}
+                and min(map(min, groups)) >= 0 and max(map(max, groups)) < self.n):
+            return groups
+        return [tuple(map(self._check_player, T)) for T in groups]
 
     def sums(self, groups: Sequence[Sequence[int]],
              f: Evaluable | None = None) -> GroupedSums:

@@ -249,7 +249,7 @@ def fn_from_obj(obj: dict) -> PlayerFunction:
             values, parsed = {}, {}  # each distinct value text is parsed once
             for key, v in obj["values"].items():
                 try:
-                    outcome = tuple(index[ch] for ch in key)
+                    outcome = tuple(map(index.__getitem__, key))
                 except KeyError as exc:
                     raise PivotalError(f"unknown symbol {exc} in table key {key!r}") from None
                 values[outcome] = _parse_once(parsed, v, parse_rational)

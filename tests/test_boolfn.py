@@ -268,22 +268,43 @@ class TestUpwardClosure:
         with pytest.raises(PivotalError, match=r"^generator mask must be an int, got 2\.0$"):
             UpwardClosure.from_masks(3, [1, 2.0, 9])
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 20), st.data())
     def test_closure_matches_pairwise_oracle(self, n, data):
-        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+        # n past 8 spreads the coordinates over two or three byte tables.
+        top = (1 << n) - 1
+        masks = data.draw(st.lists(st.integers(0, top), max_size=12))
         masks += data.draw(st.lists(st.sampled_from(masks), max_size=4) if masks
                            else st.just([]))  # repeats
         f = UpwardClosure.from_masks(n, (m for m in masks))
         oracle = brute_minimal_generators(masks)
         assert f.generators == oracle
         assert UpwardClosure(n, [mask_to_outcome(m, n) for m in masks]) == f
-        cube = range(1 << n)
-        assert [f.evaluate_mask(m) for m in cube] == [brute_closure_value(masks, m)
-                                                     for m in cube]
-        first = [next((i for i, g in enumerate(oracle) if g & m == g), None) for m in cube]
-        assert f.first_dominated(iter(cube)) == first
-        assert f.first_dominated(cube) == first  # bitsets reused
+        if n <= 8:
+            queries = list(range(1 << n))
+        else:
+            queries = data.draw(st.lists(st.integers(0, top), max_size=40))
+            if masks:  # points just above and just below the generators
+                near = st.tuples(st.sampled_from(masks), st.integers(0, top), st.integers(0, n - 1))
+                for g, extra, j in data.draw(st.lists(near, max_size=40)):
+                    queries += [g | extra, g & ~(1 << j)]
+        # Only the low n bits count: negative masks and bits past n.
+        queries += data.draw(st.lists(st.integers(-(1 << (n + 3)), -1)
+                                      | st.integers(top + 1, 1 << (n + 3)), max_size=12))
+        assert [f.evaluate_mask(m) for m in queries] == [brute_closure_value(masks, m)
+                                                        for m in queries]
+        first = [next((i for i, g in enumerate(oracle) if g & m == g), None) for m in queries]
+        assert f.first_dominated(iter(queries)) == first
+        assert f.first_dominated(queries) == first  # tables reused
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 64])
+    def test_empty_and_full_closures(self, n):
+        empty, full = UpwardClosure.from_masks(n, []), UpwardClosure.from_masks(n, [0])
+        queries = [0, (1 << n) - 1, -1, 1 << n, -(1 << (n + 1)), 0b1011 << n]
+        assert empty.first_dominated(queries) == [None] * len(queries)
+        assert full.first_dominated(queries) == [0] * len(queries)
+        assert [empty.evaluate_mask(m) for m in queries] == [0] * len(queries)
+        assert [full.evaluate_mask(m) for m in queries] == [1] * len(queries)
 
 
 class TestMonotoneExtend:
@@ -405,6 +426,26 @@ class TestInfluenceCounterexample:
         assert f.generators == brute_minimal_generators(lowered)
         assert len(f.generators) == count
 
+    def test_k5_ball_samples_match_the_oracle(self):
+        # A seeded sample of both Hamming-1 balls; the oracle closes the lowered
+        # complement vectors pairwise and takes the first generator under each point.
+        k, n = 5, 31
+        bar = [outcome_to_mask(x) for x, _ in complement_mu(hadamard_mu(k)).items()]
+        base = [outcome_to_mask(x) for x, _ in hadamard_mu(k).items()]
+        lowered = {m & ~(1 << j) for m in bar for j in range(n) if m >> j & 1}
+        oracle = brute_minimal_generators(lowered)
+        f, _, _ = influence_counterexample(k)
+        rng = random.Random(5)
+        for centers, inside in ((bar, True), (base, False)):
+            ball = sorted({c ^ (1 << j) for c in centers for j in range(n)} | set(centers))
+            sample = rng.sample(ball, 150)
+            first = [next((i for i, g in enumerate(oracle) if g & m == g), None)
+                     for m in sample]
+            assert f.first_dominated(sample) == first
+            assert all((i is not None) == inside for i in first)
+            assert [f.evaluate_mask(m) for m in sample] == [brute_closure_value(lowered, m)
+                                                           for m in sample]
+
     def test_k4_zero_influence_everywhere(self):
         f, d, _ = influence_counterexample(4)
         assert all(brute_influence(f, d, i) == 0 for i in range(d.n))
@@ -429,6 +470,15 @@ class TestInfluenceCounterexample:
             (False, "point (1, 1, 0, 1, 0, 0, 0) dominates generator (1, 1, 0, 0, 0, 0, 0)"),
             (True, "upward closure"),
             (False, "expectation 15/16")]
+
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_k_past_8_is_refused_before_building(self, monkeypatch, k):
+        # hadamard_mu takes k up to 10, but the closure's byte tables grow
+        # about 8-fold per step of k.
+        from pivotal import boolfn
+        monkeypatch.setattr(boolfn, "hadamard_mu", None)
+        with pytest.raises(PreconditionError, match=rf"^k must be in 3\.\.8, got {k}$"):
+            influence_counterexample(k)
 
     def test_smallest_working_k_is_4(self):
         with pytest.raises(CertificateError):

@@ -1064,6 +1064,30 @@ def test_symmetric_path_validates_groups_first(groups, message):
         majp_dist(3, HALF).sums(groups, MajPFn(3))
 
 
+@pytest.mark.parametrize("groups, message", [
+    ([(5,), ()], r"^player index must be in 0\.\.2, got 5$"),  # before the later empty group
+    ([(0,), (), (7,)], r"^player group must be non-empty$"),
+    ([(1,), 3, (9,)], r"^player group must be a sequence, got 3$"),
+    ([(0, 1.0)], r"^player index must be an int, got 1\.0$"),
+    ([(1,), (2, "a"), (9,)], r"^player index must be an int, got 'a'$"),
+    ([(2, 7), (9,)], r"^player index must be in 0\.\.2, got 7$"),
+    ([(0, [1])], r"^player index must be an int, got \[1\]$"),
+])
+@pytest.mark.parametrize("explicit", [False, True], ids=["product", "explicit"])
+def test_groups_name_the_first_bad_player(groups, message, explicit):
+    # Valid groups are cleared in one pass; a failure names what a walk of
+    # the groups in order meets first.
+    d = uniform_product(3).to_explicit() if explicit else uniform_product(3)
+    with pytest.raises(DistributionError, match=message):
+        d.sums(groups)
+
+
+def test_groups_store_plain_int_players():
+    d = uniform_product(3)
+    assert d.sums([(True, 2), range(3)]) == d.sums([(1, 2), (0, 1, 2)])
+    assert all(type(i) is int for i in d._check_groups([(True, 2)])[0])
+
+
 # ----------------------------------------------------------------------
 # The grouped-sum kernel against the Fraction oracle
 

@@ -63,15 +63,19 @@ class TestHadamardMu:
             hadamard_mu(0)
 
     def test_rejects_k_past_limit_before_building(self, monkeypatch):
-        from pivotal import effect_counterexample, influence_counterexample, mixture_D
+        from pivotal import (PreconditionError, effect_counterexample, influence_counterexample,
+                             mixture_D)
         from pivotal import generators
         from pivotal.generators import _HADAMARD_K_LIMIT
 
-        # Nothing may be built for a refused k.
+        # Nothing may be built for a refused k. The influence counterexample
+        # stops below this limit, at its own (tests/test_boolfn.py).
         monkeypatch.setattr(generators, "ExplicitDist", None)
-        for build in (hadamard_mu, mixture_D, effect_counterexample, influence_counterexample):
+        for build in (hadamard_mu, mixture_D, effect_counterexample):
             with pytest.raises(DistributionError, match=f"1..{_HADAMARD_K_LIMIT}"):
                 build(_HADAMARD_K_LIMIT + 1)
+        with pytest.raises(PreconditionError, match=r"^k must be in 3\.\.8, got 11$"):
+            influence_counterexample(_HADAMARD_K_LIMIT + 1)
 
 
 class TestComplementMu:

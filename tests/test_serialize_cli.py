@@ -176,6 +176,13 @@ class TestFnRoundTrip:
         obj = fn_to_obj(f)
         assert set(obj["values"]) == {"00", "01", "10", "11"}
 
+    @pytest.mark.parametrize("key, symbol", [("0x1", "'x'"), ("2", "'2'"), ("01⊥", "'⊥'")])
+    def test_unknown_key_symbol_is_named(self, key, symbol):
+        values = {"000": "0", key: "1", "111": "1"}
+        obj = {"kind": "table", "alphabet": ["0", "1"], "n": 3, "values": values}
+        with pytest.raises(PivotalError, match=rf"^unknown symbol {symbol} in table key '{key}'$"):
+            fn_from_obj(obj)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(PivotalError):
             fn_from_obj({"kind": "mystery"})
@@ -539,6 +546,7 @@ CONVEX = ["verify", "--which", "convex", "--player", "0"]
      "unknown builtin 'nosuch'"),
     (["analyze", "--dist", "u3.json", "--fn", "badkey.json", "--what", "effects"],
      "unknown symbol 'x' in table key 'x'"),
+    (["counterexample", "--which", "influence", "--k", "9"], "k must be in 3..8, got 9"),
     (["analyze", "--dist", "u3.json", "--fn", "long.json", "--what", "effects"],
      "table parsing needs single-character symbols"),
     (["analyze", "--dist", "majp3.json", "--fn", "majp", "--what", "effects"],
@@ -558,7 +566,8 @@ CONVEX = ["verify", "--which", "convex", "--player", "0"]
     (CONVEX + ["--dist", "edge.json", "--dist2", "edge.json", "--fn", "majority",
                "--q", "1/2"], "player 0 marginal 0 not inside (0, 1)"),
 ], ids=["fn-neither-file-nor-builtin", "fn-file-arity", "fn-unknown-builtin",
-        "table-unknown-symbol", "table-long-symbols", "effects-participation",
+        "table-unknown-symbol", "influence-cx-k-past-8", "table-long-symbols",
+        "effects-participation",
         "influences-participation", "effect-identity-participation",
         "binary-bound-degenerate", "convex-q-outside", "convex-participation",
         "convex-arities", "convex-marginal-at-edge"])

@@ -4,6 +4,7 @@ Each test works in its own temporary directory, so the files the commands
 write land there.
 """
 
+import importlib.util
 import os
 import shlex
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from pivotal.boolfn import Certificate, CertificateError
 from pivotal.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,3 +46,23 @@ def test_script_exits_0(tmp_path, argv):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+@pytest.mark.parametrize("which, k, status", [
+    ("influence", 3, 0), ("influence", 4, 1), ("effect", 3, 1)])
+def test_build_counterexamples_fails_on_an_unexpected_refusal(tmp_path, monkeypatch, capsys,
+                                                              which, k, status):
+    # Only the influence build's refusal at k=3 is expected.
+    spec = importlib.util.spec_from_file_location(
+        "build_counterexamples", ROOT / "scripts" / "build_counterexamples.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def refuse(k):
+        raise CertificateError("refused", Certificate(which, k, ()), "pair")
+
+    monkeypatch.setattr(script, f"{which}_counterexample", refuse)
+    monkeypatch.setattr(sys, "argv", ["build_counterexamples.py", "--k", str(k),
+                                      "--out-dir", str(tmp_path)])
+    assert script.main() == status
+    assert f"{which} k={k}: REFUSED (pair)" in capsys.readouterr().out
