@@ -9,7 +9,6 @@ bogus pair.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -285,11 +284,9 @@ class UpwardClosure(PlayerFunction):
     def from_masks(cls, n: int, masks: Iterable[int]) -> "UpwardClosure":
         n = as_int(n, "arity", PivotalError)
         masks = {as_int(m, "generator mask", PivotalError) for m in masks}
-        # The smallest bad mask is named: the smallest, or else the first past top.
-        ordered, top = sorted(masks), (1 << n) - 1
-        past = bisect.bisect_right(ordered, top)
-        for m in ordered[:1] + ordered[past:past + 1]:
-            as_int(m, "generator mask", PivotalError, 0, top)
+        top = (1 << n) - 1
+        if bad := [m for m in masks if not 0 <= m <= top]:
+            as_int(min(bad), "generator mask", PivotalError, 0, top)  # the smallest is named
         obj = cls.__new__(cls)
         obj._setup(n, masks)
         return obj
@@ -508,16 +505,17 @@ def influence_counterexample(k: int) -> tuple[UpwardClosure, ExplicitDist, Certi
     checks = []
     violation = None
 
-    ball_bar = sorted(_neighborhood(bar, n))
-    bad1 = [m for m, i in zip(ball_bar, f.first_dominated(ball_bar)) if i is None]
+    # The balls are scanned as sets; only violators are sorted, to name the first.
+    ball_bar = _neighborhood(bar, n)
+    bad1 = sorted(m for m, i in zip(ball_bar, f.first_dominated(ball_bar)) if i is None)
     checks.append(CertCheck(
         "one_on_complement_ball", not bad1,
         f"point {mask_to_outcome(bad1[0], n)} not in closure" if bad1
         else f"{len(ball_bar)} points"))
 
-    ball_mu = sorted(_neighborhood([outcome_to_mask(x) for x, _ in mu.items()], n))
-    bad0 = [(m, f.generators[i]) for m, i in zip(ball_mu, f.first_dominated(ball_mu))
-            if i is not None]
+    ball_mu = _neighborhood([outcome_to_mask(x) for x, _ in mu.items()], n)
+    bad0 = sorted((m, f.generators[i]) for m, i in zip(ball_mu, f.first_dominated(ball_mu))
+                  if i is not None)
     if bad0:
         violation = (mask_to_outcome(bad0[0][0], n), mask_to_outcome(bad0[0][1], n))
     checks.append(CertCheck(

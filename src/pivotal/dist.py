@@ -26,8 +26,8 @@ and adds the point's weight to that value's mass, for the law. The mass
 of a set of points is weighed class by class by popcount, or summed over
 its set bits where classes do not apply; a second such mass, over the
 weights times the scaled values, gives an f-weighted sum. A group's table
-keys are the nonempty ANDs of its players' bitsets, inserted in order of
-their lowest set bit, their first support point. The kernel runs over
+keys are the nonempty ANDs of its players' bitsets; the order in which a
+table or the law lists its keys carries no meaning. The kernel runs over
 windows of at most ``_WINDOW`` consecutive points, adding each window's
 integer sums to the last; a value that brings a new denominator moves
 the f-weighted sums taken so far onto the larger lcm. So a group with
@@ -52,8 +52,8 @@ r-th power of the row polynomial Q(x) = sum_s r_s x^score(s), in the
 row's integer weights, so f's law comes from Q^n and each table entry
 from Q^(n - k), shifted by the group's own score and weighed by its
 symbols' weights. Each entry is the bitset kernel's integer sum, grouped
-by total, so both paths return equal ``GroupedSums``, with the same dict
-order. Any other input goes through the bitset kernel.
+by total, so both paths return equal ``GroupedSums``. Any other input
+goes through the bitset kernel.
 
 Sampling follows one stream contract: ``sample(seed, index)`` seeds one
 generator and makes one ``_draw`` per player, in player order (one for
@@ -184,6 +184,7 @@ class GroupedSums:
     maps the joint symbols of group g (in the group's player order) to
     (mass, sum of weight * f) over the outcomes showing them; symbol tuples
     of mass zero are absent. Groups may share one (read-only) table object.
+    The insertion order of the law and the tables carries no meaning.
     """
 
     law: dict[Fraction, Fraction]
@@ -313,14 +314,14 @@ def _draw_run(rng: random.Random, tops: bytes, count: int, last: bool) -> bytes:
 
 def _law_and_mean(slots: dict[Fraction, int], value_mass: list[int],
                   denom: int) -> tuple[dict[Fraction, Fraction], Fraction, int, list[int]]:
-    """Law (in ascending value order) and mean of f from each value slot's mass.
+    """Law and mean of f from each value slot's mass.
 
     Also returns the lcm vden of the values' denominators and each value
     times vden: f-weighted sums share the denominator denom * vden.
     """
     vden = math.lcm(*(v.denominator for v in slots))
     scaled = [v.numerator * (vden // v.denominator) for v in slots]
-    law = {v: Fraction(value_mass[slots[v]], denom) for v in sorted(slots)}
+    law = {v: Fraction(value_mass[j], denom) for v, j in slots.items()}
     mean = Fraction(sum(map(int.__mul__, value_mass, scaled)), denom * vden)
     return law, mean, vden, scaled
 
@@ -460,11 +461,6 @@ def _parts(columns: list[list[int]], T: tuple[int, ...],
     return known[T]
 
 
-def _first_point(part: tuple[Outcome, int]) -> int:
-    """The lowest set bit of a part's points: the part's first point."""
-    return part[1] & -part[1]
-
-
 def _support_bitsets(points: Sequence[Outcome], ints: Sequence[int], m: int) -> _Bitsets:
     """Per-(player, symbol) bitsets of a support, and its weight classes if few.
 
@@ -595,8 +591,7 @@ class Distribution(ABC):
 
             known: dict[tuple[int, ...], list[tuple[Outcome, int]]] = {}
             for T, acc in accs.items():
-                # Keys in order of their first point, the lowest set bit.
-                for key, b in sorted(_parts(window.columns, T, known), key=_first_point):
+                for key, b in _parts(window.columns, T, known):
                     m = window.mass(b)
                     m0, s0 = acc.get(key, (0, 0))
                     acc[key] = m0 + m, s0 + (m if heavy is None else heavy.mass(b))
@@ -898,10 +893,9 @@ class ProductDist(Distribution):
         # power(n - k)[t], so the entry's mass is w / row_den^k and its
         # f-weighted sum w * sum_t power(n - k)[t] * by_total[t + sigma] over
         # row_den^n * vden: it depends only on (k, w, sigma). A table walks
-        # the symbols a of its sorted players in product order, the order of
-        # their first grid points; key position p holds a[rank[p]], the
-        # symbol of T[p]'s place among them, so groups of equal rank share
-        # one table object.
+        # the symbols a of its sorted players; key position p holds
+        # a[rank[p]], the symbol of T[p]'s place among them, so groups of
+        # equal rank share one table object.
         entries: dict[tuple[int, int, int], tuple[Fraction, Fraction]] = {}
         by_rank: dict[tuple[int, ...], dict[Outcome, tuple[Fraction, Fraction]]] = {}
         tables = []

@@ -86,9 +86,8 @@ def brute_set_deviating_mass(f, d, players, alpha: Fraction) -> Fraction:
 def brute_grouped_sums(f, d, groups):
     """(law, mean, tables) of ``d.sums(groups, f)``, by one Fraction walk over d.items().
 
-    f=None stands for the constant 1. The law lists its values in ascending
-    order, and each table lists its joint symbols in order of their first
-    support point, as the library's dicts do.
+    f=None stands for the constant 1. The law and the tables are compared
+    as mappings: the order in which they list their keys carries no meaning.
     """
     law: dict = {}
     mean = F(0)

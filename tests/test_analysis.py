@@ -8,9 +8,11 @@ import pytest
 
 from pivotal import (
     BINARY,
+    PARTICIPATION,
     ConstantFn,
     DenseTable,
     DictatorFn,
+    Distribution,
     DistributionError,
     ExplicitDist,
     MajorityFn,
@@ -33,11 +35,14 @@ from pivotal import (
     pivotal_player,
     pivotal_report,
     pivotal_set,
+    reduce_to_binary,
     signed_effect,
     uniform_product,
+    verify_elimination,
 )
 from pivotal.analysis import EFFECT_VARIANCE_RATIO, _deviates
 from pivotal.boolfn import PreconditionError
+from pivotal.dist import GroupedSums
 
 from oracles import (
     brute_deviating_mass,
@@ -260,6 +265,18 @@ class TestCounts:
         effect_counts = [count_effect(f2, d2, a) for a in alphas]
         assert effect_counts == sorted(effect_counts, reverse=True)
 
+    @pytest.mark.parametrize("f, d", [
+        (MajPFn(7), majp_dist(7, HALF)),
+        (DenseTable(BINARY, 8, random_table(8, random.Random(5), (-1, 0, F(1, 2), 1))),
+         uniform_product(8)),
+    ], ids=["majp-7", "dense-8"])
+    def test_report_count_matches_count_pivotal(self, f, d):
+        # PivotalReport.count recounts one report at other thresholds.
+        report = pivotal_report(f, d, HALF, F(1, 8))
+        for p in (F(0), F(1, 8), F(1, 4), HALF, F(3, 4)):
+            for alpha in (F(0), F(1, 64), F(1, 16), F(1, 8), F(1, 4)):
+                assert report.count(p, alpha) == count_pivotal(f, d, p, alpha), (p, alpha)
+
 
 class TestFourier:
     def test_constant_function(self):
@@ -432,3 +449,54 @@ def test_effect_equals_influence_for_monotone_small():
     for f in (MajorityFn(3), DictatorFn(3, 1), ConstantFn(3, F(1))):
         for i in range(3):
             assert effect(f, d, i) == influence(f, d, i)
+
+
+_ALTERNATING = [(F(1, 4), F(1, 4), HALF), (F(1, 3), F(1, 6), HALF)] * 3
+
+
+@pytest.mark.parametrize("d", [
+    uniform_product(6),
+    ProductDist(PARTICIPATION, 6, _ALTERNATING),
+    mixture_D(3),
+    hadamard_mu(3),
+], ids=["uniform-6", "participation-alternating", "mixture-3", "hadamard-3"])
+def test_no_reader_depends_on_key_order(d, monkeypatch):
+    # The law and the tables of Distribution.sums are mappings whose
+    # insertion order carries no meaning: reversing every one of them
+    # changes no result of any reader.
+    m = len(d.alphabet)
+    rng = random.Random(d.n * m)
+    f = DenseTable(d.alphabet, d.n, {x: F(rng.randint(-8, 8), 8)
+                                     for x in itertools.product(range(m), repeat=d.n)})
+    p, alpha, product = F(1, 8), F(1, 16), isinstance(d, ProductDist)
+    calls = {
+        "pivotal_report": lambda: pivotal_report(f, d, p, alpha),
+        "pivotal_set": lambda: [pivotal_set(f, d, T, p, alpha) for T in ((0,), (2, 0), (1, 3, 4))],
+        # Coalitions of up to m players need 2m-wise independence.
+        "verify_elimination": lambda: verify_elimination(f, d, 1 + product, p, alpha),
+        "reduce_to_binary": lambda: reduce_to_binary(f, d, p, alpha),
+    }
+    if d.alphabet == BINARY:
+        calls["effect_report"] = lambda: effect_report(f, d)
+    if not product:  # a product's marginal does not read sums
+        calls["marginal"] = lambda: [d.marginal(T) for T in ((1,), (3, 0), (0, 2, 5))]
+    if not product and len(d.support) == d.n + 1:  # a minimal-support space
+        calls["fourier"] = lambda: fourier(f, d)
+        calls["effect_identity"] = lambda: effect_identity(f, d)
+    want = {name: call() for name, call in calls.items()}
+    assert want["reduce_to_binary"].i_plus  # the reduction has players to collapse
+    sums, used = Distribution.sums, []
+
+    def reversed_sums(self, groups, f=None):
+        # The law and each table list their keys in reverse; shared tables stay shared.
+        used.append(groups)
+        got = sums(self, groups, f)
+        flipped = {id(t): dict(reversed(t.items())) for t in got.tables}
+        return GroupedSums(dict(reversed(got.law.items())), got.mean,
+                           tuple(flipped[id(t)] for t in got.tables))
+
+    monkeypatch.setattr(Distribution, "sums", reversed_sums)
+    for name, call in calls.items():
+        before = len(used)
+        assert call() == want[name], name
+        assert len(used) > before, name

@@ -369,6 +369,18 @@ class TestEffectCounterexample:
         with pytest.raises(PreconditionError):
             effect_counterexample(2)
 
+    def test_broken_complement_is_refused_with_a_named_pair(self, monkeypatch):
+        # The base space as its own complement: the closure of its support
+        # holds the base support, so the scan names a (point, generator) pair.
+        from pivotal import boolfn
+        monkeypatch.setattr(boolfn, "complement_mu", lambda mu: mu)
+        with pytest.raises(CertificateError) as exc:
+            effect_counterexample(3)
+        point, gen = exc.value.violation
+        assert all(g <= x for g, x in zip(gen, point))
+        assert exc.value.violation == ((0,) * 7, (0,) * 7)
+        assert [c.ok for c in exc.value.certificate.checks] == [False, True, False]
+
 
 def _digest(generators):
     return hashlib.sha256(",".join(map(str, generators)).encode()).hexdigest()

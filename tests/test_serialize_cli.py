@@ -387,6 +387,15 @@ class TestCliVerify:
         assert err.startswith("pivotal: error:")
         assert "n=17 exceeds the enumeration limit 16" in err
 
+    def test_failing_verdict_prints_its_witness(self, mu_file, monkeypatch, capsys):
+        from pivotal import theorems
+        failed = theorems.Verdict("thm1", {}, {}, None, False, witness=((0, 1), (1, 0)))
+        monkeypatch.setattr(theorems, "verify_thm1", lambda *args: failed)
+        assert main(["verify", "--which", "thm1", "--dist", mu_file,
+                     "--fn", "majority", "--p", "1/4", "--alpha", "1/5"]) == 1
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["ok"], obj["witness"]) == (False, [[0, 1], [1, 0]])
+
     def test_missing_argument_is_usage_error(self, mu_file, capsys):
         assert main(["verify", "--which", "thm1", "--dist", mu_file,
                      "--fn", "majority", "--p", "1/4"]) == 2
@@ -422,6 +431,16 @@ class TestCliCounterexample:
 
     def test_influence_k4_passes(self, capsys):
         assert main(["counterexample", "--which", "influence", "--k", "4"]) == 0
+
+    def test_effect_refusal_exits_1_with_the_violation(self, monkeypatch, capsys):
+        # With the complement space replaced by the base space itself, the
+        # closure holds every base point, so the certificate fails.
+        from pivotal import boolfn
+        monkeypatch.setattr(boolfn, "complement_mu", lambda mu: mu)
+        assert main(["counterexample", "--which", "effect", "--k", "3"]) == 1
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["ok"] is False
+        assert verdict["violation"] == [[0] * 7, [0] * 7]
 
 
 class TestCliSweep:
@@ -533,6 +552,7 @@ FILES = {
     "badkey.json": {"kind": "table", "alphabet": ["0", "1"], "n": 1,
                     "values": {"0": "0", "x": "1"}},
     "long.json": {"kind": "table", "alphabet": ["00", "1"], "n": 1, "values": {}},
+    "list.json": [1, 2],
 }
 CONVEX = ["verify", "--which", "convex", "--player", "0"]
 
@@ -546,6 +566,8 @@ CONVEX = ["verify", "--which", "convex", "--player", "0"]
      "unknown builtin 'nosuch'"),
     (["analyze", "--dist", "u3.json", "--fn", "badkey.json", "--what", "effects"],
      "unknown symbol 'x' in table key 'x'"),
+    (["analyze", "--dist", "u3.json", "--fn", "list.json", "--what", "effects"],
+     "function must be a JSON object, got list"),
     (["counterexample", "--which", "influence", "--k", "9"], "k must be in 3..8, got 9"),
     (["analyze", "--dist", "u3.json", "--fn", "long.json", "--what", "effects"],
      "table parsing needs single-character symbols"),
@@ -557,6 +579,10 @@ CONVEX = ["verify", "--which", "convex", "--player", "0"]
      "Fourier engine needs the binary alphabet"),
     (["verify", "--which", "binary-bound", "--dist", "degenerate.json", "--fn", "majority",
       "--alpha", "1/4"], "degenerate shared marginal Pr[0]=1"),
+    (["verify", "--which", "binary-bound", "--dist", "majp3.json", "--fn", "majp",
+      "--alpha", "1/4"], "bound applies to the binary alphabet only"),
+    (["verify", "--which", "sum-bound", "--dist", "majp3.json", "--fn", "majp",
+      "--players", "0,1"], "bound applies to the binary alphabet only"),
     (CONVEX + ["--dist", "u3.json", "--dist2", "u3.json", "--fn", "majority", "--q", "3/2"],
      "mixture weight 3/2 outside [0, 1]"),
     (CONVEX + ["--dist", "majp3.json", "--dist2", "majp3.json", "--fn", "majp", "--q", "1/2"],
@@ -566,10 +592,11 @@ CONVEX = ["verify", "--which", "convex", "--player", "0"]
     (CONVEX + ["--dist", "edge.json", "--dist2", "edge.json", "--fn", "majority",
                "--q", "1/2"], "player 0 marginal 0 not inside (0, 1)"),
 ], ids=["fn-neither-file-nor-builtin", "fn-file-arity", "fn-unknown-builtin",
-        "table-unknown-symbol", "influence-cx-k-past-8", "table-long-symbols",
+        "table-unknown-symbol", "fn-file-list", "influence-cx-k-past-8", "table-long-symbols",
         "effects-participation",
         "influences-participation", "effect-identity-participation",
-        "binary-bound-degenerate", "convex-q-outside", "convex-participation",
+        "binary-bound-degenerate", "binary-bound-participation", "sum-bound-participation",
+        "convex-q-outside", "convex-participation",
         "convex-arities", "convex-marginal-at-edge"])
 def test_refused_input_names_its_fault(tmp_path, monkeypatch, capsys, argv, message):
     """Exit 2 with the refusal's own message on one stderr line."""

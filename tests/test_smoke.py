@@ -1,20 +1,48 @@
 """The documented entry points run: both scripts and the README's command lines.
 
+README's size-limit table is checked against the errors the library raises.
+
 Each test works in its own temporary directory, so the files the commands
 write land there.
 """
 
+import csv
 import importlib.util
+import io
 import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from pivotal.boolfn import Certificate, CertificateError
+from pivotal import (
+    MajorityFn,
+    MajPFn,
+    ParityFn,
+    PivotalError,
+    effect_counterexample,
+    elimination_set,
+    hadamard_mu,
+    influence_counterexample,
+    majp_dist,
+    mixture_D,
+    monotone_check,
+    reduce_to_binary,
+    uniform_product,
+)
+from pivotal.boolfn import (
+    _INFLUENCE_K_LIMIT,
+    _MONOTONE_CHECK_LIMIT,
+    Certificate,
+    CertificateError,
+)
 from pivotal.cli import main
+from pivotal.dist import _EXPANSION_LIMIT
+from pivotal.generators import _HADAMARD_K_LIMIT, _PRODUCT_N_LIMIT
+from pivotal.theorems import _ELIMINATION_M_LIMIT, _ELIMINATION_N_LIMIT, _REDUCTION_ARITY_LIMIT
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,7 +60,11 @@ def test_readme_command_lines_exit_0(tmp_path, monkeypatch, capsys):
     assert len(commands) == 13
     for line in commands:
         assert main(shlex.split(line)[1:]) == 0, line
-        assert capsys.readouterr().err == "", line
+        out, err = capsys.readouterr()
+        assert err == "", line
+        if line.startswith("pivotal sweep "):  # the example shows a nonzero count
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert any(row["count_or_estimate"] != "0" for row in rows), out
 
 
 @pytest.mark.parametrize("argv", [
@@ -66,3 +98,49 @@ def test_build_counterexamples_fails_on_an_unexpected_refusal(tmp_path, monkeypa
                                       "--out-dir", str(tmp_path)])
     assert script.main() == status
     assert f"{which} k={k}: REFUSED (pair)" in capsys.readouterr().out
+
+
+def _size_limit_rows() -> list:
+    """(call cell, example error text) of each row of README's "Size limits" table."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Size limits", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in table.splitlines() if line.startswith("|")][2:]
+    return [pytest.param(cells[0], cells[-1].strip("`"), id=cells[0].replace("`", ""))
+            for cells in ([c.strip() for c in line.strip("|").split("|")] for line in lines)]
+
+
+HALF = Fraction(1, 2)
+_K, _N = _HADAMARD_K_LIMIT + 1, _PRODUCT_N_LIMIT + 1
+_GRID = next(n for n in range(1, 64) if 3 ** n > _EXPANSION_LIMIT)  # majp_dist has 3 symbols
+_ARITY = _REDUCTION_ARITY_LIMIT + 1
+
+# Each row's calls at the first value past its limit, from the limit constants.
+SIZE_LIMIT_CALLS = {
+    "`hadamard_mu(k)`, `mixture_D(k)`, `effect_counterexample(k)`": [
+        lambda: hadamard_mu(_K), lambda: mixture_D(_K), lambda: effect_counterexample(_K)],
+    "`influence_counterexample(k)`, `counterexample --which influence`": [
+        lambda: influence_counterexample(_INFLUENCE_K_LIMIT + 1)],
+    "`uniform_product(n)`, `majp_dist(n, p)`": [
+        lambda: uniform_product(_N), lambda: majp_dist(_N, HALF)],
+    "`ProductDist.to_explicit()`": [lambda: majp_dist(_GRID, HALF).to_explicit()],
+    "`monotone_check(f)`": [lambda: monotone_check(ParityFn(_MONOTONE_CHECK_LIMIT + 1))],
+    "`elimination_set`, `verify --which thm2`": [
+        lambda: elimination_set(MajorityFn(_ELIMINATION_N_LIMIT + 1),
+                                uniform_product(_ELIMINATION_N_LIMIT + 1), 1, HALF, HALF)],
+    "the same, coalition size": [
+        lambda: elimination_set(MajorityFn(8), uniform_product(8), _ELIMINATION_M_LIMIT + 1,
+                                HALF, HALF)],
+    # Every player of MajP is pivotal at a small alpha, so all are selected.
+    "`reduce_to_binary`, `verify --which reduction`": [
+        lambda: reduce_to_binary(MajPFn(_ARITY), majp_dist(_ARITY, HALF), Fraction(1, 4),
+                                 Fraction(1, 1000))],
+}
+
+
+@pytest.mark.parametrize("call, text", _size_limit_rows())
+def test_readme_size_limits_match_the_errors(call, text):
+    # The table's example text is the error raised just past each limit.
+    for make in SIZE_LIMIT_CALLS[call]:
+        with pytest.raises(PivotalError) as exc:
+            make()
+        assert str(exc.value) == text
