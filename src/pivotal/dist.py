@@ -51,9 +51,10 @@ kernel never evaluates f. The law of the total over r players is the
 r-th power of the row polynomial Q(x) = sum_s r_s x^score(s), in the
 row's integer weights, so f's law comes from Q^n and each table entry
 from Q^(n - k), shifted by the group's own score and weighed by its
-symbols' weights. Each entry is the bitset kernel's integer sum, grouped
-by total, so both paths return equal ``GroupedSums``. Any other input
-goes through the bitset kernel.
+symbols' weights. Neither depends on the symbols' order, so the groups
+of one size share one table. Each entry is the bitset kernel's integer
+sum, grouped by total, so both paths return equal ``GroupedSums``. Any
+other input goes through the bitset kernel.
 
 Sampling follows one stream contract: ``sample(seed, index)`` seeds one
 generator and makes one ``_draw`` per player, in player order (one for
@@ -827,14 +828,15 @@ class ProductDist(Distribution):
         # last player) form the tail; each window fixes the other players'
         # symbols and runs through the tail. Its bitsets are the tail's, a
         # fixed player's column is all or nothing, and its weights are the
-        # tail's times the fixed players' weight.
+        # tail's times the fixed players' weight. Nothing reads a window's singles.
         dens, _, symbols, weights, *_ = zip(*map(self._entries.__getitem__, self._index))
         split = len(symbols) - 1
         while split and math.prod(map(len, symbols[split - 1:])) <= _WINDOW:
             split -= 1
         m = len(self.alphabet)
-        tail = _support_bitsets(list(itertools.product(*symbols[split:])),
-                                list(map(math.prod, itertools.product(*weights[split:]))), m)
+        ints = list(map(math.prod, itertools.product(*weights[split:])))
+        columns = zip(*reversed(list(itertools.product(*symbols[split:]))))
+        tail = _Bitsets([_indicators(col, m) for col in columns], _classes(ints), ints, [])
         every = (1 << len(tail.ints)) - 1
         fixed = [[every if t == s else 0 for t in range(m)] for s in range(m)]
 
@@ -892,27 +894,21 @@ class ProductDist(Distribution):
         # score sigma. The other players reach total t with weight
         # power(n - k)[t], so the entry's mass is w / row_den^k and its
         # f-weighted sum w * sum_t power(n - k)[t] * by_total[t + sigma] over
-        # row_den^n * vden: it depends only on (k, w, sigma). A table walks
-        # the symbols a of its sorted players; key position p holds
-        # a[rank[p]], the symbol of T[p]'s place among them, so groups of
-        # equal rank share one table object.
+        # row_den^n * vden: it depends only on (k, w, sigma). Both w and
+        # sigma are symmetric in a, so all groups of k players share one
+        # table, whatever their players' order.
         entries: dict[tuple[int, int, int], tuple[Fraction, Fraction]] = {}
-        by_rank: dict[tuple[int, ...], dict[Outcome, tuple[Fraction, Fraction]]] = {}
-        tables = []
-        for T in groups:
-            k, rank = len(T), tuple(map(sorted(T).index, T))
-            if rank not in by_rank:
-                key = itemgetter(*rank) if k > 1 else tuple  # one index gives a bare symbol
-                table = by_rank[rank] = {}
-                for a in itertools.product(symbols, repeat=k):
-                    w, sigma = math.prod(map(row_ints.__getitem__, a)), sum(map(score.get, a))
-                    if (k, w, sigma) not in entries:
-                        total = sum(map(int.__mul__, power(n - k), by_total[sigma - k * lo:]))
-                        entries[k, w, sigma] = (Fraction(w, row_den ** k),
-                                                Fraction(w * total, row_den ** n * vden))
-                    table[key(a)] = entries[k, w, sigma]
-            tables.append(by_rank[rank])
-        return GroupedSums(law, mean, tuple(tables))
+        by_size: dict[int, dict[Outcome, tuple[Fraction, Fraction]]] = {}
+        for k in set(map(len, groups)):
+            table = by_size[k] = {}
+            for a in itertools.product(symbols, repeat=k):
+                w, sigma = math.prod(map(row_ints.__getitem__, a)), sum(map(score.get, a))
+                if (k, w, sigma) not in entries:
+                    total = sum(map(int.__mul__, power(n - k), by_total[sigma - k * lo:]))
+                    entries[k, w, sigma] = (Fraction(w, row_den ** k),
+                                            Fraction(w * total, row_den ** n * vden))
+                table[a] = entries[k, w, sigma]
+        return GroupedSums(law, mean, tuple(by_size[len(T)] for T in groups))
 
     def weight(self, x: Outcome) -> Fraction:
         if len(x) != self.n:

@@ -221,6 +221,8 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
     k = len(selected)
     if k > _REDUCTION_ARITY_LIMIT:
         raise PivotalError(f"reduction would enumerate 2^{k} indicator vectors")
+    if len(d.alphabet) ** k > 2 ** _REDUCTION_ARITY_LIMIT:  # the joint table has |S|^k keys
+        raise PivotalError(f"reduction would read {len(d.alphabet)}^{k} joint symbols")
     p_values = tuple(r.mass_past(alpha, sign) for r in chosen)
     dev_syms = [{sd.symbol for sd in r.deviations if _deviates(sd.deviation, alpha, sign)}
                 for r in chosen]

@@ -289,6 +289,7 @@ class TestFourier:
         mu = hadamard_mu(2)
         table = fourier(MajorityFn(3), mu)
         assert table.coeffs[0] == F(3, 4)
+        assert table.expectation == mu.expectation(MajorityFn(3)) == F(3, 4)
 
     def test_coefficient_is_half_signed_effect(self):
         # |coeff(y)| must be exactly half the effect of player y - 1.

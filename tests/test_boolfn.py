@@ -190,10 +190,12 @@ def test_order_witness_catches_a_dictator():
 class TestMonotoneCheck:
     def test_majority_is_monotone(self):
         assert monotone_check(MajorityFn(3)).ok
+        assert monotone_check(MajorityFn(3))  # a result is true when it holds
 
     def test_parity_witness(self):
         res = monotone_check(ParityFn(2))
         assert not res.ok
+        assert not res
         x, i = res.witness
         f = ParityFn(2)
         raised = list(x)

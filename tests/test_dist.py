@@ -22,6 +22,7 @@ from pivotal import (
     UndefinedPointError,
     mixture,
 )
+from pivotal import analysis as analysis_module
 from pivotal import dist as dist_module
 from pivotal.analysis import (
     count_effect,
@@ -407,10 +408,12 @@ class TestMixture:
 class TestCheckKwise:
     def test_even_parity_is_pairwise(self, even_parity3):
         assert even_parity3.check_kwise(2).ok
+        assert even_parity3.check_kwise(2)  # a result is true when it holds
 
     def test_even_parity_not_threewise(self, even_parity3):
         res = even_parity3.check_kwise(3)
         assert not res.ok
+        assert not res
         assert res.witness.players == (0, 1, 2)
         # First lexicographic violation: (0,0,0) carries 1/4 instead of 1/8.
         assert res.witness.assignment == (0, 0, 0)
@@ -767,6 +770,25 @@ def test_estimate_is_the_sequential_sum():
     assert {f.evaluate(d.sample("t", j)) for j in range(500)} == set(values)
 
 
+@pytest.mark.parametrize("make", [
+    # Equal rows given as distinct tuple objects, and as one shared tuple.
+    lambda: (ProductDist(BINARY, 3, [tuple([F(1, 3), F(2, 3)]) for _ in range(3)]),
+             ProductDist(BINARY, 3, [(F(1, 3), F(2, 3))] * 3)),
+    # The support given in reverse order, and as the product expands it.
+    lambda: (ExplicitDist(BINARY, 2, list(uniform_product(2).items())[::-1]),
+             uniform_product(2).to_explicit()),
+    lambda: (DenseTable(BINARY, 2, {(a, b): F(a & b) for a in (1, 0) for b in (1, 0)}),
+             DenseTable(BINARY, 2, [((a, b), F(a & b)) for a in (0, 1) for b in (0, 1)])),
+    # A dominated generator is minimized away.
+    lambda: (UpwardClosure(3, [(1, 1, 0), (1, 1, 1)]), UpwardClosure(3, [(1, 1, 0)])),
+], ids=["product", "explicit", "dense-table", "upward-closure"])
+def test_equal_values_built_differently_hash_equal(make):
+    a, b = make()
+    assert a is not b and a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_equal_product_rows_are_stored_once():
     tracemalloc.start()
     try:
@@ -1050,6 +1072,35 @@ def test_statistic_path_never_evaluates():
     sums = d.sums(groups, Counted(9))
     assert calls == []
     assert sums == d.to_explicit().sums(groups, MajPFn(9))
+
+
+@pytest.mark.parametrize("f", [None, MajPFn(5)], ids=["none", "majp"])
+def test_statistic_tables_are_shared_per_size(f, monkeypatch):
+    # An entry depends only on the group's size and on its symbols' product
+    # weight and total score, none of which depends on their order, so
+    # the groups of one size share one table, whatever their players' order.
+    d = majp_dist(5, HALF)
+    groups = [(0, 1), (3,), (3, 1), (1, 0), (4,), (2, 4, 0), (0, 2, 4), (4, 3, 1)]
+    sums = d.sums(groups, f)
+    first = {}
+    for T, table in zip(groups, sums.tables):
+        assert first.setdefault(len(T), table) is table
+    assert sums == d.to_explicit().sums(groups, f)
+    if f is None:
+        return
+    decided = []
+    once = analysis_module._once_per_table
+    monkeypatch.setattr(analysis_module, "_once_per_table", lambda tables, make: once(
+        tables, lambda i, t: decided.append(i) or make(i, t)))
+    p, alpha = HALF, F(1, 8)  # pairs and triples are pivotal, single players are not
+    verdicts = analysis_module._pivotal_groups(sums, p, alpha)
+    assert decided == [0, 1, 5]  # the first group of each size
+    assert verdicts == [len(T) > 1 for T in groups]
+    assert verdicts == [pivotal_set(f, d, T, p, alpha) for T in groups]
+    assert verdicts == [brute_set_deviating_mass(f, d, T, alpha) > p for T in groups]
+    decided.clear()
+    assert elimination_set(f, d, 3, p, alpha).family == ((0, 1), (2, 3))
+    assert len(decided) == 3  # subsets of 1, 2 and 3 players
 
 
 @pytest.mark.parametrize("groups, message", [

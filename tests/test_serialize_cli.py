@@ -1,5 +1,6 @@
 """File formats, canonical round-trips, and the command-line surface."""
 
+import dataclasses
 import itertools
 import json
 import re
@@ -396,9 +397,33 @@ class TestCliVerify:
         obj = json.loads(capsys.readouterr().out)
         assert (obj["ok"], obj["witness"]) == (False, [[0, 1], [1, 0]])
 
+    @pytest.mark.parametrize("field, value, witness", [
+        ("y_dist", uniform_product(1).to_explicit(), ["1/2"]),
+        ("g", DenseTable(BINARY, 1, {(0,): Fraction(0), (1,): Fraction(0)}), "0"),
+    ], ids=["marginal", "effects"])
+    def test_failed_reduction_prints_its_witness(self, uniform3_file, monkeypatch, capsys,
+                                                 field, value, witness):
+        # The real reduction with one part swapped fails one of its checks.
+        from pivotal import theorems
+        real = theorems.reduce_to_binary
+        monkeypatch.setattr(theorems, "reduce_to_binary",
+                            lambda *args: dataclasses.replace(real(*args), **{field: value}))
+        assert main(["verify", "--which", "reduction", "--dist", uniform3_file,
+                     "--fn", "dictator:0", "--p", "1/2", "--alpha", "1/4"]) == 1
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["ok"], obj["witness"]) == (False, witness)
+
     def test_missing_argument_is_usage_error(self, mu_file, capsys):
         assert main(["verify", "--which", "thm1", "--dist", mu_file,
                      "--fn", "majority", "--p", "1/4"]) == 2
+
+    def test_players_that_are_not_integers_are_usage_error(self, mu_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--which", "sum-bound", "--dist", mu_file, "--fn", "majority",
+                  "--players", "0,b"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("expected comma-separated player indices, got '0,b'\n")
 
     def test_precondition_failure_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "dep.json"
@@ -553,6 +578,7 @@ FILES = {
                     "values": {"0": "0", "x": "1"}},
     "long.json": {"kind": "table", "alphabet": ["00", "1"], "n": 1, "values": {}},
     "list.json": [1, 2],
+    "mixture.json": {"kind": "mixture", "alphabet": ["0", "1"], "n": 2},
 }
 CONVEX = ["verify", "--which", "convex", "--player", "0"]
 
@@ -591,13 +617,17 @@ CONVEX = ["verify", "--which", "convex", "--player", "0"]
      "components have different arities"),
     (CONVEX + ["--dist", "edge.json", "--dist2", "edge.json", "--fn", "majority",
                "--q", "1/2"], "player 0 marginal 0 not inside (0, 1)"),
+    (["analyze", "--dist", "mixture.json", "--fn", "majority", "--what", "effects"],
+     "unknown distribution kind 'mixture'"),
+    (["sweep", "--majp-tightness", "--n", "5", "--p", "1/2", "--alpha-grid", "1/8",
+      "--samples", "100"], "Monte Carlo mode needs an explicit seed"),
 ], ids=["fn-neither-file-nor-builtin", "fn-file-arity", "fn-unknown-builtin",
         "table-unknown-symbol", "fn-file-list", "influence-cx-k-past-8", "table-long-symbols",
         "effects-participation",
         "influences-participation", "effect-identity-participation",
         "binary-bound-degenerate", "binary-bound-participation", "sum-bound-participation",
         "convex-q-outside", "convex-participation",
-        "convex-arities", "convex-marginal-at-edge"])
+        "convex-arities", "convex-marginal-at-edge", "dist-unknown-kind", "sweep-samples-no-seed"])
 def test_refused_input_names_its_fault(tmp_path, monkeypatch, capsys, argv, message):
     """Exit 2 with the refusal's own message on one stderr line."""
     monkeypatch.chdir(tmp_path)

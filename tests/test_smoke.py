@@ -1,6 +1,7 @@
 """The documented entry points run: both scripts and the README's command lines.
 
-README's size-limit table is checked against the errors the library raises.
+README's size-limit table is checked against the errors the library raises,
+and its tightness table against the deviations the library computes.
 
 Each test works in its own temporary directory, so the files the commands
 write land there.
@@ -9,6 +10,7 @@ write land there.
 import csv
 import importlib.util
 import io
+import math
 import os
 import shlex
 import subprocess
@@ -30,6 +32,7 @@ from pivotal import (
     majp_dist,
     mixture_D,
     monotone_check,
+    pivotal_player,
     reduce_to_binary,
     uniform_product,
 )
@@ -109,10 +112,33 @@ def _size_limit_rows() -> list:
             for cells in ([c.strip() for c in line.strip("|").split("|")] for line in lines)]
 
 
+def _tightness_rows() -> list:
+    """(n, value) of each row of README's "Tightness" table."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("**Tightness.**", 1)[1].split("\n\n", 2)[1]
+    lines = [line for line in table.splitlines() if line.startswith("|")][2:]
+    return [pytest.param(int(n.replace(",", "")), value, id=n.replace(",", ""))
+            for n, value in ([c.strip() for c in line.strip("|").split("|")] for line in lines)]
+
+
+@pytest.mark.parametrize("n, value", _tightness_rows())
+def test_readme_tightness_table_matches_the_code(n, value):
+    # The exact vote-1 deviation of player 0 at p = 1/2, times sqrt(pn), as
+    # scripts/tightness_experiment.py prints it.
+    _, row = pivotal_player(MajPFn(n), majp_dist(n, HALF), 0, HALF, Fraction(1))
+    deviation = next(sd.deviation for sd in row.deviations if sd.symbol == 1)
+    assert f"{float(deviation) * math.sqrt(n / 2):.5f}" == value
+
+
+def test_readme_tightness_table_lists_every_size():
+    assert [param.values[0] for param in _tightness_rows()] == [9, 25, 49, 201, 281, 1000, 10000]
+
+
 HALF = Fraction(1, 2)
 _K, _N = _HADAMARD_K_LIMIT + 1, _PRODUCT_N_LIMIT + 1
 _GRID = next(n for n in range(1, 64) if 3 ** n > _EXPANSION_LIMIT)  # majp_dist has 3 symbols
 _ARITY = _REDUCTION_ARITY_LIMIT + 1
+_TERNARY_ARITY = next(k for k in range(1, 64) if 3 ** k > 2 ** _REDUCTION_ARITY_LIMIT)
 
 # Each row's calls at the first value past its limit, from the limit constants.
 SIZE_LIMIT_CALLS = {
@@ -134,6 +160,9 @@ SIZE_LIMIT_CALLS = {
     "`reduce_to_binary`, `verify --which reduction`": [
         lambda: reduce_to_binary(MajPFn(_ARITY), majp_dist(_ARITY, HALF), Fraction(1, 4),
                                  Fraction(1, 1000))],
+    "the same, joint symbols": [
+        lambda: reduce_to_binary(MajPFn(_TERNARY_ARITY), majp_dist(_TERNARY_ARITY, HALF),
+                                 Fraction(1, 4), Fraction(1, 1000))],
 }
 
 

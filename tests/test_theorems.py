@@ -1,5 +1,6 @@
 """Bound verifiers, the binary reduction, elimination sets, tightness table."""
 
+import dataclasses
 import itertools
 import random
 import re
@@ -274,6 +275,28 @@ class TestReduction:
                 assert v.ok
 
 
+@pytest.mark.parametrize("field, value, witness", [
+    # A fair indicator where the reduction promises Pr[Y_0 = 0] = p / 2 = 1/4.
+    ("y_dist", uniform_product(1).to_explicit(), (HALF,)),
+    # A constant g has no effect on its indicator.
+    ("g", DenseTable(BINARY, 1, {(0,): F(0), (1,): F(0)}), F(0)),
+], ids=["marginal", "effects"])
+def test_failed_reduction_names_its_witness(monkeypatch, field, value, witness):
+    # Dictator 0 on the fair 3-bit grid selects player 0 alone (see
+    # TestReduction.test_dictator_frozen), and the real reduction passes.
+    # The patched one returns the real result with one part swapped.
+    from pivotal import theorems
+    args = DictatorFn(3, 0), uniform_product(3), HALF, F(1, 4)
+    assert verify_reduction(*args).ok
+    real = theorems.reduce_to_binary
+    monkeypatch.setattr(theorems, "reduce_to_binary",
+                        lambda *a: dataclasses.replace(real(*a), **{field: value}))
+    v = verify_reduction(*args)
+    assert (v.ok, v.witness) == (False, witness)
+    assert v.computed["indicator_marginal_ok"] is (field != "y_dist")
+    assert v.computed["g_effects_exceed_alpha"] is (field != "g")
+
+
 def _pivotal_row(f, d):
     from pivotal import pivotal_report
     return pivotal_report(f, d, F(1, 2), F(1, 100)).rows[0].deviations
@@ -401,10 +424,13 @@ class TestElimination:
 @pytest.mark.parametrize("call, error, text", [
     (lambda: reduce_to_binary(MajPFn(21), majp_dist(21, HALF), F(1, 4), F(1, 1000)),
      PivotalError, "reduction would enumerate 2^21 indicator vectors"),
+    (lambda: reduce_to_binary(MajPFn(13), majp_dist(13, HALF), F(1, 4), F(1, 1000)),
+     PivotalError, "reduction would read 3^13 joint symbols"),
     (lambda: monotone_check(ParityFn(25)), PivotalError, "n=25 exceeds the enumeration limit 24"),
     (lambda: majp_dist(14, HALF).to_explicit(), DistributionError,
      "grid of 4782969 points is too large to expand explicitly"),
-], ids=["reduction-arity", "monotone-check-arity", "explicit-expansion"])
+], ids=["reduction-arity", "reduction-joint-symbols", "monotone-check-arity",
+        "explicit-expansion"])
 def test_size_refusal_comes_before_enumeration(call, error, text):
     # Each input is past its limit by one step; enumerating it would take far
     # longer than the refusal.

@@ -2,7 +2,8 @@
 
 ``perfbench/tracing.py`` patches library functions by name and looks each
 one up without a default, so a renamed or deleted name would break every
-traced benchmark run. This test reads the benchmark's tracer and edits
+traced benchmark run, and a method it does not find on its own class is
+not traced at all. These tests read the benchmark's tracer and edit
 nothing under ``perfbench/``.
 """
 
@@ -33,3 +34,23 @@ def test_tracer_discovers_every_traced_name(monkeypatch):
         for part in qualname.split("."):
             obj = getattr(obj, part)
     assert tracing.Tracer()._patches
+
+
+def test_tracer_patches_every_traced_name(monkeypatch):
+    # The tracer patches a method only where its class defines it, and skips
+    # an inherited one silently, so a method moved to a base class would
+    # read 0 in its layer. Each traced name must be one of the patches, on
+    # its named class or, for a function, on its named module.
+    for name in MODULES:
+        importlib.import_module(f"pivotal.{name}")
+    tracing = _load_tracing(monkeypatch)
+    patched = {(owner, attr) for owner, attr, _, _ in tracing.Tracer()._patches}
+    missing = []
+    for module, qualname, _ in tracing.SPANS + tracing.HOT + tracing.HOT_ITER:
+        *owner, attr = qualname.split(".")
+        obj = sys.modules[f"pivotal.{module}"]
+        for part in owner:
+            obj = getattr(obj, part)
+        if (obj, attr) not in patched:
+            missing.append(f"{module}.{qualname}")
+    assert missing == []
