@@ -54,7 +54,10 @@ from Q^(n - k), shifted by the group's own score and weighed by its
 symbols' weights. Neither depends on the symbols' order, so the groups
 of one size share one table. Each entry is the bitset kernel's integer
 sum, grouped by total, so both paths return equal ``GroupedSums``. Any
-other input goes through the bitset kernel.
+other input goes through the bitset kernel. On the statistic path the
+reduction's sums per indicator vector of k players (``_pattern_sums``)
+depend only on how many of them deviate: k + 1 classes, not |S|^k joint
+symbols.
 
 Sampling follows one stream contract: ``sample(seed, index)`` seeds one
 generator and makes one ``_draw`` per player, in player order (one for
@@ -328,18 +331,35 @@ def _law_and_mean(slots: dict[Fraction, int], value_mass: list[int],
 
 
 def _power(q: Sequence[int], r: int) -> list[int]:
-    """Coefficients of the polynomial q(x) ** r, for integer q with q[0] != 0.
+    """The r d + 1 coefficients of the polynomial q(x) ** r, for integer q of length d + 1.
 
     Miller's recurrence for powers of a power series (Knuth, TAOCP vol. 2,
-    4.7): k q_0 P_k = sum_(j=1..min(k, d)) ((r + 1) j - k) q_j P_(k-j), with
-    d the degree of q. Every division is exact, and the r d + 1
-    coefficients take O(r d^2) integer steps.
+    4.7): k q_0 P_k = sum_(j=1..min(k, e)) ((r + 1) j - k) q_j P_(k-j), with
+    e the degree of q. It runs on q without its z leading zeros, so that
+    q_0 != 0, and the result is shifted by z r. Every division is exact,
+    and the coefficients take O(r d^2) integer steps. An all-zero q gives
+    zeros, or [1] for r = 0.
     """
     d = len(q) - 1
+    z = next((i for i, c in enumerate(q) if c), None)
+    if z is None:
+        return [int(r == 0)] + [0] * (r * d)
+    q = q[z:]
+    e = d - z
     out = [q[0] ** r]
-    for k in range(1, r * d + 1):
+    for k in range(1, r * e + 1):
         out.append(sum(((r + 1) * j - k) * q[j] * out[k - j]
-                       for j in range(1, min(k, d) + 1)) // (k * q[0]))
+                       for j in range(1, min(k, e) + 1)) // (k * q[0]))
+    return [0] * (z * r) + out
+
+
+def _times(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of the integer polynomials a and b."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return out
 
 
@@ -601,6 +621,26 @@ class Distribution(ABC):
                       for key, (m, s) in acc.items()} for T, acc in accs.items()}
         return GroupedSums(law, mean, tuple(map(tables.__getitem__, groups)))
 
+    def _pattern_sums(self, players: tuple[int, ...], f: Evaluable,
+                      sides: Sequence[Collection[int]]) -> tuple[int, list[int], list[int],
+                                                                 dict[Fraction, Fraction]]:
+        """Mass and f-weighted mass of each indicator vector of distinct players, and f's law.
+
+        Bit j of a vector is clear when player j's symbol lies in sides[j].
+        Both lists hold integers over one denominator, returned first. One
+        ``sums`` pass gives the players' table, and each key is folded
+        into its vector.
+        """
+        sums = self.sums([players], f)
+        table = sums.tables[0]
+        denom, ints = _scale([x for pair in table.values() for x in pair])
+        mass, wsum = [0] * (1 << len(players)), [0] * (1 << len(players))
+        for key, m, s in zip(table, ints[::2], ints[1::2]):
+            y = sum(1 << j for j, sym in enumerate(key) if sym not in sides[j])
+            mass[y] += m
+            wsum[y] += s
+        return denom, mass, wsum, sums.law
+
     def marginal(self, players: Sequence[int]) -> "ExplicitDist":
         """Joint law of the given players, as an explicit distribution.
 
@@ -858,17 +898,24 @@ class ProductDist(Distribution):
         statistic path sums over the law of that total. Otherwise the
         bitset kernel runs over the grid, as for any distribution.
         """
-        if ((f is None or hasattr(f, "of_total"))
-                and len(self._entries) == 1
-                and all(len(set(T)) == len(T) for T in groups)):
+        if self._on_statistic_path(groups, f):
             return self._statistic_sums(groups, f)
         return super()._sums(groups, f)
 
-    def _statistic_sums(self, groups: list[tuple[int, ...]],
-                        f: Evaluable | None) -> GroupedSums:
-        # Weights stay integers over row_den ** n, and the row's zero-weight
-        # symbols are left out, as the grid leaves them out. With lo the least score,
-        # power(r)[i] is the weight of r players reaching the total r * lo + i.
+    def _on_statistic_path(self, groups: list[tuple[int, ...]], f: Evaluable | None) -> bool:
+        return ((f is None or hasattr(f, "of_total"))
+                and len(self._entries) == 1
+                and all(len(set(T)) == len(T) for T in groups))
+
+    def _totals(self, f: Evaluable | None) -> tuple:
+        """f's law and mean, the denominator den of every f-weighted sum, score, lo, q and rest.
+
+        Weights stay integers over row_den ** n, and the row's zero-weight
+        symbols are left out, as the grid leaves them out. q holds the row
+        polynomial by score - lo, lo the least score, so _power(q, r)[i] is
+        the weight of r players reaching the total r * lo + i. k players of
+        weight w scoring k * lo + i have f-weighted sum w * rest(k)[i] over den.
+        """
         n = self.n
         row_den, row_ints, symbols, *_ = self._entries[0]
         if f is not None:
@@ -878,37 +925,73 @@ class ProductDist(Distribution):
         q = [0] * (max(score.values()) - lo + 1)
         for s in symbols:
             q[score[s] - lo] += row_ints[s]
-        power = functools.cache(functools.partial(_power, q))
+        everyone = _power(q, n)
         # f's value at each total of the n players; None where none is reached.
         values = [None if not w else ONE if f is None else f.of_total(t)
-                  for t, w in enumerate(power(n), n * lo)]
+                  for t, w in enumerate(everyone, n * lo)]
         masses: dict[Fraction, int] = {}
-        for v, w in zip(values, power(n)):
+        for v, w in zip(values, everyone):
             if w:
                 masses[v] = masses.get(v, 0) + w
         slots = {v: j for j, v in enumerate(masses)}
         law, mean, vden, scaled = _law_and_mean(slots, list(masses.values()), row_den ** n)
         by_total = [0 if v is None else scaled[slots[v]] for v in values]  # vden * f, or 0
 
+        @functools.cache
+        def rest(k: int) -> list[int]:
+            others = _power(q, n - k)  # others[u]: the others' weight at total index u
+            return [sum(map(int.__mul__, others, by_total[i:]))
+                    for i in range(k * (len(q) - 1) + 1)]
+
+        return law, mean, row_den ** n * vden, score, lo, q, rest
+
+    def _statistic_sums(self, groups: list[tuple[int, ...]],
+                        f: Evaluable | None) -> GroupedSums:
         # Joint symbols a of k distinct players weigh w = prod r_(a_i) and
-        # score sigma. The other players reach total t with weight
-        # power(n - k)[t], so the entry's mass is w / row_den^k and its
-        # f-weighted sum w * sum_t power(n - k)[t] * by_total[t + sigma] over
-        # row_den^n * vden: it depends only on (k, w, sigma). Both w and
-        # sigma are symmetric in a, so all groups of k players share one
-        # table, whatever their players' order.
-        entries: dict[tuple[int, int, int], tuple[Fraction, Fraction]] = {}
+        # score sigma, so the entry's mass is w / row_den^k and its f-weighted
+        # sum w * rest(k)[sigma - k * lo] over den: it depends only on
+        # (k, w, sigma). Both w and sigma are symmetric in a, so all groups of
+        # k players share one table, whatever their players' order.
+        row_den, row_ints, symbols, *_ = self._entries[0]
+        law, mean, den, score, lo, _, rest = self._totals(f)
         by_size: dict[int, dict[Outcome, tuple[Fraction, Fraction]]] = {}
         for k in set(map(len, groups)):
+            entries: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
             table = by_size[k] = {}
             for a in itertools.product(symbols, repeat=k):
                 w, sigma = math.prod(map(row_ints.__getitem__, a)), sum(map(score.get, a))
-                if (k, w, sigma) not in entries:
-                    total = sum(map(int.__mul__, power(n - k), by_total[sigma - k * lo:]))
-                    entries[k, w, sigma] = (Fraction(w, row_den ** k),
-                                            Fraction(w * total, row_den ** n * vden))
-                table[a] = entries[k, w, sigma]
+                if (w, sigma) not in entries:
+                    entries[w, sigma] = (Fraction(w, row_den ** k),
+                                         Fraction(w * rest(k)[sigma - k * lo], den))
+                table[a] = entries[w, sigma]
         return GroupedSums(law, mean, tuple(by_size[len(T)] for T in groups))
+
+    def _pattern_sums(self, players: tuple[int, ...], f: Evaluable,
+                      sides: Sequence[Collection[int]]) -> tuple[int, list[int], list[int],
+                                                                 dict[Fraction, Fraction]]:
+        """``Distribution._pattern_sums``, by deviation count on the statistic path.
+
+        With one side D for every player, the joint symbols of a vector
+        with c deviating players weigh A_c = Q_D^c Q_N^(k - c) by score, Q_D
+        and Q_N being the row polynomial's parts over D and the others: k + 1
+        classes are read, not |S|^k joint symbols.
+        """
+        if not (self._on_statistic_path([players], f)
+                and all(side == sides[0] for side in sides)):
+            return super()._pattern_sums(players, f, sides)
+        k = len(players)
+        row_den, row_ints, symbols, *_ = self._entries[0]
+        law, _, den, score, lo, q, rest = self._totals(f)
+        q_dev, q_other = [0] * len(q), [0] * len(q)
+        for s in symbols:
+            (q_dev if s in sides[0] else q_other)[score[s] - lo] += row_ints[s]
+        scale = den // row_den ** k  # row_den^(n - k) * vden
+        classes = []  # (mass, f-weighted sum) of one vector with c deviating players
+        for c in range(k + 1):
+            a = _times(_power(q_dev, c), _power(q_other, k - c))
+            classes.append((sum(a) * scale, sum(map(int.__mul__, a, rest(k)))))
+        counts = [k - y.bit_count() for y in range(1 << k)]  # bit j clear: player j deviates
+        return (den, [classes[c][0] for c in counts], [classes[c][1] for c in counts], law)
 
     def weight(self, x: Outcome) -> Fraction:
         if len(x) != self.n:

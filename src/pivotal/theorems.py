@@ -37,7 +37,6 @@ from .dist import (
     PivotalError,
     ProductDist,
     ZERO,
-    _scale,
     as_exact,
     as_int,
     mixture,
@@ -194,10 +193,13 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
     the player's symbol deviates that way and an independent coin of rate
     p / (2 p_j) fires, so Pr[Y_j = 0] = p / 2.
 
-    The law is exact. One kernel pass over the selected players gives the
-    mass and f-weighted mass of each deviation pattern (bit j clear when
-    player j deviates), as if every coin fired. Each coin is then applied
-    once per coordinate: from every vector with bit j clear, the fraction
+    The law is exact. ``Distribution._pattern_sums`` gives the mass and
+    f-weighted mass of each deviation pattern (bit j clear when player j
+    deviates), as if every coin fired: one kernel pass over the selected
+    players, folded key by key, or, on a product whose rows are all equal
+    with f a function of a score total, k + 1 deviation-count classes
+    instead of |S|^k joint symbols. Each coin is then applied once per
+    coordinate: from every vector with bit j clear, the fraction
     1 - p / (2 p_j) of both sums moves to the vector with bit j set.
 
     A 0/1-valued function is flipped as 1 - f, anything else as -f, so the
@@ -227,14 +229,8 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
     dev_syms = [{sd.symbol for sd in r.deviations if _deviates(sd.deviation, alpha, sign)}
                 for r in chosen]
 
-    # Masses and f-weighted sums are integers over one denominator D.
-    sums = d.sums([selected], f)
-    denom, ints = _scale([x for pair in sums.tables[0].values() for x in pair])
-    mass, wsum = [0] * (1 << k), [0] * (1 << k)
-    for key, m, s in zip(sums.tables[0], ints[::2], ints[1::2]):
-        y = sum(1 << j for j, sym in enumerate(key) if sym not in dev_syms[j])
-        mass[y] += m
-        wsum[y] += s
+    # Masses and f-weighted sums are integers over one denominator.
+    denom, mass, wsum, law = d._pattern_sums(selected, f, dev_syms)
     for j, pj in enumerate(p_values):
         # A vector with bit j clear keeps a / b = p / (2 p_j) of its sums.
         keep = p / (2 * pj)
@@ -247,7 +243,7 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
                     acc[y] *= a
 
     if flipped:
-        zero_one = all(v in (0, 1) for v in sums.law)
+        zero_one = all(v in (0, 1) for v in law)
         wsum = [m - s if zero_one else -s for m, s in zip(mass, wsum)]
         total = 1 - total if zero_one else -total
     vectors = [mask_to_outcome(y, k) for y in range(1 << k)]

@@ -981,6 +981,25 @@ def test_power_matches_repeated_convolution(q):
         want = _convolve(want, q)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), st.lists(st.integers(-4, 4), min_size=1, max_size=4))
+def test_power_with_leading_zeros_matches_repeated_convolution(zeros, tail):
+    # A leading zero is a zero constant term, as where every symbol of the
+    # least score is left out; the tail may itself be all zeros.
+    q = [0] * zeros + tail
+    want = [1]
+    for r in range(8):
+        assert _power(q, r) == want
+        want = _convolve(want, q)
+
+
+def test_power_of_zero_polynomials():
+    assert _power([0, 0, 3], 2) == [0, 0, 0, 0, 9]
+    assert _power([0, 0], 0) == [1]
+    assert _power([0, 0], 3) == [0, 0, 0, 0]
+    assert _power([0], 5) == [0]
+
+
 class _Scored(StatisticFn):
     """Drawn scores, and a drawn value for each total n players can reach."""
 

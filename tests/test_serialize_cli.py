@@ -354,6 +354,16 @@ class TestCliVerify:
         assert main(["verify", "--which", "reduction", "--dist", uniform3_file,
                      "--fn", "dictator:0", "--p", "1/2", "--alpha", "1/4"]) == 0
 
+    def test_reduction_of_twelve_equal_rows(self, tmp_path, capsys):
+        # All 12 players are selected, over 3^12 joint symbols; the equal
+        # rows are read by deviation count, 13 classes.
+        path = tmp_path / "majp12.json"
+        assert main(["gen", "majp", "--n", "12", "--p", "1/2", "--out", str(path)]) == 0
+        assert main(["verify", "--which", "reduction", "--dist", str(path),
+                     "--fn", "majp", "--p", "1/4", "--alpha", "1/1000"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["computed"]["selected"] == list(range(12))
+
     def test_thm2(self, uniform3_file, capsys):
         assert main(["verify", "--which", "thm2", "--dist", uniform3_file,
                      "--fn", "dictator:0", "--m", "1", "--p", "1/2",

@@ -6,8 +6,11 @@ import random
 import re
 import time
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pivotal import (
     BINARY,
@@ -46,7 +49,8 @@ from pivotal import (
     verify_warmup,
 )
 from pivotal import analysis
-from pivotal.dist import mixture
+from pivotal.boolfn import StatisticFn
+from pivotal.dist import Distribution, mixture
 from pivotal.theorems import TightnessRow
 
 from oracles import (
@@ -350,6 +354,92 @@ def test_reduction_carries_the_pivotal_count(case):
     assert (count > 0) is (case != "empty")
     assert reduce_to_binary(f, d, p, alpha).count_pivotal == count
     assert verify_reduction(f, d, p, alpha).computed["count_pivotal"] == count
+
+
+class _NotMajP(StatisticFn):
+    """1 - MajP: 0/1-valued, so a flipped reduction takes the 1 - f branch."""
+
+    scores = MappingProxyType({1: 1, 0: -1})
+
+    def __init__(self, n):
+        self.n, self.alphabet = n, PARTICIPATION
+
+    def of_total(self, t):
+        return F(int(t <= 0))
+
+
+class _Gapped(StatisticFn):
+    """Drawn values in [-1, 1] on scores with a gap: a flip takes the -f branch."""
+
+    scores = MappingProxyType({1: 2, 0: -1})
+
+    def __init__(self, n, values):
+        self.n, self.alphabet, self.values = n, PARTICIPATION, values
+
+    def of_total(self, t):
+        return self.values[t]
+
+
+_signed_values = st.sampled_from([-1, F(-2, 3), F(-1, 2), 0, F(1, 3), HALF, 1])
+
+
+@st.composite
+def equal_row_reductions(draw):
+    """An equal-row product with n <= 5, a function of a score total, p and alpha."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        alphabet = PARTICIPATION
+        raw = draw(st.one_of(st.just((1, 1, 0)), st.tuples(*[st.integers(0, 6)] * 3)))
+    else:
+        alphabet = BINARY
+        raw = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    raw = raw if sum(raw) else (1,) * len(raw)
+    d = ProductDist(alphabet, n, [tuple(F(w, sum(raw)) for w in raw)] * n)
+    f = draw(st.sampled_from([MajPFn, MajorityFn, ParityFn, _NotMajP, _Gapped]))
+    if f is _Gapped:
+        f = _Gapped(n, {t: draw(_signed_values) for t in range(-n, 2 * n + 1)})
+    else:
+        f = f(n)
+    p = draw(st.sampled_from([F(1, 8), F(1, 4), F(1, 3), HALF, F(2, 3), F(1)]))
+    alpha = draw(st.sampled_from([F(1, 1000), F(1, 64), F(1, 16), F(1, 8), F(1, 4)]))
+    return f, d, p, alpha
+
+
+_FLIPPING_ROW = ProductDist(PARTICIPATION, 3, [(F(1, 4), HALF, F(1, 4))] * 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(equal_row_reductions())
+@example((_NotMajP(3), _FLIPPING_ROW, HALF, F(1, 8)))  # flipped as 1 - f
+@example((_Gapped(3, {t: F(-t, 6) for t in range(-3, 7)}), _FLIPPING_ROW, HALF, F(1, 8)))  # -f
+def test_class_reduction_matches_explicit_walk(case):
+    # The explicit expansion folds the selected players' table key by key;
+    # the equal-row product reads deviation-count classes.
+    f, d, p, alpha = case
+    result = reduce_to_binary(f, d, p, alpha)
+    assert result == reduce_to_binary(f, d.to_explicit(), p, alpha)
+    if d.n <= 3 and not result.is_empty:
+        support, g = brute_indicator_law(f, d, result.i_plus, result.flipped, p, alpha)
+        assert result.y_dist.support == tuple(support)
+        assert result.g.entries == tuple(g)
+
+
+def test_class_reduction_reads_singletons_only(monkeypatch):
+    # 3^12 joint symbols of the 12 selected players: the class path never
+    # asks the kernel for their table, only for the pivotal report's singletons.
+    groups = []
+    real = Distribution.sums
+
+    def recording(self, gs, f=None):
+        groups.extend(map(tuple, gs))
+        return real(self, gs, f)
+
+    monkeypatch.setattr(Distribution, "sums", recording)
+    args = MajPFn(12), majp_dist(12, HALF), F(1, 4), F(1, 1000)
+    result = reduce_to_binary(*args)
+    assert groups and all(len(T) == 1 for T in groups)
+    assert result.i_plus == tuple(range(12))
+    assert verify_reduction(*args).ok
 
 
 class TestElimination:
