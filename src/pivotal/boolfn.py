@@ -258,6 +258,25 @@ class MajPFn(StatisticFn):
         return ONE if t > 0 else ZERO
 
 
+@dataclass(frozen=True)
+class ZeroCountFn(StatisticFn):
+    """values[z] on the n-bit vectors with z zeros: the reduction's g on equal rows."""
+
+    n: int
+    values: tuple[Fraction, ...]
+    scores = MappingProxyType({0: 1})
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if len(self.values) != self.n + 1:
+            raise PivotalError(f"{len(self.values)} values for {self.n + 1} zero counts")
+        for z, v in enumerate(self.values):
+            _check_value_range(f"{z} zeros", as_exact(v, "value", PivotalError))
+
+    def of_total(self, t: int) -> Fraction:
+        return self.values[t]
+
+
 class UpwardClosure(PlayerFunction):
     """Indicator of the upward closure of a generator set on the binary cube.
 

@@ -37,12 +37,13 @@ O(|supp|) per key. Each ``Fraction`` is built once, after the pass.
 An explicit support builds its bitsets at the first query that reads
 them, with each player's symbol masses, and keeps them: ``sums``, exact
 k-wise checks and single marginals share them, and ``sums`` cuts them
-into windows. A product form keeps nothing. Each call builds the bitsets
-of the sub-grid of its last players, at most ``_WINDOW`` points, and each
-window fixes the other players' symbols, so memory does not grow with the
-grid. The joint mass of an assignment in a k-wise check is the AND of
-its players' bitsets, and factorization is decided in integers over the
-lcm denominator.
+into windows. A product form keeps only the statistic path's law by
+total for the last function it read (``_totals``). Each call builds the
+bitsets of the sub-grid of its last players, at most ``_WINDOW`` points,
+and each window fixes the other players' symbols, so memory does not
+grow with the grid. The joint mass of an assignment in a k-wise check is
+the AND of its players' bitsets, and factorization is decided in
+integers over the lcm denominator.
 
 A product form whose rows are all equal has a statistic path. When f is
 None or a function of one integer statistic, the total of per-symbol
@@ -55,9 +56,10 @@ symbols' weights. Neither depends on the symbols' order, so the groups
 of one size share one table. Each entry is the bitset kernel's integer
 sum, grouped by total, so both paths return equal ``GroupedSums``. Any
 other input goes through the bitset kernel. On the statistic path the
-reduction's sums per indicator vector of k players (``_pattern_sums``)
-depend only on how many of them deviate: k + 1 classes, not |S|^k joint
-symbols.
+reduction's sums per indicator vector of k players depend only on how
+many of them deviate (``_class_sums``): k + 1 classes, each derived from
+the last by one product and one exact division of polynomials, not |S|^k
+joint symbols. Elsewhere ``_pattern_sums`` folds the players' table.
 
 Sampling follows one stream contract: ``sample(seed, index)`` seeds one
 generator and makes one ``_draw`` per player, in player order (one for
@@ -102,6 +104,10 @@ ONE = Fraction(1)
 # Expanding a product form materializes its grid; past this many points
 # we refuse rather than exhaust memory (streaming queries stay lazy).
 _EXPANSION_LIMIT = 1 << 21
+
+# The reduction's class sums on equal rows cost O(classes * coefficients)
+# integer steps, k + 1 classes of k d + 1 coefficients; past this we refuse.
+_CLASS_FOLD_LIMIT = 1 << 21
 
 # Distribution.sums runs over windows of at most this many points (a
 # multiple of 8, as explicit bitsets are cut through their bytes), so that
@@ -354,12 +360,28 @@ def _power(q: Sequence[int], r: int) -> list[int]:
 
 
 def _times(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Coefficients of the product of the integer polynomials a and b."""
+    """Coefficients of the integer polynomial a * b, one pass over b per nonzero term of a."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            out[i:i + len(b)] = map(int.__add__, out[i:i + len(b)], map(x.__mul__, b))
+    return out
+
+
+def _divide(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
+    """The first length coefficients of a / b, for an integer polynomial b != 0 dividing a.
+
+    Long division from the lowest term: b's z leading zeros are a's too,
+    and each coefficient takes one exact division by b's first nonzero
+    one, after subtracting one product per later nonzero term of b.
+    """
+    z = next(i for i, c in enumerate(b) if c)
+    lead, tail = b[z], [(j, c) for j, c in enumerate(b[z + 1:], 1) if c]
+    if not tail:
+        return [c // lead for c in a[z:z + length]]
+    out: list[int] = []
+    for i in range(length):
+        out.append((a[i + z] - sum(c * out[i - j] for j, c in tail if j <= i)) // lead)
     return out
 
 
@@ -807,7 +829,7 @@ class ProductDist(Distribution):
     points of a 3^12 grid its traced memory peaks at about 0.1 MiB.
     """
 
-    __slots__ = ("alphabet", "n", "marginals", "_entries", "_index", "_runs")
+    __slots__ = ("alphabet", "n", "marginals", "_entries", "_index", "_runs", "_last")
 
     def __init__(self, alphabet: Alphabet, n: int,
                  marginals: Sequence[Sequence[Fraction]]):
@@ -840,6 +862,7 @@ class ProductDist(Distribution):
         # sample()'s walk: each run of consecutive players on one row, with its length.
         self._runs = [(self._entries[j], len(list(players)))
                       for j, players in itertools.groupby(self._index)]
+        self._last: tuple | None = None  # (f, _totals(f)) for the last f on the statistic path
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ProductDist)
@@ -915,7 +938,11 @@ class ProductDist(Distribution):
         polynomial by score - lo, lo the least score, so _power(q, r)[i] is
         the weight of r players reaching the total r * lo + i. k players of
         weight w scoring k * lo + i have f-weighted sum w * rest(k)[i] over den.
+        The last f's result is kept, so a reduction builds it once.
         """
+        last = self._last  # read once: another thread may replace it
+        if last is not None and last[0] is f:
+            return last[1]
         n = self.n
         row_den, row_ints, symbols, *_ = self._entries[0]
         if f is not None:
@@ -943,7 +970,9 @@ class ProductDist(Distribution):
             return [sum(map(int.__mul__, others, by_total[i:]))
                     for i in range(k * (len(q) - 1) + 1)]
 
-        return law, mean, row_den ** n * vden, score, lo, q, rest
+        totals = law, mean, row_den ** n * vden, score, lo, q, rest
+        self._last = f, totals
+        return totals
 
     def _statistic_sums(self, groups: list[tuple[int, ...]],
                         f: Evaluable | None) -> GroupedSums:
@@ -966,32 +995,39 @@ class ProductDist(Distribution):
                 table[a] = entries[w, sigma]
         return GroupedSums(law, mean, tuple(by_size[len(T)] for T in groups))
 
-    def _pattern_sums(self, players: tuple[int, ...], f: Evaluable,
-                      sides: Sequence[Collection[int]]) -> tuple[int, list[int], list[int],
-                                                                 dict[Fraction, Fraction]]:
-        """``Distribution._pattern_sums``, by deviation count on the statistic path.
+    def _class_sums(self, players: tuple[int, ...], f: Evaluable,
+                    sides: Sequence[Collection[int]]) -> tuple[int, list[int], list[int],
+                                                               dict[Fraction, Fraction]] | None:
+        """Mass and f-weighted mass of one indicator vector with c clear bits, per c = 0..k.
 
-        With one side D for every player, the joint symbols of a vector
-        with c deviating players weigh A_c = Q_D^c Q_N^(k - c) by score, Q_D
-        and Q_N being the row polynomial's parts over D and the others: k + 1
-        classes are read, not |S|^k joint symbols.
+        On the statistic path, with one side D for every player, the joint
+        symbols of a vector with c deviating players weigh A_c = Q_D^c
+        Q_N^(k - c) by score, Q_D and Q_N being the row polynomial's parts
+        over D and the others. Each A_(c - 1) is A_c Q_N / Q_D, one product
+        and one exact division. Both lists hold integers over one
+        denominator, returned first, with f's law. None off that path.
         """
         if not (self._on_statistic_path([players], f)
                 and all(side == sides[0] for side in sides)):
-            return super()._pattern_sums(players, f, sides)
+            return None
         k = len(players)
         row_den, row_ints, symbols, *_ = self._entries[0]
         law, _, den, score, lo, q, rest = self._totals(f)
+        length = k * (len(q) - 1) + 1
+        if (k + 1) * length > _CLASS_FOLD_LIMIT:
+            raise PivotalError(f"reduction would fold {k + 1} classes of {length} coefficients")
         q_dev, q_other = [0] * len(q), [0] * len(q)
         for s in symbols:
             (q_dev if s in sides[0] else q_other)[score[s] - lo] += row_ints[s]
         scale = den // row_den ** k  # row_den^(n - k) * vden
-        classes = []  # (mass, f-weighted sum) of one vector with c deviating players
-        for c in range(k + 1):
-            a = _times(_power(q_dev, c), _power(q_other, k - c))
-            classes.append((sum(a) * scale, sum(map(int.__mul__, a, rest(k)))))
-        counts = [k - y.bit_count() for y in range(1 << k)]  # bit j clear: player j deviates
-        return (den, [classes[c][0] for c in counts], [classes[c][1] for c in counts], law)
+        a, by_total = _power(q_dev, k), rest(k)
+        masses, wsums = [], []
+        for c in range(k, -1, -1):
+            if c < k:
+                a = _divide(_times(q_other, a), q_dev, length)
+            masses.append(sum(a) * scale)
+            wsums.append(sum(map(int.__mul__, a, by_total)))
+        return den, masses[::-1], wsums[::-1], law
 
     def weight(self, x: Outcome) -> Fraction:
         if len(x) != self.n:

@@ -15,8 +15,10 @@ from typing import Sequence
 
 from .analysis import (
     EFFECT_VARIANCE_RATIO,
+    SymbolDeviation,
     _deviates,
     _mass_past,
+    _once_per_table,
     _pivotal_groups,
     _require_pairwise,
     count_effect,
@@ -28,7 +30,8 @@ from .analysis import (
     pivotal_report,
     signed_effect,
 )
-from .boolfn import DenseTable, MajPFn, PlayerFunction, PreconditionError, mask_to_outcome
+from .boolfn import (DenseTable, MajPFn, PlayerFunction, PreconditionError, ZeroCountFn,
+                     mask_to_outcome)
 from .dist import (
     BINARY,
     Distribution,
@@ -174,14 +177,91 @@ class ReductionResult:
     i_plus: tuple[int, ...]
     flipped: bool
     p_values: tuple[Fraction, ...]  # deviating-side mass per selected player
-    y_dist: ExplicitDist | None
-    g: DenseTable | None
+    y_dist: Distribution | None  # a ProductDist when d is one
+    g: PlayerFunction | None  # a ZeroCountFn on the class path, else a DenseTable
     expectation: Fraction  # of the function actually reduced (after any flip)
     count_pivotal: int  # (p, alpha)-pivotal players of the original function
 
     @property
     def is_empty(self) -> bool:
         return not self.i_plus
+
+
+def _coin_rate(p: Fraction, pj: Fraction) -> Fraction:
+    """The chance p / (2 p_j) that a deviating player's coin keeps the bit at 0."""
+    return p / (2 * pj)
+
+
+def _sides(deviations: Sequence[SymbolDeviation], alpha: Fraction) -> dict:
+    """Per sign 1 and -1, the mass and the set of the symbols deviating past alpha that way."""
+    out = {}
+    for sign in (1, -1):
+        past = [sd for sd in deviations if _deviates(sd.deviation, alpha, sign)]
+        out[sign] = sum((sd.mass for sd in past), ZERO), frozenset(sd.symbol for sd in past)
+    return out
+
+
+def _fold_vectors(d: Distribution, k: int, denom: int, mass: list[int], wsum: list[int],
+                  keeps: Sequence[Fraction], total: Fraction) -> tuple[Distribution, DenseTable]:
+    """Y's law and g from the sums of each indicator vector, one coin per coordinate.
+
+    From every vector with bit j clear, the fraction 1 - keeps[j] of both
+    sums moves to the vector with bit j set.
+    """
+    for j, keep in enumerate(keeps):
+        a, b, bit = keep.numerator, keep.denominator, 1 << j
+        denom *= b
+        for acc in (mass, wsum):
+            for y in range(1 << k):
+                if not y & bit:
+                    acc[y | bit] = acc[y | bit] * b + acc[y] * (b - a)
+                    acc[y] *= a
+    vectors = [mask_to_outcome(y, k) for y in range(1 << k)]
+    # A vector without mass gets E[g], which keeps g's total.
+    g = DenseTable(BINARY, k, {v: Fraction(s, m) if m else total
+                               for v, m, s in zip(vectors, mass, wsum)})
+    if isinstance(d, ProductDist):  # Y_j reads only x_j and coin j: Y is a product too
+        zeros = [Fraction(sum(m for y, m in enumerate(mass) if not y >> j & 1), denom)
+                 for j in range(k)]
+        return ProductDist(BINARY, k, [(z, 1 - z) for z in zeros]), g
+    return ExplicitDist(BINARY, k, [(v, Fraction(m, denom))
+                                    for v, m in zip(vectors, mass) if m > 0]), g
+
+
+def _thin(per_vector: Sequence[int], a: int, b: int) -> list[int]:
+    """Per z, b^k times the summed sums of the vectors with z clear bits, after thinning.
+
+    per_vector[c] is the sum of one vector with c clear bits, and each
+    clear bit stays clear with chance a / b. The totals by class,
+    G(x) = sum_c C(k, c) per_vector[c] x^c, become G((a x + b - a) / b):
+    Horner's rule from the highest class, in O(k^2) products of small
+    integers.
+    """
+    k = len(per_vector) - 1
+    totals, binom = [], 1
+    for c, s in enumerate(per_vector):
+        totals.append(binom * s)
+        binom = binom * (k - c) // (c + 1)
+    poly, power, rest = [totals[k]], 1, b - a
+    for c in range(k - 1, -1, -1):
+        power *= b
+        poly = [u * rest + v * a for u, v in zip(poly + [0], [0] + poly)]
+        poly[0] += totals[c] * power
+    return poly
+
+
+def _fold_classes(k: int, denom: int, mass: list[int], wsum: list[int],
+                  keep: Fraction, total: Fraction) -> tuple[ProductDist, ZeroCountFn]:
+    """Y's law and g from the sums of one vector per number of clear bits.
+
+    Every vector with z clear bits ends with the same sums, so g depends on
+    z only, and Pr[Y_j = 0] is the mean number of zeros over k.
+    """
+    a, b = keep.numerator, keep.denominator
+    mass, wsum = _thin(mass, a, b), _thin(wsum, a, b)
+    zero = Fraction(sum(z * m for z, m in enumerate(mass)), k * denom * b ** k)
+    g = ZeroCountFn(k, tuple(Fraction(s, m) if m else total for m, s in zip(mass, wsum)))
+    return ProductDist(BINARY, k, [(zero, 1 - zero)] * k), g
 
 
 def reduce_to_binary(f: PlayerFunction, d: Distribution,
@@ -193,14 +273,14 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
     the player's symbol deviates that way and an independent coin of rate
     p / (2 p_j) fires, so Pr[Y_j = 0] = p / 2.
 
-    The law is exact. ``Distribution._pattern_sums`` gives the mass and
-    f-weighted mass of each deviation pattern (bit j clear when player j
-    deviates), as if every coin fired: one kernel pass over the selected
-    players, folded key by key, or, on a product whose rows are all equal
-    with f a function of a score total, k + 1 deviation-count classes
-    instead of |S|^k joint symbols. Each coin is then applied once per
-    coordinate: from every vector with bit j clear, the fraction
-    1 - p / (2 p_j) of both sums moves to the vector with bit j set.
+    The law is exact. The sums of each deviation pattern (bit j clear when
+    player j deviates), as if every coin fired, come from
+    ``Distribution._pattern_sums``: one kernel pass over the selected
+    players, folded key by key, and the coins are applied once per
+    coordinate. On a product whose rows are all equal, with f a function of
+    a score total, ``_class_sums`` gives them by deviation count instead,
+    k + 1 classes, and the coins thin the classes. On a product Y is a
+    product, and on the class path g depends only on the number of zeros.
 
     A 0/1-valued function is flipped as 1 - f, anything else as -f, so the
     reduced function stays inside [-1, 1] either way.
@@ -214,44 +294,34 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
     if not pivotal:
         return ReductionResult((), False, (), None, None, total, 0)
 
-    plus_side = [r for r in pivotal if r.mass_past(alpha, 1) > p / 2]
-    minus_side = [r for r in pivotal if r.mass_past(alpha, -1) > p / 2]
-    flipped = len(minus_side) > len(plus_side)
+    # Players that share a table share its deviations, read once.
+    sides = _once_per_table([r.deviations for r in pivotal], lambda _, devs: _sides(devs, alpha))
+    half = p / 2
+    flipped = sum(s[-1][0] > half for s in sides) > sum(s[1][0] > half for s in sides)
     sign = -1 if flipped else 1
-    chosen = minus_side if flipped else plus_side
-    selected = tuple(r.player for r in chosen)
+    chosen = [(r.player, *s[sign]) for r, s in zip(pivotal, sides) if s[sign][0] > half]
+    selected = tuple(player for player, _, _ in chosen)
+    p_values = tuple(mass for _, mass, _ in chosen)
+    dev_syms = [syms for _, _, syms in chosen]
     k = len(selected)
-    if k > _REDUCTION_ARITY_LIMIT:
-        raise PivotalError(f"reduction would enumerate 2^{k} indicator vectors")
-    if len(d.alphabet) ** k > 2 ** _REDUCTION_ARITY_LIMIT:  # the joint table has |S|^k keys
-        raise PivotalError(f"reduction would read {len(d.alphabet)}^{k} joint symbols")
-    p_values = tuple(r.mass_past(alpha, sign) for r in chosen)
-    dev_syms = [{sd.symbol for sd in r.deviations if _deviates(sd.deviation, alpha, sign)}
-                for r in chosen]
 
     # Masses and f-weighted sums are integers over one denominator.
-    denom, mass, wsum, law = d._pattern_sums(selected, f, dev_syms)
-    for j, pj in enumerate(p_values):
-        # A vector with bit j clear keeps a / b = p / (2 p_j) of its sums.
-        keep = p / (2 * pj)
-        a, b, bit = keep.numerator, keep.denominator, 1 << j
-        denom *= b
-        for acc in (mass, wsum):
-            for y in range(1 << k):
-                if not y & bit:
-                    acc[y | bit] = acc[y | bit] * b + acc[y] * (b - a)
-                    acc[y] *= a
-
-    if flipped:
+    classes = d._class_sums(selected, f, dev_syms) if isinstance(d, ProductDist) else None
+    if classes is None:
+        if k > _REDUCTION_ARITY_LIMIT:
+            raise PivotalError(f"reduction would enumerate 2^{k} indicator vectors")
+        if len(d.alphabet) ** k > 2 ** _REDUCTION_ARITY_LIMIT:  # the joint table has |S|^k keys
+            raise PivotalError(f"reduction would read {len(d.alphabet)}^{k} joint symbols")
+    denom, mass, wsum, law = classes or d._pattern_sums(selected, f, dev_syms)
+    if flipped:  # linear, so it commutes with the coins
         zero_one = all(v in (0, 1) for v in law)
         wsum = [m - s if zero_one else -s for m, s in zip(mass, wsum)]
         total = 1 - total if zero_one else -total
-    vectors = [mask_to_outcome(y, k) for y in range(1 << k)]
-    y_dist = ExplicitDist(BINARY, k, [(v, Fraction(m, denom))
-                                      for v, m in zip(vectors, mass) if m > 0])
-    # A vector without mass gets E[g], which keeps g's total.
-    g = DenseTable(BINARY, k, {v: Fraction(s, m) if m else total
-                               for v, m, s in zip(vectors, mass, wsum)})
+    if classes is None:
+        keeps = [_coin_rate(p, pj) for pj in p_values]
+        y_dist, g = _fold_vectors(d, k, denom, mass, wsum, keeps, total)
+    else:  # one row, so one coin rate
+        y_dist, g = _fold_classes(k, denom, mass, wsum, _coin_rate(p, p_values[0]), total)
     return ReductionResult(selected, flipped, p_values, y_dist, g, total, len(pivotal))
 
 

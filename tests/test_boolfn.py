@@ -25,6 +25,7 @@ from pivotal import (
     PreconditionError,
     UndefinedPointError,
     UpwardClosure,
+    ZeroCountFn,
     effect_counterexample,
     complement_mu,
     hadamard_mu,
@@ -173,11 +174,22 @@ def test_symmetric_opt_ins_ignore_player_order():
     import pivotal.boolfn as boolfn
     statistic = {name for name, cls in inspect.getmembers(boolfn, inspect.isclass)
                  if issubclass(cls, boolfn.StatisticFn) and cls is not boolfn.StatisticFn}
-    assert statistic == {"MajPFn", "MajorityFn", "ParityFn", "ConstantFn"}
+    assert statistic == {"MajPFn", "MajorityFn", "ParityFn", "ConstantFn", "ZeroCountFn"}
     rng = random.Random(6)
     for n in range(2, 8):
-        for f in (MajPFn(n), MajorityFn(n), ParityFn(n), ConstantFn(n, Fraction(-1, 3))):
+        zeros = ZeroCountFn(n, tuple(Fraction(z % 3 - 1, 2) for z in range(n + 1)))
+        for f in (MajPFn(n), MajorityFn(n), ParityFn(n), ConstantFn(n, Fraction(-1, 3)), zeros):
             assert _order_witness(f, rng) is None, f
+
+
+def test_zero_count_values():
+    half = F(1, 2)
+    f = ZeroCountFn(3, (F(1), half, F(0), F(-1)))
+    assert [f.evaluate(x) for x in ((1, 1, 1), (0, 1, 1), (1, 0, 0), (0, 0, 0))] == [1, half, 0, -1]
+    with pytest.raises(PivotalError, match="3 values for 4 zero counts"):
+        ZeroCountFn(3, (F(1), half, F(0)))
+    with pytest.raises(PivotalError, match=r"value 2 at 1 zeros outside \[-1, 1\]"):
+        ZeroCountFn(1, (F(0), F(2)))
 
 
 def test_order_witness_catches_a_dictator():

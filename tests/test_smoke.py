@@ -23,8 +23,10 @@ import pytest
 from pivotal import (
     MajorityFn,
     MajPFn,
+    PARTICIPATION,
     ParityFn,
     PivotalError,
+    ProductDist,
     effect_counterexample,
     elimination_set,
     hadamard_mu,
@@ -43,7 +45,7 @@ from pivotal.boolfn import (
     CertificateError,
 )
 from pivotal.cli import main
-from pivotal.dist import _EXPANSION_LIMIT
+from pivotal.dist import _CLASS_FOLD_LIMIT, _EXPANSION_LIMIT
 from pivotal.generators import _HADAMARD_K_LIMIT, _PRODUCT_N_LIMIT
 from pivotal.theorems import _ELIMINATION_M_LIMIT, _ELIMINATION_N_LIMIT, _REDUCTION_ARITY_LIMIT
 
@@ -139,6 +141,15 @@ _K, _N = _HADAMARD_K_LIMIT + 1, _PRODUCT_N_LIMIT + 1
 _GRID = next(n for n in range(1, 64) if 3 ** n > _EXPANSION_LIMIT)  # majp_dist has 3 symbols
 _ARITY = _REDUCTION_ARITY_LIMIT + 1
 _TERNARY_ARITY = next(k for k in range(1, 64) if 3 ** k > 2 ** _REDUCTION_ARITY_LIMIT)
+# MajP's row polynomial has degree 2: k + 1 classes of 2k + 1 coefficients.
+_CLASSES = next(k for k in range(1, 1 << 11) if (k + 1) * (2 * k + 1) > _CLASS_FOLD_LIMIT)
+
+
+def _unequal_votes(n: int) -> ProductDist:
+    """n voters on the participation alphabet who never abstain, each with its own row."""
+    return ProductDist(PARTICIPATION, n, [(HALF - Fraction(1, 100 + i), HALF + Fraction(1, 100 + i),
+                                           Fraction(0)) for i in range(n)])
+
 
 # Each row's calls at the first value past its limit, from the limit constants.
 SIZE_LIMIT_CALLS = {
@@ -156,13 +167,18 @@ SIZE_LIMIT_CALLS = {
     "the same, coalition size": [
         lambda: elimination_set(MajorityFn(8), uniform_product(8), _ELIMINATION_M_LIMIT + 1,
                                 HALF, HALF)],
-    # Every player of MajP is pivotal at a small alpha, so all are selected.
+    # Every player is pivotal at a small alpha, so all are selected. An
+    # explicit support and a product whose rows differ fold vector by vector.
     "`reduce_to_binary`, `verify --which reduction`": [
-        lambda: reduce_to_binary(MajPFn(_ARITY), majp_dist(_ARITY, HALF), Fraction(1, 4),
-                                 Fraction(1, 1000))],
-    "the same, joint symbols": [
-        lambda: reduce_to_binary(MajPFn(_TERNARY_ARITY), majp_dist(_TERNARY_ARITY, HALF),
+        lambda: reduce_to_binary(MajorityFn(_ARITY), hadamard_mu(5).marginal(range(_ARITY)),
                                  Fraction(1, 4), Fraction(1, 1000))],
+    "the same, joint symbols": [
+        lambda: reduce_to_binary(MajPFn(_TERNARY_ARITY), _unequal_votes(_TERNARY_ARITY),
+                                 Fraction(1, 4), Fraction(1, 1000))],
+    # Equal rows fold by deviation count.
+    "the same, on equal rows": [
+        lambda: reduce_to_binary(MajPFn(_CLASSES), majp_dist(_CLASSES, HALF), Fraction(1, 4),
+                                 Fraction(1, 1000))],
 }
 
 

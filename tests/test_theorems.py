@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import random
 import re
 import time
@@ -28,6 +29,7 @@ from pivotal import (
     PreconditionError,
     ProductDist,
     UpwardClosure,
+    ZeroCountFn,
     complement_mu,
     convex_decomposition_check,
     count_pivotal,
@@ -331,14 +333,23 @@ def _reduction_cases():
     yield pytest.param(f, mu, F(1, 8), F(1, 8), False, id="mixture")
 
 
+def _vectors(k):
+    return list(itertools.product((0, 1), repeat=k))
+
+
+def _assert_law_and_g(result, support, g):
+    # Y's weight and g's value at every indicator vector, whatever their types.
+    vectors, support, g = _vectors(len(result.i_plus)), dict(support), dict(g)
+    assert [result.y_dist.weight(v) for v in vectors] == [support.get(v, 0) for v in vectors]
+    assert [result.g.evaluate(v) for v in vectors] == [g[v] for v in vectors]
+
+
 @pytest.mark.parametrize("f, d, p, alpha, flipped", _reduction_cases())
 def test_indicator_law_matches_oracle(f, d, p, alpha, flipped):
     result = reduce_to_binary(f, d, p, alpha)
     assert result.flipped is flipped
     assert len(result.i_plus) >= 1
-    support, g = brute_indicator_law(f, d, result.i_plus, flipped, p, alpha)
-    assert result.y_dist.support == tuple(support)
-    assert result.g.entries == tuple(g)
+    _assert_law_and_g(result, *brute_indicator_law(f, d, result.i_plus, flipped, p, alpha))
 
 
 @pytest.mark.parametrize("case", ["majp-one-minus-f", "mixture", "empty"])
@@ -385,8 +396,8 @@ _signed_values = st.sampled_from([-1, F(-2, 3), F(-1, 2), 0, F(1, 3), HALF, 1])
 
 @st.composite
 def equal_row_reductions(draw):
-    """An equal-row product with n <= 5, a function of a score total, p and alpha."""
-    n = draw(st.integers(1, 5))
+    """An equal-row product with n <= 8, a function of a score total, p and alpha."""
+    n = draw(st.integers(1, 8))
     if draw(st.booleans()):
         alphabet = PARTICIPATION
         raw = draw(st.one_of(st.just((1, 1, 0)), st.tuples(*[st.integers(0, 6)] * 3)))
@@ -405,23 +416,101 @@ def equal_row_reductions(draw):
     return f, d, p, alpha
 
 
-_FLIPPING_ROW = ProductDist(PARTICIPATION, 3, [(F(1, 4), HALF, F(1, 4))] * 3)
+def _flipping_row(n):
+    return ProductDist(PARTICIPATION, n, [(F(1, 4), HALF, F(1, 4))] * n)
 
 
 @settings(max_examples=150, deadline=None)
 @given(equal_row_reductions())
-@example((_NotMajP(3), _FLIPPING_ROW, HALF, F(1, 8)))  # flipped as 1 - f
-@example((_Gapped(3, {t: F(-t, 6) for t in range(-3, 7)}), _FLIPPING_ROW, HALF, F(1, 8)))  # -f
+@example((_NotMajP(3), _flipping_row(3), HALF, F(1, 8)))  # flipped as 1 - f
+@example((_Gapped(3, {t: F(-t, 6) for t in range(-3, 7)}), _flipping_row(3), HALF, F(1, 8)))  # -f
+@example((_NotMajP(8), _flipping_row(8), HALF, F(1, 8)))
+@example((_Gapped(8, {t: F(-t, 16) for t in range(-8, 17)}), _flipping_row(8), HALF, F(1, 8)))
+@example((MajPFn(8), majp_dist(8, HALF), F(1, 4), F(1, 1000)))  # not flipped
 def test_class_reduction_matches_explicit_walk(case):
     # The explicit expansion folds the selected players' table key by key;
-    # the equal-row product reads deviation-count classes.
+    # the equal-row product reads deviation-count classes and gives Y as a
+    # product and g as a function of the zero count, so the two agree as
+    # laws and functions, not as objects.
     f, d, p, alpha = case
     result = reduce_to_binary(f, d, p, alpha)
-    assert result == reduce_to_binary(f, d.to_explicit(), p, alpha)
+    walk = reduce_to_binary(f, d.to_explicit(), p, alpha)
+    assert verify_reduction(f, d, p, alpha) == verify_reduction(f, d.to_explicit(), p, alpha)
+    assert ((result.i_plus, result.flipped, result.p_values, result.expectation,
+             result.count_pivotal) == (walk.i_plus, walk.flipped, walk.p_values,
+                                       walk.expectation, walk.count_pivotal))
+    if not result.is_empty:
+        _assert_law_and_g(result, walk.y_dist.support, walk.g.entries)
     if d.n <= 3 and not result.is_empty:
-        support, g = brute_indicator_law(f, d, result.i_plus, result.flipped, p, alpha)
-        assert result.y_dist.support == tuple(support)
-        assert result.g.entries == tuple(g)
+        _assert_law_and_g(result, *brute_indicator_law(f, d, result.i_plus, result.flipped,
+                                                       p, alpha))
+
+
+@st.composite
+def product_reductions(draw):
+    """A product of n <= 5 players on one to three distinct rows, a function, p and alpha."""
+    count = draw(st.integers(1, 3))
+    n = draw(st.integers(count, 5))
+    alphabet = draw(st.sampled_from([BINARY, PARTICIPATION]))
+    row = st.tuples(*[st.integers(1, 4)] * len(alphabet)).map(
+        lambda raw: tuple(F(w, sum(raw)) for w in raw))
+    rows = draw(st.lists(row, min_size=count, max_size=count, unique=True))
+    d = ProductDist(alphabet, n, draw(st.permutations([rows[i % count] for i in range(n)])))
+    if draw(st.booleans()):
+        f = draw(st.sampled_from([MajPFn, _NotMajP]))(n) if alphabet == PARTICIPATION else (
+            draw(st.sampled_from([MajorityFn, ParityFn]))(n))
+    else:
+        points = itertools.product(range(len(alphabet)), repeat=n)
+        f = DenseTable(alphabet, n, {x: draw(_signed_values) for x in points})
+    p = draw(st.sampled_from([F(1, 8), F(1, 4), HALF]))
+    alpha = draw(st.sampled_from([F(1, 1000), F(1, 16), F(1, 4)]))
+    return f, d, p, alpha
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_reductions())
+def test_product_indicator_law_is_the_product_of_its_marginals(case):
+    # Y_j reads only x_j and coin j, so on a product the fold's joint law,
+    # vector by vector on the explicit expansion, factorizes, and y_dist
+    # is that product.
+    f, d, p, alpha = case
+    result = reduce_to_binary(f, d, p, alpha)
+    if result.is_empty:
+        return
+    joint = reduce_to_binary(f, d.to_explicit(), p, alpha).y_dist
+    marginals = [joint.single_marginal(j) for j in range(joint.n)]
+    for v in _vectors(joint.n):
+        product = math.prod((m[s] for m, s in zip(marginals, v)), start=F(1))
+        assert joint.weight(v) == product == result.y_dist.weight(v)
+    assert isinstance(result.y_dist, ProductDist)
+
+
+@pytest.mark.parametrize("f, d", [
+    (MajPFn(6), majp_dist(6, HALF)),  # equal rows: the class path
+    (MajPFn(6), ProductDist(PARTICIPATION, 6, [(F(1, 4), F(1, 4), HALF)] * 5
+                            + [(F(1, 5), F(1, 5), F(3, 5))])),  # the walk
+], ids=["classes", "vectors"])
+def test_wrong_coin_rate_fails_the_marginal_check(monkeypatch, f, d):
+    # Coins of rate p / (3 p_j) leave Pr[Y_j = 0] = p / 3: the rows of Y are
+    # read from the fold, so the check sees it.
+    from pivotal import theorems
+    p, alpha = F(1, 4), F(1, 1000)
+    assert verify_reduction(f, d, p, alpha).ok
+    monkeypatch.setattr(theorems, "_coin_rate", lambda p, pj: p / (3 * pj))
+    v = verify_reduction(f, d, p, alpha)
+    assert v.computed["indicator_marginal_ok"] is False
+    assert (v.ok, v.witness) == (False, (p / 3,) * len(v.computed["selected"]))
+
+
+def test_reduction_builds_the_law_by_total_once(monkeypatch):
+    # The pivotal report and the class sums share one law of the vote total,
+    # whose cost is the power Q^n of the row polynomial Q = 1 + 2x + x^2.
+    from pivotal import dist
+    calls = []
+    real = dist._power
+    monkeypatch.setattr(dist, "_power", lambda q, r: calls.append((list(q), r)) or real(q, r))
+    assert verify_reduction(MajPFn(9), majp_dist(9, HALF), F(1, 4), F(1, 1000)).ok
+    assert calls.count(([1, 2, 1], 9)) == 1
 
 
 def test_class_reduction_reads_singletons_only(monkeypatch):
@@ -440,6 +529,19 @@ def test_class_reduction_reads_singletons_only(monkeypatch):
     assert groups and all(len(T) == 1 for T in groups)
     assert result.i_plus == tuple(range(12))
     assert verify_reduction(*args).ok
+
+
+@pytest.mark.parametrize("f, d", [(MajPFn(200), majp_dist(200, HALF)),
+                                  (MajorityFn(101), uniform_product(101))], ids=["majp", "majority"])
+def test_class_reduction_past_the_walk_limits(f, d):
+    # Past 20 selected players and 2^20 joint symbols, equal rows still
+    # reduce exactly: Y is a product with rows (p/2, 1 - p/2), g a value per zero count.
+    p, alpha = F(1, 4), F(1, 1000)
+    result = reduce_to_binary(f, d, p, alpha)
+    assert result.i_plus == tuple(range(d.n))
+    assert result.y_dist == ProductDist(BINARY, d.n, [(p / 2, 1 - p / 2)] * d.n)
+    assert isinstance(result.g, ZeroCountFn) and len(result.g.values) == d.n + 1
+    assert verify_reduction(f, d, p, alpha).ok
 
 
 class TestElimination:
@@ -512,15 +614,20 @@ class TestElimination:
 
 
 @pytest.mark.parametrize("call, error, text", [
-    (lambda: reduce_to_binary(MajPFn(21), majp_dist(21, HALF), F(1, 4), F(1, 1000)),
+    (lambda: reduce_to_binary(MajorityFn(21), hadamard_mu(5).marginal(range(21)), F(1, 4),
+                              F(1, 1000)),
      PivotalError, "reduction would enumerate 2^21 indicator vectors"),
-    (lambda: reduce_to_binary(MajPFn(13), majp_dist(13, HALF), F(1, 4), F(1, 1000)),
+    (lambda: reduce_to_binary(MajPFn(13), ProductDist(PARTICIPATION, 13, [
+        (HALF - F(1, 100 + i), HALF + F(1, 100 + i), F(0)) for i in range(13)]),
+        F(1, 4), F(1, 1000)),
      PivotalError, "reduction would read 3^13 joint symbols"),
+    (lambda: reduce_to_binary(MajPFn(1024), majp_dist(1024, HALF), F(1, 4), F(1, 1000)),
+     PivotalError, "reduction would fold 1025 classes of 2049 coefficients"),
     (lambda: monotone_check(ParityFn(25)), PivotalError, "n=25 exceeds the enumeration limit 24"),
     (lambda: majp_dist(14, HALF).to_explicit(), DistributionError,
      "grid of 4782969 points is too large to expand explicitly"),
-], ids=["reduction-arity", "reduction-joint-symbols", "monotone-check-arity",
-        "explicit-expansion"])
+], ids=["reduction-arity", "reduction-joint-symbols", "reduction-classes",
+        "monotone-check-arity", "explicit-expansion"])
 def test_size_refusal_comes_before_enumeration(call, error, text):
     # Each input is past its limit by one step; enumerating it would take far
     # longer than the refusal.
