@@ -25,6 +25,8 @@ from .dist import (
     UndefinedPointError,
     ZERO,
     ONE,
+    _indicators,
+    _slot_codes,
     as_exact,
     as_int,
     first_bad_outcome,
@@ -117,6 +119,12 @@ class PartialTable(PlayerFunction):
 
     def __init__(self, alphabet: Alphabet, n: int,
                  values: Mapping[Outcome, Fraction] | Iterable[tuple[Outcome, Fraction]]):
+        self._setup(alphabet, n, values)
+
+    def _setup(self, alphabet: Alphabet, n: int,
+               values: Mapping[Outcome, Fraction] | Iterable[tuple[Outcome, Fraction]]
+               ) -> tuple[list[int], list[Fraction]]:
+        """Check and store the entries; each sorted entry's value code, and the distinct values."""
         self.alphabet = alphabet
         self.n = as_int(n, "arity", PivotalError)
         pairs = values.items() if isinstance(values, Mapping) else values
@@ -129,14 +137,16 @@ class PartialTable(PlayerFunction):
         self._lookup = dict(self.entries)
         if len(self._lookup) != len(self.entries):
             raise PivotalError("outcome mapped twice in table")
-        # Values are checked once per distinct object and value; on a failure
-        # the sorted entries are walked to name the first bad outcome or value.
-        values = {id(v): v for v in self._lookup.values()}.values()
-        if bad is not None or not all(map(_in_value_range, set(values))):
+        # Values are checked once per distinct value; on a failure the sorted
+        # entries are walked to name the first bad outcome or value.
+        distinct: list[Fraction] = []
+        codes, _ = _slot_codes(list(self._lookup.values()), {}, distinct)
+        if bad is not None or not all(map(_in_value_range, distinct)):
             for x, v in self.entries:
                 if first_bad_outcome((x,), self.n, len(alphabet)) is not None:
                     raise PivotalError(f"invalid outcome {x} in table")
                 _check_value_range(x, v)
+        return codes, distinct
 
     def evaluate(self, x: Outcome) -> Fraction:
         self._check_arity(x)
@@ -150,18 +160,29 @@ class PartialTable(PlayerFunction):
 
 
 class DenseTable(PartialTable):
-    """Explicit value for every outcome of the full grid."""
+    """Explicit value for every outcome of the full grid.
 
-    __slots__ = ()
+    The sorted entries are the grid in order, the last player fastest, so
+    entry p sits at grid position p. When the table has no more distinct
+    values than its size has bits, it keeps them by position
+    (``_grid_values``): the distinct values, one bitset per value (bit p
+    for position p) and one code byte per position. ``Distribution.sums``
+    then reads a window that is a slice of the grid from these, with no
+    ``evaluate`` call.
+    """
+
+    __slots__ = ("_grid_values",)
 
     def __init__(self, alphabet: Alphabet, n: int,
                  values: Mapping[Outcome, Fraction] | Iterable[tuple[Outcome, Fraction]]):
-        super().__init__(alphabet, n, values)
+        codes, distinct = self._setup(alphabet, n, values)
         if not self.entries:  # checked first: len(alphabet) ** n can be astronomically large
             raise PivotalError("dense table has no entries")
         size = len(alphabet) ** self.n
         if len(self.entries) != size:
             raise PivotalError(f"dense table has {len(self.entries)} entries, grid needs {size}")
+        self._grid_values = ((tuple(distinct), _indicators(reversed(codes), len(distinct)),
+                              bytes(codes)) if len(distinct) <= size.bit_length() else None)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, DenseTable) and self.alphabet == other.alphabet

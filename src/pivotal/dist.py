@@ -20,13 +20,23 @@ construction: an explicit support keeps its lcm denominator and integer
 weights, a product form each distinct row's, and the weights are checked
 on that integer view. The kernel sees the support as bitsets, bit j for
 support point j: one per (player, symbol), and one per distinct integer
-weight when there are at most as many as |supp| has bits. It evaluates f
-once per point, in support order, codes each point by its value's slot
-and adds the point's weight to that value's mass, for the law. The mass
-of a set of points is weighed class by class by popcount, or summed over
-its set bits where classes do not apply; a second such mass, over the
-weights times the scaled values, gives an f-weighted sum. A group's table
-keys are the nonempty ANDs of its players' bitsets; the order in which a
+weight when there are at most as many as |supp| has bits. f's values are
+bitsets too, one per distinct value. A dense table (``boolfn.DenseTable``)
+keeps them over the positions of its grid, so where a window is a
+contiguous slice of the full m^n grid (an explicit support of m^n points,
+or a product whose rows give every symbol positive weight) the kernel
+shifts and masks them and calls no ``evaluate``. Elsewhere it evaluates f
+once per point, in support order, and slots the values through C-level
+maps by object id (``_slot_codes``), one ``Fraction.__hash__`` per
+distinct value. A value's mass, for the law, is the mass of its bitset.
+The mass of a set of points is weighed class by class by popcount, or
+summed over its set bits where classes do not apply. An f-weighted sum
+weighs the ANDs of the value bitsets with the weight classes, each class
+by its weight times its scaled value; a small set, or a window without
+classes, adds weight times scaled value over its set bits. A window whose
+distinct values outnumber the bits of its point count codes each point
+by its value instead, with no value bitsets. A group's table keys are
+the nonempty ANDs of its players' bitsets; the order in which a
 table or the law lists its keys carries no meaning. The kernel runs over
 windows of at most ``_WINDOW`` consecutive points, adding each window's
 integer sums to the last; a value that brings a new denominator moves
@@ -93,7 +103,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import eq, getitem, itemgetter
+from operator import attrgetter, eq, getitem, itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 Outcome = tuple[int, ...]
@@ -385,6 +395,25 @@ def _divide(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
     return out
 
 
+def _by_deviation_count(q_dev: list[int], q_other: list[int], k: int, length: int,
+                        up: bool) -> Iterator[tuple[int, list[int]]]:
+    """(c, A_c) for c = 0..k, A_c = q_dev^c q_other^(k - c) cut to length coefficients.
+
+    Each A_c comes from the one before by one product and one exact
+    division: downward from A_k, A_(c - 1) = A_c q_other / q_dev, or, if
+    up, upward from A_0, A_(c + 1) = A_c q_dev / q_other. ``_divide`` takes
+    one comprehension when its divisor has one nonzero term, so the caller
+    steps toward dividing by the side with fewer terms.
+    """
+    first, times, over = (q_other, q_dev, q_other) if up else (q_dev, q_other, q_dev)
+    a = _power(first, k)
+    steps = range(k + 1) if up else range(k, -1, -1)
+    for c in steps:
+        if c != steps[0]:
+            a = _divide(_times(times, a), over, length)
+        yield c, a
+
+
 class _Bitsets(NamedTuple):
     """A support as bitsets: bit j stands for support point j."""
 
@@ -468,25 +497,66 @@ def _cut(bits: _Bitsets) -> Iterator[tuple[int, _Bitsets]]:
                            bits.ints[lo:lo + _WINDOW], [])
 
 
-def _value_codes(f: Evaluable, points: Iterable[Outcome], slots: dict[Fraction, int],
-                 values: list[Fraction], by_id: dict[int, int]) -> list[int]:
-    """Each point's slot: the index of f's value there in values, whose slots maps it back.
+_RATIO = attrgetter("numerator", "denominator")  # equal rationals, equal ratios
 
-    A value not seen before is added to both. A value object seen before is
-    found by id in by_id, skipping one Fraction.__hash__ per point. Only
-    the first object of each value is filed by id, and values holds it, so
-    its id cannot be reused while by_id is read.
+
+def _slot_codes(vals: list[Fraction], slots: dict[Fraction, int],
+                values: list[Fraction]) -> tuple[list[int], list[int]]:
+    """A code per entry of vals, and each code's slot: the index of its value in values.
+
+    Codes number the distinct values of vals from 0, in order of first
+    appearance; a value not in slots is added to slots and values. The
+    entries are sorted out through C-level maps, by object id and then,
+    once per distinct object, by (numerator, denominator), so only a
+    distinct value costs a Fraction.__hash__. vals holds every object, so
+    no id is reused while the maps are read.
     """
-    codes = []
-    for v in map(f.evaluate, points):
-        j = by_id.get(id(v))
-        if j is None:
-            j = slots.get(v)
-            if j is None:
-                j = by_id[id(v)] = slots[v] = len(values)
-                values.append(v)
-        codes.append(j)
-    return codes
+    ids = list(map(id, vals))
+    objects = dict(zip(ids, vals))  # one entry per distinct object
+    ratios = list(map(_RATIO, objects.values()))
+    by_value = dict(zip(ratios, objects.values()))  # one object per distinct value
+    local = []
+    for v in by_value.values():
+        j = slots.setdefault(v, len(values))
+        if j == len(values):
+            values.append(v)
+        local.append(j)
+    code = dict(zip(by_value, range(len(by_value))))
+    code_of = dict(zip(objects, map(code.__getitem__, ratios)))
+    return list(map(code_of.__getitem__, ids)), local
+
+
+class _Valued:
+    """A window's points weighed by weight * vden * f: the f-weighted mass of a point set.
+
+    vbits holds (code, bitset of the points with that value code), and
+    scaled each code's value times vden. Where the window has weight
+    classes, the nonempty ANDs of the value bitsets with them are the
+    classes of the f-weighted weights, and a set with at least as many
+    points as classes is weighed class by class by popcount. Otherwise the
+    per-point weights are built from the points' codes at the first read,
+    and ``_Bitsets.mass`` weighs the set.
+    """
+
+    __slots__ = ("classes", "window", "codes", "scaled", "points")
+
+    def __init__(self, window: _Bitsets, vbits: list[tuple[int, int]] | None,
+                 codes: Sequence[int], scaled: Sequence[int]):
+        self.window, self.codes, self.scaled, self.points = window, codes, scaled, None
+        self.classes = None if vbits is None or not window.classes else [
+            (w * scaled[c], x) for c, b in vbits if scaled[c]  # a zero value adds nothing
+            for w, members in window.classes if (x := b & members)]
+
+    def mass(self, bits: int) -> int:
+        if self.classes is not None and len(self.classes) <= bits.bit_count():
+            total = 0
+            for w, members in self.classes:
+                total += w * (bits & members).bit_count()
+            return total
+        if self.points is None:
+            ints = list(map(int.__mul__, self.window.ints, map(self.scaled.__getitem__, self.codes)))
+            self.points = _Bitsets([], [], ints, [])
+        return self.points.mass(bits)
 
 
 def _parts(columns: list[list[int]], T: tuple[int, ...],
@@ -597,25 +667,44 @@ class Distribution(ABC):
         return self._sums(self._check_groups(groups), f)
 
     @abstractmethod
-    def _windows(self) -> tuple[int, Iterator[tuple[Iterable[Outcome], _Bitsets]]]:
+    def _windows(self) -> tuple[int, Iterator[tuple[Iterable[Outcome], _Bitsets, int | None]]]:
         """The common denominator, and the support in windows of consecutive points.
 
         A window holds at most _WINDOW points, or a player's symbols where a
-        player has more: their outcomes in support order, and their
-        bitsets, bit j for the window's point j.
+        player has more: their outcomes in support order, their bitsets,
+        bit j for the window's point j, and the position of its first point
+        in the full m^n grid (in sorted order) when the window is a
+        contiguous slice of that grid, else None.
         """
 
     def _sums(self, groups: list[tuple[int, ...]], f: Evaluable | None) -> GroupedSums:
         denom, windows = self._windows()
         slots: dict[Fraction, int] = {ONE: 0} if f is None else {}
-        values, by_id = list(slots), {}
+        values = list(slots)
         value_mass = [denom] if f is None else []
         vden = 1  # the lcm of the denominators of the values seen so far
+        # A dense table over this grid keeps its values by grid position:
+        # (its distinct values, one bitset per value, each position's code).
+        grid = getattr(f, "_grid_values", None)
+        if grid is not None and (f.n, len(f.alphabet)) != (self.n, len(self.alphabet)):
+            grid = None
+        grid_slots: list[int] = []  # each table value's slot, once read
         accs: dict[tuple[int, ...], dict] = {T: {} for T in groups}
-        for points, window in windows:
-            heavy = None  # f is 1: each f-sum is its mass
+        for points, window, offset in windows:
+            weigh = None  # f is 1: each f-sum is its mass
             if f is not None:
-                codes = _value_codes(f, points, slots, values, by_id)
+                if grid is not None and offset is not None:
+                    # A slice of the grid: f's values are the table's, shifted.
+                    tvalues, tbits, tcodes = grid
+                    grid_slots = grid_slots or _slot_codes(list(tvalues), slots, values)[1]
+                    size = len(window.ints)
+                    vbits = [(t, b) for t, vb in enumerate(tbits)
+                             if (b := vb >> offset & (1 << size) - 1)]
+                    codes, local = tcodes[offset:offset + size], grid_slots
+                else:
+                    codes, local = _slot_codes(list(map(f.evaluate, points)), slots, values)
+                    vbits = (list(enumerate(_indicators(reversed(codes), len(local))))
+                             if len(local) <= len(codes).bit_length() else None)
                 new = values[len(value_mass):]
                 value_mass += [0] * len(new)
                 grown = math.lcm(vden, *(v.denominator for v in new))
@@ -624,20 +713,24 @@ class Distribution(ABC):
                         for key, (m, s) in acc.items():
                             acc[key] = m, s * (grown // vden)
                     vden = grown
-                for j, w in zip(codes, window.ints):
+                by_code = [0] * len(local)
+                if vbits is None:  # many values: each point's weight goes to its code
+                    for c, w in zip(codes, window.ints):
+                        by_code[c] += w
+                else:
+                    for c, b in vbits:
+                        by_code[c] = window.mass(b)
+                for j, w in zip(local, by_code):
                     value_mass[j] += w
-                # The points weighing w * vden * f: a mass of these is an f-sum.
-                scaled = {j: values[j].numerator * (vden // values[j].denominator)
-                          for j in dict.fromkeys(codes)}
-                ints = list(map(int.__mul__, window.ints, map(scaled.__getitem__, codes)))
-                heavy = _Bitsets([], _classes(ints), ints, [])
+                scaled = [values[j].numerator * (vden // values[j].denominator) for j in local]
+                weigh = _Valued(window, vbits, codes, scaled).mass
 
             known: dict[tuple[int, ...], list[tuple[Outcome, int]]] = {}
             for T, acc in accs.items():
                 for key, b in _parts(window.columns, T, known):
                     m = window.mass(b)
                     m0, s0 = acc.get(key, (0, 0))
-                    acc[key] = m0 + m, s0 + (m if heavy is None else heavy.mass(b))
+                    acc[key] = m0 + m, s0 + (m if weigh is None else weigh(b))
         law, mean, vden, _ = _law_and_mean(slots, value_mass, denom)
         tables = {T: {key: (Fraction(m, denom), Fraction(s, denom * vden))
                       for key, (m, s) in acc.items()} for T, acc in accs.items()}
@@ -749,9 +842,12 @@ class ExplicitDist(Distribution):
             self._bits = _support_bitsets(points, self._ints, len(self.alphabet))
         return self._bits
 
-    def _windows(self) -> tuple[int, Iterator[tuple[Iterable[Outcome], _Bitsets]]]:
-        # The kept bitsets, cut at every _WINDOW points.
-        return self._denom, ((map(itemgetter(0), self.support[lo:lo + len(bits.ints)]), bits)
+    def _windows(self) -> tuple[int, Iterator[tuple[Iterable[Outcome], _Bitsets, int | None]]]:
+        # The kept bitsets, cut at every _WINDOW points. A support of m^n
+        # points is the whole grid, sorted, so point lo is grid position lo.
+        full = len(self.support) == len(self.alphabet) ** self.n
+        return self._denom, ((map(itemgetter(0), self.support[lo:lo + len(bits.ints)]), bits,
+                              lo if full else None)
                              for lo, bits in _cut(self._bitsets()))
 
     def _kwise_scan(self, k: int) -> KwiseResult:
@@ -885,13 +981,15 @@ class ProductDist(Distribution):
         return math.prod(dens), zip(itertools.product(*symbols),
                                     map(math.prod, itertools.product(*weights)))
 
-    def _windows(self) -> tuple[int, Iterator[tuple[Iterable[Outcome], _Bitsets]]]:
+    def _windows(self) -> tuple[int, Iterator[tuple[Iterable[Outcome], _Bitsets, int | None]]]:
         # The grid is in mixed-radix order, the last player fastest. The last
         # players whose own grid has at most _WINDOW points (at least the
         # last player) form the tail; each window fixes the other players'
         # symbols and runs through the tail. Its bitsets are the tail's, a
         # fixed player's column is all or nothing, and its weights are the
-        # tail's times the fixed players' weight. Nothing reads a window's singles.
+        # tail's times the fixed players' weight. Nothing reads a window's
+        # singles. When every symbol has positive weight the support is the
+        # whole grid, and window i starts at grid position i times the tail's size.
         dens, _, symbols, weights, *_ = zip(*map(self._entries.__getitem__, self._index))
         split = len(symbols) - 1
         while split and math.prod(map(len, symbols[split - 1:])) <= _WINDOW:
@@ -902,14 +1000,17 @@ class ProductDist(Distribution):
         tail = _Bitsets([_indicators(col, m) for col in columns], _classes(ints), ints, [])
         every = (1 << len(tail.ints)) - 1
         fixed = [[every if t == s else 0 for t in range(m)] for s in range(m)]
+        full = all(len(row) == m for row in symbols)
 
-        def windows() -> Iterator[tuple[Iterable[Outcome], _Bitsets]]:
-            for head in itertools.product(*map(zip, symbols[:split], weights[:split])):
+        def windows() -> Iterator[tuple[Iterable[Outcome], _Bitsets, int | None]]:
+            heads = itertools.product(*map(zip, symbols[:split], weights[:split]))
+            for i, head in enumerate(heads):
                 a = math.prod(w for _, w in head)
                 yield (itertools.product(*[(s,) for s, _ in head], *symbols[split:]),
                        _Bitsets([fixed[s] for s, _ in head] + tail.columns,
                                 [(a * w, b) for w, b in tail.classes],
-                                [a * w for w in tail.ints], []))
+                                list(map(a.__mul__, tail.ints)), []),
+                       i * len(tail.ints) if full else None)
 
         return math.prod(dens), windows()
 
@@ -953,16 +1054,18 @@ class ProductDist(Distribution):
         for s in symbols:
             q[score[s] - lo] += row_ints[s]
         everyone = _power(q, n)
-        # f's value at each total of the n players; None where none is reached.
-        values = [None if not w else ONE if f is None else f.of_total(t)
-                  for t, w in enumerate(everyone, n * lo)]
-        masses: dict[Fraction, int] = {}
-        for v, w in zip(values, everyone):
-            if w:
-                masses[v] = masses.get(v, 0) + w
-        slots = {v: j for j, v in enumerate(masses)}
-        law, mean, vden, scaled = _law_and_mean(slots, list(masses.values()), row_den ** n)
-        by_total = [0 if v is None else scaled[slots[v]] for v in values]  # vden * f, or 0
+        # f's value at each total the n players reach, slotted by object id.
+        reached = [i for i, w in enumerate(everyone) if w]
+        slots: dict[Fraction, int] = {}
+        codes, _ = _slot_codes([ONE] * len(reached) if f is None else
+                               [f.of_total(n * lo + i) for i in reached], slots, [])
+        masses = [0] * len(slots)
+        for c, i in zip(codes, reached):
+            masses[c] += everyone[i]
+        law, mean, vden, scaled = _law_and_mean(slots, masses, row_den ** n)
+        by_total = [0] * len(everyone)  # vden * f at each total, 0 where none is reached
+        for c, i in zip(codes, reached):
+            by_total[i] = scaled[c]
 
         @functools.cache
         def rest(k: int) -> list[int]:
@@ -1003,9 +1106,9 @@ class ProductDist(Distribution):
         On the statistic path, with one side D for every player, the joint
         symbols of a vector with c deviating players weigh A_c = Q_D^c
         Q_N^(k - c) by score, Q_D and Q_N being the row polynomial's parts
-        over D and the others. Each A_(c - 1) is A_c Q_N / Q_D, one product
-        and one exact division. Both lists hold integers over one
-        denominator, returned first, with f's law. None off that path.
+        over D and the others (``_by_deviation_count``). Both lists hold
+        integers over one denominator, returned first, with f's law. None
+        off that path.
         """
         if not (self._on_statistic_path([players], f)
                 and all(side == sides[0] for side in sides)):
@@ -1020,14 +1123,14 @@ class ProductDist(Distribution):
         for s in symbols:
             (q_dev if s in sides[0] else q_other)[score[s] - lo] += row_ints[s]
         scale = den // row_den ** k  # row_den^(n - k) * vden
-        a, by_total = _power(q_dev, k), rest(k)
-        masses, wsums = [], []
-        for c in range(k, -1, -1):
-            if c < k:
-                a = _divide(_times(q_other, a), q_dev, length)
-            masses.append(sum(a) * scale)
-            wsums.append(sum(map(int.__mul__, a, by_total)))
-        return den, masses[::-1], wsums[::-1], law
+        by_total = rest(k)
+        # Divide by a one-term polynomial where one side has one term and the other more.
+        up = sum(map(bool, q_other)) == 1 < sum(map(bool, q_dev))
+        masses, wsums = [0] * (k + 1), [0] * (k + 1)
+        for c, a in _by_deviation_count(q_dev, q_other, k, length, up):
+            masses[c] = sum(a) * scale
+            wsums[c] = sum(map(int.__mul__, a, by_total))
+        return den, masses, wsums, law
 
     def weight(self, x: Outcome) -> Fraction:
         if len(x) != self.n:

@@ -42,6 +42,7 @@ from pivotal.boolfn import (
     MajPFn,
     ParityFn,
     PartialTable,
+    PlayerFunction,
     PreconditionError,
     StatisticFn,
     UpwardClosure,
@@ -1277,6 +1278,149 @@ def test_kwise_past_256_symbols_matches_oracle():
     assert d.single_marginal(1) == tuple(brute_event_mass(d, {1: s}) for s in range(300))
     _assert_kwise_matches_brute_force(d, 2)
     assert not d.check_kwise(2).ok
+
+
+class _FreshValues(PlayerFunction):
+    """A new Fraction object on every call, so equal values never share an object.
+
+    Over two windows the first window's objects are freed before the second
+    is evaluated, and their ids are free to be reused by new values.
+    """
+
+    def __init__(self, alphabet, n):
+        self.alphabet, self.n = alphabet, n
+
+    def evaluate(self, x):
+        return F(sum(x) % 3 - 1, 2)
+
+
+def _grid(m, n):
+    return list(itertools.product(range(m), repeat=n))
+
+
+@st.composite
+def positional_cases(draw):
+    """A space, a function and player groups for the grid-position read of a dense table.
+
+    Full explicit grids and products whose rows give every symbol positive
+    weight are slices of the m^n grid, which a DenseTable reads by
+    position; a product with a zero-weight symbol and a partial explicit
+    support are not, so f is evaluated. Values come from a few shared
+    objects, from equal but distinct objects (``F(getrandbits(1))`` per
+    entry), or from more distinct values than the table keeps by position.
+    """
+    kind = draw(st.sampled_from(["explicit-grid", "product", "product-zero-weight",
+                                 "partial-support", "ternary", "binary-11", "product-11",
+                                 "fresh-11"]))
+    m = 3 if kind == "ternary" else 2
+    n = 11 if kind.endswith("11") else draw(st.integers(1, 4 if m == 3 else 6))
+    grid = _grid(m, n)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    alphabet = PARTICIPATION if m == 3 else BINARY
+    if kind.startswith("product"):
+        rows = [[rng.randint(1, 3) for _ in range(m)] for _ in range(n)]
+        if kind == "product-zero-weight":
+            rows[rng.randrange(n)][rng.randrange(m)] = 0
+        d = ProductDist(alphabet, n, [tuple(F(w, sum(r)) for w in r) for r in rows])
+    else:
+        points = grid
+        if kind == "partial-support":  # at least one grid point is left out
+            drop = rng.randrange(len(grid))
+            points = [x for j, x in enumerate(grid) if j != drop and rng.random() < 0.7]
+            points = points or [grid[drop - 1]]
+        raw = [rng.randint(1, 3) for _ in points]
+        d = ExplicitDist(alphabet, n, [(x, F(w, sum(raw))) for x, w in zip(points, raw)])
+    values = draw(st.sampled_from(["shared", "equal-distinct", "many"]))
+    if kind == "fresh-11":
+        f = _FreshValues(alphabet, n)
+    elif values == "shared":
+        shared = [F(0), F(1), F(-1, 3)]
+        f = DenseTable(alphabet, n, {x: rng.choice(shared) for x in grid})
+    elif values == "equal-distinct":
+        f = DenseTable(alphabet, n, {x: F(rng.getrandbits(1)) for x in grid})
+    else:
+        f = DenseTable(alphabet, n, {x: F(j % 40 - 20, 20) for j, x in enumerate(grid)})
+    # At n = 11 the oracle's Fraction walk is the cost: three groups only.
+    groups = [(0,), (n - 1, 0)] + ([(i,) for i in range(1, n)] + [tuple(range(n))]
+                                   if n <= 6 else [(5,)])
+    return kind, d, groups, f
+
+
+@settings(max_examples=60, deadline=None)
+@given(positional_cases())
+def test_grouped_sums_by_grid_position_match_oracle(case):
+    kind, d, groups, f = case
+    # Every window of a grid slice has a grid position; no other window has one.
+    off_grid = kind in ("product-zero-weight", "partial-support")
+    assert {offset is None for _, _, offset in d._windows()[1]} == {off_grid}
+    _assert_matches_oracle(d, groups, f)
+
+
+def test_dense_table_keeps_its_values_by_grid_position():
+    grid = _grid(2, 3)
+    f = DenseTable(BINARY, 3, {x: F(x[2]) for x in grid})  # the last player fastest
+    values, bits, codes = f._grid_values
+    assert [values[c] for c in codes] == [f.evaluate(x) for x in grid]
+    assert bits == [int("01" * 4, 2), int("10" * 4, 2)]
+    many = DenseTable(BINARY, 3, {x: F(j, 8) for j, x in enumerate(grid)})
+    assert many._grid_values is None  # 8 values, more than the 4 bits of 8 entries
+
+
+def test_dense_tables_on_the_grid_are_read_without_evaluate(monkeypatch):
+    # A DenseTable inherits PartialTable.evaluate, so one wrapper counts both.
+    calls = []
+    evaluate = PartialTable.evaluate
+    monkeypatch.setattr(PartialTable, "evaluate", lambda f, x: calls.append(x) or evaluate(f, x))
+    grid = _grid(2, 10)
+    rng = random.Random(10)
+    pairs = [(x, F(rng.getrandbits(1))) for x in grid]
+    dense, partial = DenseTable(BINARY, 10, pairs), PartialTable(BINARY, 10, pairs)
+    product = uniform_product(10)
+    for d in (product, product.to_explicit()):
+        assert effect_report(dense, d) == effect_report(partial, d)
+        assert len(calls) == len(grid)  # the PartialTable's evaluations only
+        calls.clear()
+
+
+@pytest.mark.parametrize("q_dev, q_other, k", [
+    ([1, 2, 0], [0, 0, 3], 4),  # Q_D of two terms, Q_N of one: the upward order divides by Q_N
+    ([0, 5], [2, 0], 6),
+    ([1, 1, 1], [0, 2, 0], 3),
+    ([3, 0, 1], [0, 1, 0], 5),
+])
+def test_both_step_orders_give_equal_class_polynomials(q_dev, q_other, k):
+    length = k * (len(q_dev) - 1) + 1
+    down = dict(dist_module._by_deviation_count(q_dev, q_other, k, length, False))
+    up = dict(dist_module._by_deviation_count(q_dev, q_other, k, length, True))
+    assert down == up
+    for c, a in up.items():
+        assert a == dist_module._times(_power(q_dev, c), _power(q_other, k - c))
+
+
+class _Index:
+    def __index__(self):
+        return 1
+
+
+@pytest.mark.parametrize("second, m, ok", [
+    ((1.0, 0), 2, False),
+    ((True, 0), 2, True),
+    ((F(1), 0), 2, False),
+    ((-1, 0), 2, False),
+    ((0, 2), 2, False),
+    ((256, 0), 300, True),
+    ((300, 0), 300, False),
+    (("a", 0), 2, False),
+    ((None, 0), 2, False),
+    ((_Index(), 0), 2, False),
+    ((0,), 2, False),
+    ((0, 1, 0), 2, False),
+], ids=["float-after-int", "bool", "fraction-after-int", "negative", "m", "256-of-300",
+        "300-of-300", "str", "none", "__index__", "short", "long"])
+def test_outcome_rule_verdicts(second, m, ok):
+    # The second outcome follows (1, 0), so a 1.0 or Fraction(1) equals a symbol seen before.
+    outcomes = [(1, 0), second]
+    assert dist_module.first_bad_outcome(outcomes, 2, m) is (None if ok else second)
 
 
 def test_product_sums_keep_nothing():
