@@ -10,6 +10,7 @@ bogus pair.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -306,7 +307,10 @@ class UpwardClosure(PlayerFunction):
     so equal closures compare equal. Construction builds one table per 8
     coordinates: entry b holds the bitset (bit i: generator i) of the
     generators that set some coordinate of b; a membership query reads one
-    entry per byte of the coordinates it leaves clear. A byte's table has up
+    entry per byte of the coordinates it leaves clear. A ball query
+    (``first_dominated_ball``) answers every point within Hamming distance
+    1 of its centres: a centre's entries are read once, and each of its n
+    neighbours reads one entry, of the byte it flips. A byte's table has up
     to 256 entries of one bit per generator, 32 times the bits of its 8
     columns (0.56 MB for influence_counterexample(6), 4.3 MB at k = 7).
     """
@@ -389,6 +393,40 @@ class UpwardClosure(PlayerFunction):
         The mask is in the closure iff the answer is not None.
         """
         return list(map(self._first_under, masks))
+
+    def first_dominated_ball(self, centers: Iterable[int]) -> dict[int, int | None]:
+        """``first_dominated``'s answer for every point within Hamming distance 1 of a centre.
+
+        Keys are the distinct points of the balls. Each centre reads its
+        clear bytes' table entries once and ORs them into prefixes and
+        suffixes; a neighbour differs from it in one byte, so its blocked
+        set is that byte's entry ORed with the other bytes' prefix and
+        suffix: one lookup per neighbour. Centres must be masks in 0..2^n - 1.
+        """
+        top = (1 << self.n) - 1
+        centers = [as_int(c, "ball centre", PivotalError) for c in centers]
+        if bad := [c for c in centers if not 0 <= c <= top]:
+            as_int(min(bad), "ball centre", PivotalError, 0, top)  # the smallest is named
+        tables, used, count = self._tables, self._used, len(self.generators)
+        # Per byte: (the neighbour's flip, the flip within the byte's used coordinates).
+        flips = [[(1 << j, used >> c & 1 << (j - c)) for j in range(c, min(c + 8, self.n))]
+                 for c in range(0, self.n, 8)]
+        out: dict[int, int | None] = {}
+        for center in centers:
+            clear = (used & ~center).to_bytes(len(tables), "little")
+            entries = list(map(list.__getitem__, tables, clear))
+            pre = list(itertools.accumulate(entries, int.__or__, initial=0))
+            suf = list(itertools.accumulate(reversed(entries), int.__or__, initial=0))[::-1]
+            # The lowest generator left out is the lowest clear bit of blocked.
+            first = (pre[-1] ^ (pre[-1] + 1)).bit_length() - 1
+            out[center] = first if first < count else None
+            rests = map(int.__or__, pre, suf[1:])  # byte i's: every other byte's entries
+            for table, entry, rest, byte in zip(tables, clear, rests, flips):
+                for flip, local in byte:
+                    blocked = rest | table[entry ^ local]
+                    first = (blocked ^ (blocked + 1)).bit_length() - 1
+                    out[center ^ flip] = first if first < count else None
+        return out
 
     def generator_outcomes(self) -> tuple[Outcome, ...]:
         return tuple(mask_to_outcome(g, self.n) for g in self.generators)
@@ -476,16 +514,6 @@ class Certificate:
         return all(c.ok for c in self.checks)
 
 
-def _neighborhood(masks: Iterable[int], n: int) -> set[int]:
-    """A set of points together with all their Hamming-1 neighbors."""
-    out = set()
-    for m in masks:
-        out.add(m)
-        for j in range(n):
-            out.add(m ^ (1 << j))
-    return out
-
-
 def effect_counterexample(k: int) -> tuple[UpwardClosure, ExplicitDist, Certificate]:
     """Balanced monotone function with all effects zero on the mixed Hadamard space.
 
@@ -545,17 +573,16 @@ def influence_counterexample(k: int) -> tuple[UpwardClosure, ExplicitDist, Certi
     checks = []
     violation = None
 
-    # The balls are scanned as sets; only violators are sorted, to name the first.
-    ball_bar = _neighborhood(bar, n)
-    bad1 = sorted(m for m, i in zip(ball_bar, f.first_dominated(ball_bar)) if i is None)
+    # The balls are scanned by centre; only violators are sorted, to name the first.
+    ball_bar = f.first_dominated_ball(bar)
+    bad1 = sorted(m for m, i in ball_bar.items() if i is None)
     checks.append(CertCheck(
         "one_on_complement_ball", not bad1,
         f"point {mask_to_outcome(bad1[0], n)} not in closure" if bad1
         else f"{len(ball_bar)} points"))
 
-    ball_mu = _neighborhood([outcome_to_mask(x) for x, _ in mu.items()], n)
-    bad0 = sorted((m, f.generators[i]) for m, i in zip(ball_mu, f.first_dominated(ball_mu))
-                  if i is not None)
+    ball_mu = f.first_dominated_ball(outcome_to_mask(x) for x, _ in mu.items())
+    bad0 = sorted((m, f.generators[i]) for m, i in ball_mu.items() if i is not None)
     if bad0:
         violation = (mask_to_outcome(bad0[0][0], n), mask_to_outcome(bad0[0][1], n))
     checks.append(CertCheck(

@@ -47,11 +47,12 @@ O(|supp|) per key. Each ``Fraction`` is built once, after the pass.
 An explicit support builds its bitsets at the first query that reads
 them, with each player's symbol masses, and keeps them: ``sums``, exact
 k-wise checks and single marginals share them, and ``sums`` cuts them
-into windows. A product form keeps only the statistic path's law by
-total for the last function it read (``_totals``). Each call builds the
-bitsets of the sub-grid of its last players, at most ``_WINDOW`` points,
-and each window fixes the other players' symbols, so memory does not
-grow with the grid. The joint mass of an assignment in a k-wise check is
+into windows. A product form keeps the statistic path's law by total
+for the last function it read (``_totals``) and the bitsets of the
+sub-grid of its last players, at most ``_WINDOW`` points, built at the
+first query that reads them. Each window fixes the other players'
+symbols and reuses those bitsets, so memory does not grow with the
+grid. The joint mass of an assignment in a k-wise check is
 the AND of its players' bitsets, and factorization is decided in
 integers over the lcm denominator.
 
@@ -922,10 +923,12 @@ class ProductDist(Distribution):
     Enumeration and grouped sums stream the symbol grid without
     materializing it: a grouped sum off the statistic path holds one
     window of at most ``_WINDOW`` points at a time, so on the 531,441
-    points of a 3^12 grid its traced memory peaks at about 0.1 MiB.
+    points of a 3^12 grid its traced memory peaks at about 0.1 MiB. The
+    bitsets of the tail, the last players' sub-grid that every window
+    runs through, are built at the first grouped sum and kept.
     """
 
-    __slots__ = ("alphabet", "n", "marginals", "_entries", "_index", "_runs", "_last")
+    __slots__ = ("alphabet", "n", "marginals", "_entries", "_index", "_runs", "_last", "_tail")
 
     def __init__(self, alphabet: Alphabet, n: int,
                  marginals: Sequence[Sequence[Fraction]]):
@@ -959,6 +962,7 @@ class ProductDist(Distribution):
         self._runs = [(self._entries[j], len(list(players)))
                       for j, players in itertools.groupby(self._index)]
         self._last: tuple | None = None  # (f, _totals(f)) for the last f on the statistic path
+        self._tail: tuple | None = None  # built by _tail_bitsets()
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ProductDist)
@@ -991,16 +995,8 @@ class ProductDist(Distribution):
         # singles. When every symbol has positive weight the support is the
         # whole grid, and window i starts at grid position i times the tail's size.
         dens, _, symbols, weights, *_ = zip(*map(self._entries.__getitem__, self._index))
-        split = len(symbols) - 1
-        while split and math.prod(map(len, symbols[split - 1:])) <= _WINDOW:
-            split -= 1
-        m = len(self.alphabet)
-        ints = list(map(math.prod, itertools.product(*weights[split:])))
-        columns = zip(*reversed(list(itertools.product(*symbols[split:]))))
-        tail = _Bitsets([_indicators(col, m) for col in columns], _classes(ints), ints, [])
-        every = (1 << len(tail.ints)) - 1
-        fixed = [[every if t == s else 0 for t in range(m)] for s in range(m)]
-        full = all(len(row) == m for row in symbols)
+        split, tail, fixed = self._tail_bitsets()
+        full = all(len(row) == len(self.alphabet) for row in symbols)
 
         def windows() -> Iterator[tuple[Iterable[Outcome], _Bitsets, int | None]]:
             heads = itertools.product(*map(zip, symbols[:split], weights[:split]))
@@ -1013,6 +1009,24 @@ class ProductDist(Distribution):
                        i * len(tail.ints) if full else None)
 
         return math.prod(dens), windows()
+
+    def _tail_bitsets(self) -> tuple[int, _Bitsets, list[list[int]]]:
+        """The first tail player, the tail's bitsets, and fixed[s][t], a fixed s's column for t.
+
+        Built at the first call and kept; the tail has at most _WINDOW points.
+        """
+        if self._tail is None:
+            _, _, symbols, weights, *_ = zip(*map(self._entries.__getitem__, self._index))
+            split = len(symbols) - 1
+            while split and math.prod(map(len, symbols[split - 1:])) <= _WINDOW:
+                split -= 1
+            m = len(self.alphabet)
+            ints = list(map(math.prod, itertools.product(*weights[split:])))
+            columns = zip(*reversed(list(itertools.product(*symbols[split:]))))
+            tail = _Bitsets([_indicators(col, m) for col in columns], _classes(ints), ints, [])
+            every = (1 << len(tail.ints)) - 1
+            self._tail = split, tail, [[every if t == s else 0 for t in range(m)] for s in range(m)]
+        return self._tail
 
     def _sums(self, groups: list[tuple[int, ...]], f: Evaluable | None) -> GroupedSums:
         """``Distribution.sums``, over the law of f's statistic when that is exact.

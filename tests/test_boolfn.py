@@ -319,6 +319,42 @@ class TestUpwardClosure:
         assert full.first_dominated(queries) == [0] * len(queries)
         assert [empty.evaluate_mask(m) for m in queries] == [0] * len(queries)
         assert [full.evaluate_mask(m) for m in queries] == [1] * len(queries)
+        centers = [0, (1 << n) - 1, 0b101 & (1 << n) - 1]
+        ball = {c ^ (1 << j) for c in centers for j in range(n)} | set(centers)
+        assert empty.first_dominated_ball(centers) == dict.fromkeys(ball, None)
+        assert full.first_dominated_ball(centers) == dict.fromkeys(ball, 0)
+        assert full.first_dominated_ball([]) == {}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([0, 1, 7, 8, 9, 16, 17, 64]), st.data())
+    def test_ball_scan_matches_pointwise_scan_and_oracle(self, n, data):
+        top = (1 << n) - 1
+        masks = data.draw(st.lists(st.integers(0, top), max_size=12))
+        f = UpwardClosure.from_masks(n, masks)
+        oracle = brute_minimal_generators(masks)
+        centers = data.draw(st.lists(st.integers(0, top), max_size=6))
+        if masks:  # generators as centres: their balls straddle the closure's boundary
+            centers += data.draw(st.lists(st.sampled_from(masks), max_size=4))
+        if centers and n:  # centres one or two flips from another: overlapping balls
+            coordinate = st.integers(0, n - 1)
+            near = st.lists(st.tuples(st.sampled_from(centers), coordinate, coordinate), max_size=4)
+            centers += [c ^ (1 << i) ^ (1 << j) for c, i, j in data.draw(near)]
+        ball = sorted({c ^ (1 << j) for c in centers for j in range(n)} | set(centers))
+        got = f.first_dominated_ball(iter(centers))
+        assert got == dict(zip(ball, f.first_dominated(ball)))
+        assert got == {m: next((i for i, g in enumerate(oracle) if g & m == g), None)
+                       for m in ball}
+
+    @pytest.mark.parametrize("centers, message", [
+        ([3, 8], r"ball centre must be in 0\.\.7, got 8"),
+        ([9, -2, 8, 1], r"ball centre must be in 0\.\.7, got -2"),  # the smallest is named
+        ([1, 2.0, 9], r"ball centre must be an int, got 2\.0"),
+        (["1"], r"ball centre must be an int, got '1'"),
+    ])
+    def test_ball_scan_refuses_centres_off_the_cube(self, centers, message):
+        f = UpwardClosure.from_masks(3, [3, 5])
+        with pytest.raises(PivotalError, match=rf"^{message}$"):
+            f.first_dominated_ball(centers)
 
 
 class TestMonotoneExtend:
@@ -418,6 +454,10 @@ PINNED_CERTIFICATES = {
                        ["1024 points", "1024 points", "upward closure", "expectation 1/2"]),
     ("influence", 6): (1953, "4aa077b3400d202b28424755ebc2bb76fe5a58dd66edfdfb0af8f91b09866021",
                        ["4096 points", "4096 points", "upward closure", "expectation 1/2"]),
+    ("effect", 7): (127, "3fc824c582b396ba2f183e22381596dc50a32f53d1bc1a1648182eb3cc5be1c5",
+                    ["128 points", "128 points", "expectation 1/2"]),
+    ("influence", 7): (8001, "a6838151dcc5e43da57da7dadc826171b9b58ad1585b284cb8f48692655db019",
+                       ["16384 points", "16384 points", "upward closure", "expectation 1/2"]),
 }
 
 

@@ -1382,6 +1382,31 @@ def test_dense_tables_on_the_grid_are_read_without_evaluate(monkeypatch):
         calls.clear()
 
 
+@pytest.mark.parametrize("alphabet, rows", [
+    (BINARY, [(HALF, HALF), (F(1, 3), F(2, 3))] * 5 + [(QUARTER, F(3, 4))]),  # 2 windows
+    (PARTICIPATION, _ROWS * 3 + [(F(0), HALF, HALF)]),  # off the grid: a zero weight
+], ids=["binary-grid-11", "ternary-zero-weight-7"])
+def test_product_keeps_its_tail_across_calls(alphabet, rows):
+    # One shared product, read with alternating functions and groups, gives
+    # the tables of a fresh product and of its explicit expansion each time,
+    # and builds its tail's bitsets once.
+    n = len(rows)
+    d, explicit = ProductDist(alphabet, n, rows), ProductDist(alphabet, n, rows).to_explicit()
+    rng = random.Random(n)
+    dense = DenseTable(alphabet, n, {x: F(rng.randrange(3), 2) for x in _grid(len(alphabet), n)})
+    calls = [(dense, [(0,), (n - 1, 0)]), (_FreshValues(alphabet, n), [tuple(range(n))]),
+             (None, [(3, 3), (1, 2, 4)]), (dense, []), (None, [(0,), (n - 1, 0)]),
+             (_FreshValues(alphabet, n), [(2,), (5, 1)])]
+    tail = None
+    for f, groups in calls:
+        got = d.sums(groups, f)
+        tail = tail or d._tail
+        assert tail is not None and d._tail is tail  # built by the first call, not again
+        for want in (ProductDist(alphabet, n, rows).sums(groups, f), explicit.sums(groups, f)):
+            assert (got.law, got.mean, list(got.tables)) == (want.law, want.mean,
+                                                             list(want.tables))
+
+
 @pytest.mark.parametrize("q_dev, q_other, k", [
     ([1, 2, 0], [0, 0, 3], 4),  # Q_D of two terms, Q_N of one: the upward order divides by Q_N
     ([0, 5], [2, 0], 6),
