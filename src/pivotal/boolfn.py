@@ -338,10 +338,12 @@ class UpwardClosure(PlayerFunction):
     def _setup(self, n: int, masks: set[int]) -> None:
         self.n = n
         self.generators = self._minimize(masks)
-        # Column j has bit i set iff generator i sets coordinate j. Transposing
-        # the binary texts, last generator first, puts generator i at bit i.
-        text = [format(g, "b").zfill(n) for g in reversed(self.generators)]
-        columns = [int("".join(col), 2) for col in zip(*text)][::-1]
+        # Column j has bit i set iff generator i sets coordinate j. In the
+        # joined binary texts, last generator first, every n-th character from
+        # n - 1 - j reads coordinate j of each generator, generator i at bit i.
+        # No generators give no text (int("", 2) fails); n = 0 reads no column.
+        text = "".join([format(g, "b").zfill(n) for g in reversed(self.generators)])
+        columns = [int(text[p::n], 2) for p in range(n - 1, -1, -1)] if text else []
         self._used = used = functools.reduce(int.__or__, self.generators, 0)
         # Entry b of byte c's table ORs the columns c + j for the bits j of b.
         # Each column doubles the table, one OR per new entry; a table stops

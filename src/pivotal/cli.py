@@ -4,6 +4,10 @@ All rationals on the command line are exact "num/den" strings. Reports go
 to stdout (JSON or CSV with paired exact/decimal columns), diagnostics to
 stderr. Exit codes: 0 success or verified, 1 verification failed, 2 usage
 or input error. Identical invocations produce byte-identical output.
+
+Each call builds a parser that carries the options of the invoked
+subcommand only (``build_parser``); the other subcommands are registered
+by name and help line, so top-level help and usage errors are unchanged.
 """
 
 from __future__ import annotations
@@ -251,69 +255,97 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _gen_options(add) -> None:
+    add("kind", choices=list(GENERATORS))
+    add("--k", type=int)
+    add("--n", type=int)
+    add("--p", type=_rational_arg)
+    add("--out")
+
+
+def _analyze_options(add) -> None:
+    add("--dist", required=True)
+    add("--fn", required=True, help=f"function file or builtin spec ({BUILTIN_SPECS})")
+    add("--what", required=True, choices=["effects", "influences", "pivotal", "counts"])
+    add("--p", type=_rational_arg)
+    add("--alpha", type=_rational_arg)
+    add("--format", choices=["json", "csv"], default="json")
+
+
+def _verify_options(add) -> None:
+    add("--which", required=True, choices=list(VERIFIERS))
+    add("--dist", required=True)
+    add("--dist2")
+    add("--fn", required=True)
+    add("--p", type=_rational_arg)
+    add("--alpha", type=_rational_arg)
+    add("--q", type=_rational_arg)
+    add("--m", type=int)
+    add("--player", type=int)
+    add("--players", type=_players_arg)
+
+
+def _counterexample_options(add) -> None:
+    add("--which", required=True, choices=["effect", "influence"])
+    add("--k", type=int, required=True)
+    add("--out-fn")
+    add("--out-dist")
+
+
+def _sweep_options(add) -> None:
+    add("--majp-tightness", action="store_true",
+        help="accepted and ignored: majp tightness is the only sweep")
+    add("--n", type=int)
+    add("--p", type=_rational_arg)
+    add("--alpha-grid", type=_grid_arg)
+    add("--samples", type=int)
+    add("--seed", type=int)
+    add("--format", choices=["csv", "json"], default="csv")
+
+
+# name -> (its line in the top-level help, how its options are added, how it runs)
+COMMANDS = {
+    "gen": ("generate a named distribution as JSON", _gen_options, _cmd_gen),
+    "analyze": ("per-player reports for a function and distribution", _analyze_options,
+                _cmd_analyze),
+    "verify": ("check one statement on one instance", _verify_options, _cmd_verify),
+    "counterexample": ("build a certified zero-effect or zero-influence pair",
+                       _counterexample_options, _cmd_counterexample),
+    "sweep": ("tightness table over an alpha grid", _sweep_options, _cmd_sweep),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, carrying only the options of the command being run.
+
+    Every subcommand is registered with its help line, so the top-level
+    usage, help and "invalid choice" errors never depend on command. Only
+    the subcommand named command gets its options and its ``func``; when
+    command is None or names no subcommand, all of them do.
+    """
     parser = argparse.ArgumentParser(
         prog="pivotal",
         description="Exact analysis of player effects, influence, and pivotality.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate a named distribution as JSON")
-    gen.add_argument("kind", choices=list(GENERATORS))
-    gen.add_argument("--k", type=int)
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--p", type=_rational_arg)
-    gen.add_argument("--out")
-    gen.set_defaults(func=_cmd_gen)
-
-    an = sub.add_parser("analyze", help="per-player reports for a function and distribution")
-    an.add_argument("--dist", required=True)
-    an.add_argument("--fn", required=True,
-                    help=f"function file or builtin spec ({BUILTIN_SPECS})")
-    an.add_argument("--what", required=True,
-                    choices=["effects", "influences", "pivotal", "counts"])
-    an.add_argument("--p", type=_rational_arg)
-    an.add_argument("--alpha", type=_rational_arg)
-    an.add_argument("--format", choices=["json", "csv"], default="json")
-    an.set_defaults(func=_cmd_analyze)
-
-    ver = sub.add_parser("verify", help="check one statement on one instance")
-    ver.add_argument("--which", required=True, choices=list(VERIFIERS))
-    ver.add_argument("--dist", required=True)
-    ver.add_argument("--dist2")
-    ver.add_argument("--fn", required=True)
-    ver.add_argument("--p", type=_rational_arg)
-    ver.add_argument("--alpha", type=_rational_arg)
-    ver.add_argument("--q", type=_rational_arg)
-    ver.add_argument("--m", type=int)
-    ver.add_argument("--player", type=int)
-    ver.add_argument("--players", type=_players_arg)
-    ver.set_defaults(func=_cmd_verify)
-
-    cx = sub.add_parser("counterexample",
-                        help="build a certified zero-effect or zero-influence pair")
-    cx.add_argument("--which", required=True, choices=["effect", "influence"])
-    cx.add_argument("--k", type=int, required=True)
-    cx.add_argument("--out-fn")
-    cx.add_argument("--out-dist")
-    cx.set_defaults(func=_cmd_counterexample)
-
-    sw = sub.add_parser("sweep", help="tightness table over an alpha grid")
-    sw.add_argument("--majp-tightness", action="store_true",
-                    help="accepted and ignored: majp tightness is the only sweep")
-    sw.add_argument("--n", type=int)
-    sw.add_argument("--p", type=_rational_arg)
-    sw.add_argument("--alpha-grid", type=_grid_arg)
-    sw.add_argument("--samples", type=int)
-    sw.add_argument("--seed", type=int)
-    sw.add_argument("--format", choices=["csv", "json"], default="csv")
-    sw.set_defaults(func=_cmd_sweep)
-
+    everything = command not in COMMANDS
+    for name, (help_text, add_options, run) in COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if everything or name == command:
+            add_options(subparser.add_argument)
+            subparser.set_defaults(func=run)
     return parser
 
 
+def _subcommand(argv: list[str]) -> str | None:
+    """The first word of argv that is not an option. The top-level parser
+    takes no option values, so when argparse dispatches to a subcommand,
+    this word names it."""
+    return next((word for word in argv if not word.startswith("-")), None)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(_subcommand(argv)).parse_args(argv)
     try:
         return args.func(args)
     except (PivotalError, OSError) as exc:

@@ -13,10 +13,12 @@ import contextlib
 import io
 import itertools
 import json
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -148,7 +150,8 @@ def _argv(data, tmp: Path) -> list[str]:
         value = data.draw(values)
         if value is not None:
             argv.append(f"{flag}={value}")  # "=" keeps a value such as -1/4 from reading as a flag
-    return argv
+    # A stray top-level token before the command: main must still find the command.
+    return data.draw(st.sampled_from([[]] * 4 + [["--bogus"], ["--"]])) + argv
 
 
 @settings(max_examples=200, deadline=None)
@@ -170,3 +173,14 @@ def test_exit_codes_follow_the_contract(data):
         assert err.getvalue().startswith("pivotal: error:"), (argv, err.getvalue())
     if code == 1:
         assert json.loads(out.getvalue())["ok"] is False, argv
+
+
+def test_main_reads_sys_argv_without_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["pivotal", "gen", "majp", "--n", "2", "--p", "1/2"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "product"
+    monkeypatch.setattr(sys, "argv", ["pivotal", "nosuch"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err

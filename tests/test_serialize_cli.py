@@ -1,5 +1,6 @@
 """File formats, canonical round-trips, and the command-line surface."""
 
+import argparse
 import dataclasses
 import itertools
 import json
@@ -30,7 +31,7 @@ from pivotal import (
     uniform_product,
 )
 from pivotal import serialize
-from pivotal.cli import GENERATORS, VERIFIERS, main
+from pivotal.cli import COMMANDS, GENERATORS, VERIFIERS, _subcommand, build_parser, main
 from pivotal.generators import _HADAMARD_K_LIMIT, _PRODUCT_N_LIMIT
 from pivotal.serialize import (
     BUILTIN_SPECS,
@@ -715,3 +716,61 @@ def test_readme_names_every_command_line_choice():
         rows.append(f"| `{name}` | {options} |")
     assert [row for row in rows if row not in readme] == []
     assert f"(`{BUILTIN_SPECS}`)" in readme
+
+
+VALID = {
+    "gen": ["gen", "majp", "--n", "3", "--p", "1/2", "--out", "mu.json"],
+    "analyze": ["analyze", "--dist", "mu.json", "--fn", "majp", "--what", "pivotal",
+                "--p", "1/2", "--alpha=-1/4", "--format", "csv"],
+    "verify": ["verify", "--which", "sum-bound", "--dist", "mu.json", "--dist2", "nu.json",
+               "--fn", "fn.json", "--p", "1/3", "--alpha", "1/4", "--q", "1/2", "--m", "2",
+               "--player", "1", "--players", "0,2"],
+    "counterexample": ["counterexample", "--which", "influence", "--k", "4",
+                       "--out-fn", "f.json", "--out-dist", "d.json"],
+    "sweep": ["sweep", "--majp-tightness", "--n", "5", "--p", "1/2", "--alpha-grid", "1/8,1/4",
+              "--samples", "10", "--seed", "3", "--format", "json"],
+}
+PARSE_CORPUS = [
+    *VALID.values(),
+    *(["-h", command] for command in COMMANDS),
+    *([command, "-h"] for command in COMMANDS),
+    *(["--bogus", *argv] for argv in VALID.values()),
+    *([*argv, "--bogus"] for argv in VALID.values()),
+    *(["--", *argv] for argv in VALID.values()),
+    [], ["nosuch"], ["nosuch", "--k", "3"], ["-h"], ["--", "-h"], ["-1", "gen"],
+    # Option values that name another command, which argparse never dispatches to.
+    ["gen", "majp", "--n", "3", "--out", "verify"],
+    ["analyze", "--dist", "gen", "--fn", "sweep", "--what", "effects"],
+    ["analyze", "--dist", "mu.json", "--fn", "majp", "--what", "nosuch"],
+    ["gen", "majp", "--n", "x"],
+    ["counterexample", "--which", "effect"],
+]
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str], capsys):
+    """The Namespace parser makes of argv, or its exit code and captured output."""
+    capsys.readouterr()
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_parser_of_the_invoked_command_parses_like_the_full_tree(monkeypatch, capsys, argv):
+    """What main builds for argv parses it exactly as the parser of every subcommand does."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse(build_parser(_subcommand(argv)), argv, capsys) == _parse(build_parser(), argv,
+                                                                           capsys)
+
+
+def test_parser_leaves_other_commands_without_options():
+    """Only the named subcommand gets options; the rest keep just their -h."""
+    parser = build_parser("verify")
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == list(COMMANDS)
+    assert [a.dest for a in commands.choices["gen"]._actions] == ["help"]
+    assert "which" in [a.dest for a in commands.choices["verify"]._actions]
+    for argv in VALID.values():  # so main builds the small parser, also after a stray token
+        assert {_subcommand(argv), _subcommand(["--bogus", *argv]), _subcommand(["--", *argv])} \
+            == {argv[0]}
