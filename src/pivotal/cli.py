@@ -5,9 +5,11 @@ to stdout (JSON or CSV with paired exact/decimal columns), diagnostics to
 stderr. Exit codes: 0 success or verified, 1 verification failed, 2 usage
 or input error. Identical invocations produce byte-identical output.
 
-Each call builds a parser that carries the options of the invoked
-subcommand only (``build_parser``); the other subcommands are registered
-by name and help line, so top-level help and usage errors are unchanged.
+Each call builds one parser. When the first word of the command line names
+a subcommand, that parser is the subcommand's alone (``parse_argv``);
+any other command line, and one that leaves words the subcommand does not
+take, is parsed by the full tree (``build_parser``), which gives the
+top-level help and usage errors.
 """
 
 from __future__ import annotations
@@ -315,37 +317,49 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, carrying only the options of the command being run.
+def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
+    """Give parser the options of command name and the defaults main reads."""
+    _, add_options, run = COMMANDS[name]
+    add_options(parser.add_argument)
+    parser.set_defaults(func=run, command=name)
 
-    Every subcommand is registered with its help line, so the top-level
-    usage, help and "invalid choice" errors never depend on command. Only
-    the subcommand named command gets its options and its ``func``; when
-    command is None or names no subcommand, all of them do.
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full argument parser: every subcommand with its help line and options.
+
+    ``parse_argv`` uses it for every command line that does not start with
+    a subcommand's name, and for one whose subcommand leaves words over, so
+    top-level help and usage errors come from this tree.
     """
     parser = argparse.ArgumentParser(
         prog="pivotal",
         description="Exact analysis of player effects, influence, and pivotality.")
     sub = parser.add_subparsers(dest="command", required=True)
-    everything = command not in COMMANDS
-    for name, (help_text, add_options, run) in COMMANDS.items():
-        subparser = sub.add_parser(name, help=help_text)
-        if everything or name == command:
-            add_options(subparser.add_argument)
-            subparser.set_defaults(func=run)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
-def _subcommand(argv: list[str]) -> str | None:
-    """The first word of argv that is not an option. The top-level parser
-    takes no option values, so when argparse dispatches to a subcommand,
-    this word names it."""
-    return next((word for word in argv if not word.startswith("-")), None)
+def parse_argv(argv: list[str]) -> argparse.Namespace:
+    """The Namespace ``build_parser().parse_args(argv)`` gives, or its SystemExit.
+
+    When argv[0] names a subcommand, the full tree would hand every later
+    word to that subcommand's parser, so one parser with the same prog,
+    options and defaults parses argv[1:] alone. Words it leaves over are a
+    top-level "unrecognized arguments" error, which the full tree reports.
+    """
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"pivotal {argv[0]}")
+        _add_command(parser, argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(_subcommand(argv)).parse_args(argv)
+    args = parse_argv(argv)
     try:
         return args.func(args)
     except (PivotalError, OSError) as exc:

@@ -32,7 +32,7 @@ from pivotal import (
     mixture_D,
     uniform_product,
 )
-from pivotal.cli import GENERATORS, VERIFIERS, main
+from pivotal.cli import COMMANDS, GENERATORS, VERIFIERS, main, parse_argv
 from pivotal.serialize import BUILTINS, dist_to_obj, fn_to_obj
 
 F = Fraction
@@ -150,8 +150,21 @@ def _argv(data, tmp: Path) -> list[str]:
         value = data.draw(values)
         if value is not None:
             argv.append(f"{flag}={value}")  # "=" keeps a value such as -1/4 from reading as a flag
-    # A stray top-level token before the command: main must still find the command.
-    return data.draw(st.sampled_from([[]] * 4 + [["--bogus"], ["--"]])) + argv
+    # A stray token before the command, which the full tree parses, or after
+    # it, which the command's own parser leaves over.
+    before = data.draw(st.sampled_from([[]] * 4 + [["--bogus"], ["--"]]))
+    after = [] if before else data.draw(st.sampled_from([[]] * 4 + [["--bogus"], ["stray"]]))
+    return before + argv + after
+
+
+def _parses(argv: list[str]) -> bool:
+    """Whether main's parse step accepts argv, with its output discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parse_argv(argv)
+        except SystemExit:
+            return False
+    return True
 
 
 @settings(max_examples=200, deadline=None)
@@ -166,6 +179,10 @@ def test_exit_codes_follow_the_contract(data):
             except SystemExit as exc:  # argparse usage errors
                 assert exc.code == 2, argv
                 event(f"{argv[0]}: usage error")
+                if argv[0] in COMMANDS and argv[-1] in ("--bogus", "stray") \
+                        and _parses(argv[:-1]):  # left over, so the top-level usage
+                    event("stray word after a command line that parses")
+                    assert err.getvalue().startswith("usage: pivotal [-h]"), (argv, err.getvalue())
                 return
     event(f"{argv[0]}: exit {code}")
     assert code in (0, 1, 2), argv

@@ -31,7 +31,7 @@ from pivotal import (
     uniform_product,
 )
 from pivotal import serialize
-from pivotal.cli import COMMANDS, GENERATORS, VERIFIERS, _subcommand, build_parser, main
+from pivotal.cli import COMMANDS, GENERATORS, VERIFIERS, build_parser, main, parse_argv
 from pivotal.generators import _HADAMARD_K_LIMIT, _PRODUCT_N_LIMIT
 from pivotal.serialize import (
     BUILTIN_SPECS,
@@ -744,33 +744,47 @@ PARSE_CORPUS = [
     ["analyze", "--dist", "mu.json", "--fn", "majp", "--what", "nosuch"],
     ["gen", "majp", "--n", "x"],
     ["counterexample", "--which", "effect"],
+    # Words the invoked command's parser leaves over, and its own parsing rules.
+    *([*argv, "stray"] for argv in VALID.values()),
+    ["gen", "--n", "3", "--", "majp"],
+    ["gen", "majp", "--", "--n", "3"],
+    ["verify", "--wh", "thm1", "--dist", "mu.json", "--fn", "majp"],
+    ["counterexample", "--which=effect", "--k=3"],
+    ["verify", "--which", "thm1", "--dist", "mu.json", "-h"],
+    ["analyze", "--dist", "mu.json", "--fn", "majp", "--what"],
 ]
 
 
-def _parse(parser: argparse.ArgumentParser, argv: list[str], capsys):
-    """The Namespace parser makes of argv, or its exit code and captured output."""
+def _parse(parse, capsys):
+    """The Namespace parse() returns, or its exit code and captured output."""
     capsys.readouterr()
     try:
-        return parser.parse_args(argv)
+        return parse()
     except SystemExit as exc:
         return exc.code, capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
 def test_parser_of_the_invoked_command_parses_like_the_full_tree(monkeypatch, capsys, argv):
-    """What main builds for argv parses it exactly as the parser of every subcommand does."""
+    """main's parse step gives the full tree's Namespace, or its exit code and output."""
     monkeypatch.setenv("COLUMNS", "80")
-    assert _parse(build_parser(_subcommand(argv)), argv, capsys) == _parse(build_parser(), argv,
-                                                                           capsys)
+    assert _parse(lambda: parse_argv(argv), capsys) == _parse(
+        lambda: build_parser().parse_args(argv), capsys)
 
 
-def test_parser_leaves_other_commands_without_options():
-    """Only the named subcommand gets options; the rest keep just their -h."""
-    parser = build_parser("verify")
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(commands.choices) == list(COMMANDS)
-    assert [a.dest for a in commands.choices["gen"]._actions] == ["help"]
-    assert "which" in [a.dest for a in commands.choices["verify"]._actions]
-    for argv in VALID.values():  # so main builds the small parser, also after a stray token
-        assert {_subcommand(argv), _subcommand(["--bogus", *argv]), _subcommand(["--", *argv])} \
-            == {argv[0]}
+def test_main_builds_one_parser_per_call(monkeypatch):
+    """A command line that starts with a subcommand costs one ArgumentParser, not the tree."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for name, (help_text, add_options, _) in COMMANDS.items():  # parse, but run nothing
+        monkeypatch.setitem(COMMANDS, name, (help_text, add_options, lambda args: 0))
+    for name, argv in VALID.items():
+        built.clear()
+        assert main(argv) == 0
+        assert built == [f"pivotal {name}"]
