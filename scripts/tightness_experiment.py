@@ -4,12 +4,12 @@
 Exact mode derives the per-symbol deviations for a representative player
 (the kernel sums over the law of the vote total, not the 3^n grid) and
 tabulates pivotal counts against the 8/(p a^2) bound over an alpha grid
-anchored at the derived deviations. With --mc-sizes it also estimates the
-participating-symbol deviation at larger n, reports how it tracks
-1/sqrt(pn), and prints the exact deviation times sqrt(pn) beside it.
+anchored at the derived deviations. With --sizes it also prints, per
+larger n, the exact deviation of the vote-1 symbol, 1/sqrt(pn) and their
+product, which tracks a constant.
 
 Example:
-    python scripts/tightness_experiment.py --n 9 --p 1/2 --mc-sizes 25,49 --samples 20000 --seed 7
+    python scripts/tightness_experiment.py --n 9 --p 1/2 --sizes 25,49,1000
 """
 
 import argparse
@@ -19,17 +19,14 @@ from fractions import Fraction
 
 from pivotal import MajPFn, majp_dist, pivotal_player, pivotal_report
 from pivotal.serialize import parse_rational, rational_str
-from pivotal.theorems import estimate_majp_deviations
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=9)
     ap.add_argument("--p", type=parse_rational, default=Fraction(1, 2))
-    ap.add_argument("--mc-sizes", default="",
-                    help="comma-separated larger n values for Monte Carlo scaling")
-    ap.add_argument("--samples", type=int, default=20000)
-    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--sizes", default="",
+                    help="comma-separated larger n values for the 1/sqrt(pn) scaling")
     args = ap.parse_args()
 
     n, p = args.n, args.p
@@ -57,17 +54,15 @@ def main() -> int:
         print(f"{rational_str(alpha)},{float(alpha)},{count},"
               f"{rational_str(bound)},{float(bound)}")
 
-    if args.mc_sizes:
+    if args.sizes:
         print()
-        print("# Monte Carlo deviation of the vote-1 symbol vs 1/sqrt(pn)")
-        print("n,estimate,halfwidth,one_over_sqrt_pn,exact_times_sqrt_pn")
-        for big in (int(s) for s in args.mc_sizes.split(",")):
-            devs = estimate_majp_deviations(big, p, args.samples, args.seed)
-            est, hw = devs[1]
+        print("# exact deviation of the vote-1 symbol vs 1/sqrt(pn)")
+        print("n,deviation,one_over_sqrt_pn,deviation_times_sqrt_pn")
+        for big in (int(s) for s in args.sizes.split(",")):
+            _, big_row = pivotal_player(MajPFn(big), majp_dist(big, p), 0, p, Fraction(1))
+            dev = float(next(sd.deviation for sd in big_row.deviations if sd.symbol == 1))
             scale = 1.0 / math.sqrt(float(p) * big)
-            _, exact_row = pivotal_player(MajPFn(big), majp_dist(big, p), 0, p, Fraction(1))
-            exact = next(sd.deviation for sd in exact_row.deviations if sd.symbol == 1)
-            print(f"{big},{float(abs(est)):.5f},{hw:.5f},{scale:.5f},{float(exact) / scale:.5f}")
+            print(f"{big},{dev:.5f},{scale:.5f},{dev / scale:.5f}")
     return 0
 
 

@@ -84,14 +84,6 @@ def _load_function(spec: str, d: Distribution) -> PlayerFunction:
     return f
 
 
-def _csv_text(header: list[str], rows: list[list[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
-
-
 def _exact(name: str, x: Fraction) -> dict:
     """JSON report fields for a rational: exact under name, a float under name_float."""
     return {name: x, f"{name}_float": float(x)}
@@ -107,6 +99,16 @@ def _columns(row: dict) -> dict:
         elif not (name.endswith("_float") or isinstance(value, list)):
             columns[name] = value
     return columns
+
+
+def _csv_text(rows: list[dict]) -> str:
+    """CSV of report rows: a header of the first row's _columns, then one line per row."""
+    columns = [_columns(row) for row in rows]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns[0])
+    writer.writerows(c.values() for c in columns)
+    return buf.getvalue().rstrip("\n")
 
 
 # ----------------------------------------------------------------------
@@ -181,8 +183,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             rows = [{"p": args.p, "alpha": args.alpha,
                      "count_pivotal": analysis.count_pivotal(f, d, args.p, args.alpha)}]
     if args.format == "csv":
-        columns = [_columns(row) for row in rows]
-        _emit(_csv_text(list(columns[0]), [list(c.values()) for c in columns]), None)
+        _emit(_csv_text(rows), None)
     else:
         payload = {**head, **rows[0]} if args.what == "counts" else {**head, "players": rows}
         _emit(canonical_dumps(jsonable(payload)), None)
@@ -241,16 +242,9 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _require(args, "sweep", ("n", "p", "alpha_grid"))
-    rows = theorems.majp_tightness(args.n, args.p, args.alpha_grid,
-                                   samples=args.samples, seed=args.seed)
-    payload = [{"alpha": r.alpha, "count_or_estimate": r.count, "bound": r.bound,
-                "mode": r.mode, "ci_halfwidth": r.halfwidth} for r in rows]
-    if args.format == "json":
-        _emit(canonical_dumps(jsonable(payload)), None)
-    else:  # the decimal column of count_or_estimate is named count_dec
-        header = ["alpha", "alpha_dec", "count_or_estimate", "count_dec",
-                  "bound", "bound_dec", "mode", "ci_halfwidth"]
-        _emit(_csv_text(header, [list(_columns(row).values()) for row in payload]), None)
+    rows = [{"alpha": r.alpha, "count": r.count, "bound": r.bound}
+            for r in theorems.majp_tightness(args.n, args.p, args.alpha_grid)]
+    _emit(_csv_text(rows) if args.format == "csv" else canonical_dumps(jsonable(rows)), None)
     return 0
 
 
@@ -300,8 +294,6 @@ def _sweep_options(add) -> None:
     add("--n", type=int)
     add("--p", type=_rational_arg)
     add("--alpha-grid", type=_grid_arg)
-    add("--samples", type=int)
-    add("--seed", type=int)
     add("--format", choices=["csv", "json"], default="csv")
 
 

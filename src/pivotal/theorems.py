@@ -17,7 +17,6 @@ from .analysis import (
     EFFECT_VARIANCE_RATIO,
     SymbolDeviation,
     _deviates,
-    _mass_past,
     _once_per_table,
     _pivotal_groups,
     _require_pairwise,
@@ -517,11 +516,10 @@ def verify_effect_identity(f: PlayerFunction, mu: Distribution) -> Verdict:
 
 @dataclass(frozen=True)
 class TightnessRow:
+    """One alpha of the exact sweep: the pivotal count (n or 0) and 8/(p alpha^2)."""
     alpha: Fraction
-    count: Fraction  # exact count, or symmetric estimate in Monte Carlo mode
+    count: int
     bound: Fraction
-    mode: str
-    halfwidth: float | None = None
 
 
 def estimate_majp_deviations(n: int, p: Fraction, samples: int,
@@ -529,7 +527,9 @@ def estimate_majp_deviations(n: int, p: Fraction, samples: int,
     """Per-symbol estimates of E[f | X_0 = s] - E[f] with combined half-widths.
 
     Players are exchangeable under the participation space, so player 0
-    stands for all of them.
+    stands for all of them. The sweep is exact and does not call this; its
+    callers are the benchmark's estimate jobs, acceptance criterion 8 and
+    one unit test.
     """
     d = majp_dist(n, p)
     f = MajPFn(n)
@@ -541,30 +541,17 @@ def estimate_majp_deviations(n: int, p: Fraction, samples: int,
     return out
 
 
-def majp_tightness(n: int, p: Fraction, alpha_grid: Sequence[Fraction],
-                   samples: int | None = None,
-                   seed: int | str | None = None) -> list[TightnessRow]:
-    """Pivotal count (or symmetric estimate) against the bound, per alpha.
+def majp_tightness(n: int, p: Fraction, alpha_grid: Sequence[Fraction]) -> list[TightnessRow]:
+    """Exact pivotal count against the bound 8/(p alpha^2), per alpha.
 
     Players are exchangeable, so player 0 stands for all of them and the
-    count is n or 0. Exact mode takes player 0's row from one kernel pass
-    over the law of the vote total; Monte Carlo mode estimates its three
-    conditional expectations.
+    count is n or 0. Player 0's row comes from one kernel pass over the law
+    of the vote total, so every n that majp_dist accepts is answered exactly.
     """
     p = as_exact(p, "p", PreconditionError)
     alphas = [_positive("alpha", a) for a in alpha_grid]
     if not alphas:
         raise PivotalError("alpha grid must be non-empty")
-    if samples is None:
-        _, row = pivotal_player(MajPFn(n), majp_dist(n, p), 0, p, alphas[0])
-        pairs = [(sd.mass, sd.deviation) for sd in row.deviations]
-        mode, hw = "exact", None
-    else:
-        if seed is None:
-            raise PivotalError("Monte Carlo mode needs an explicit seed")
-        devs = estimate_majp_deviations(n, p, samples, seed)
-        marginal = majp_dist(1, p).single_marginal(0)  # every player's row
-        pairs = [(marginal[s], dev) for s, (dev, _) in devs.items()]
-        mode, hw = "monte-carlo", max(hw for _, hw in devs.values())
-    return [TightnessRow(alpha, Fraction(n) if _mass_past(pairs, alpha) > p else ZERO,
-                         8 / (p * alpha ** 2), mode, hw) for alpha in alphas]
+    _, row = pivotal_player(MajPFn(n), majp_dist(n, p), 0, p, alphas[0])
+    return [TightnessRow(alpha, n if row.mass_past(alpha) > p else 0, 8 / (p * alpha ** 2))
+            for alpha in alphas]

@@ -1356,6 +1356,25 @@ def test_grouped_sums_by_grid_position_match_oracle(case):
     _assert_matches_oracle(d, groups, f)
 
 
+def test_dense_table_of_another_shape_is_evaluated():
+    # A ternary table on the binary grid: its positions are not the grid's,
+    # so the kernel evaluates it instead of reading its codes by position.
+    f = DenseTable(PARTICIPATION, 3, {x: F(x[2] == 1) for x in _grid(3, 3)})
+    d = uniform_product(3)
+    for space in (d, d.to_explicit()):
+        _assert_matches_oracle(space, [(0,), (2, 1)], f)
+
+
+def test_sums_move_onto_a_later_windows_denominator():
+    # Values 0 and 1 fill the first 1,024-point window; 1/3 first appears at
+    # grid index 1500, in the second, so the f-sums so far move onto lcm 3.
+    f = PartialTable(BINARY, 11, {x: F(1, 3) if j == 1500 else F(j % 2)
+                                  for j, x in enumerate(_grid(2, 11))})
+    d = uniform_product(11)
+    for space in (d, d.to_explicit()):
+        _assert_matches_oracle(space, [(0,), (10, 0)], f)
+
+
 def test_dense_table_keeps_its_values_by_grid_position():
     grid = _grid(2, 3)
     f = DenseTable(BINARY, 3, {x: F(x[2]) for x in grid})  # the last player fastest

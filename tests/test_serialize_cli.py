@@ -484,26 +484,23 @@ class TestCliSweep:
         assert main(["sweep", "--majp-tightness", "--n", "5", "--p", "1/2",
                      "--alpha-grid", "7/1024,1"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == ("alpha,alpha_dec,count_or_estimate,count_dec,"
-                            "bound,bound_dec,mode,ci_halfwidth")
-        assert lines[1].startswith("7/1024,")
-        assert ",exact," in lines[1]
+        assert lines == ["alpha,alpha_dec,count,bound,bound_dec",
+                         "7/1024,0.0068359375,5,16777216/49,342392.1632653061",
+                         "1,1.0,0,16,16.0"]
 
-    def test_monte_carlo_json(self, capsys):
-        assert main(["sweep", "--majp-tightness", "--n", "6", "--p", "1/3",
-                     "--alpha-grid", "1/8", "--samples", "200",
-                     "--seed", "3", "--format", "json"]) == 0
-        rows = json.loads(capsys.readouterr().out)
-        assert rows[0]["mode"] == "monte-carlo"
-        assert rows[0]["ci_halfwidth"] is not None
+    def test_exact_json(self, capsys):
+        assert main(["sweep", "--n", "5", "--p", "1/2", "--alpha-grid", "7/1024,1",
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == [
+            {"alpha": "7/1024", "count": 5, "bound": "16777216/49"},
+            {"alpha": "1", "count": 0, "bound": "16"}]
 
-    def test_deterministic_with_seed(self, capsys):
-        argv = ["sweep", "--majp-tightness", "--n", "5", "--p", "1/2",
-                "--alpha-grid", "1/8,1/4", "--samples", "100", "--seed", "17"]
-        main(argv)
-        first = capsys.readouterr().out
-        main(argv)
-        assert capsys.readouterr().out == first
+    @pytest.mark.parametrize("option", ["--samples", "--seed"])
+    def test_monte_carlo_options_are_gone(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n", "5", "--p", "1/2", "--alpha-grid", "1/8", option, "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_mode_flag_is_optional(self, capsys):
         argv = ["--n", "5", "--p", "1/2", "--alpha-grid", "1/8,1/4"]
@@ -630,15 +627,13 @@ CONVEX = ["verify", "--which", "convex", "--player", "0"]
                "--q", "1/2"], "player 0 marginal 0 not inside (0, 1)"),
     (["analyze", "--dist", "mixture.json", "--fn", "majority", "--what", "effects"],
      "unknown distribution kind 'mixture'"),
-    (["sweep", "--majp-tightness", "--n", "5", "--p", "1/2", "--alpha-grid", "1/8",
-      "--samples", "100"], "Monte Carlo mode needs an explicit seed"),
 ], ids=["fn-neither-file-nor-builtin", "fn-file-arity", "fn-unknown-builtin",
         "table-unknown-symbol", "fn-file-list", "influence-cx-k-past-8", "table-long-symbols",
         "effects-participation",
         "influences-participation", "effect-identity-participation",
         "binary-bound-degenerate", "binary-bound-participation", "sum-bound-participation",
         "convex-q-outside", "convex-participation",
-        "convex-arities", "convex-marginal-at-edge", "dist-unknown-kind", "sweep-samples-no-seed"])
+        "convex-arities", "convex-marginal-at-edge", "dist-unknown-kind"])
 def test_refused_input_names_its_fault(tmp_path, monkeypatch, capsys, argv, message):
     """Exit 2 with the refusal's own message on one stderr line."""
     monkeypatch.chdir(tmp_path)
@@ -728,7 +723,7 @@ VALID = {
     "counterexample": ["counterexample", "--which", "influence", "--k", "4",
                        "--out-fn", "f.json", "--out-dist", "d.json"],
     "sweep": ["sweep", "--majp-tightness", "--n", "5", "--p", "1/2", "--alpha-grid", "1/8,1/4",
-              "--samples", "10", "--seed", "3", "--format", "json"],
+              "--format", "json"],
 }
 PARSE_CORPUS = [
     *VALID.values(),
@@ -752,6 +747,9 @@ PARSE_CORPUS = [
     ["counterexample", "--which=effect", "--k=3"],
     ["verify", "--which", "thm1", "--dist", "mu.json", "-h"],
     ["analyze", "--dist", "mu.json", "--fn", "majp", "--what"],
+    # The sweep's removed Monte Carlo options are leftover words on either path.
+    [*VALID["sweep"], "--samples", "10"],
+    [*VALID["sweep"], "--seed=3"],
 ]
 
 

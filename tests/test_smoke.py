@@ -69,12 +69,12 @@ def test_readme_command_lines_exit_0(tmp_path, monkeypatch, capsys):
         assert err == "", line
         if line.startswith("pivotal sweep "):  # the example shows a nonzero count
             rows = list(csv.DictReader(io.StringIO(out)))
-            assert any(row["count_or_estimate"] != "0" for row in rows), out
+            assert any(row["count"] != "0" for row in rows), out
 
 
 @pytest.mark.parametrize("argv", [
     ["build_counterexamples.py", "--k", "3,4"],
-    ["tightness_experiment.py", "--n", "5", "--mc-sizes", "9", "--samples", "200"],
+    ["tightness_experiment.py", "--n", "5", "--sizes", "9,25"],
 ], ids=["build-counterexamples", "tightness-experiment"])
 def test_script_exits_0(tmp_path, argv):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 import re
@@ -686,7 +687,7 @@ class TestMajpTightness:
         assert by_alpha[F(119, 1024)].count == 0
         assert by_alpha[F(1)].count == 0
         for r in rows:
-            assert r.mode == "exact"
+            assert type(r.count) is int
             assert r.bound == 8 / (HALF * r.alpha ** 2)
 
     def test_derived_thresholds_make_all_players_pivotal(self):
@@ -705,15 +706,6 @@ class TestMajpTightness:
         rows = majp_tightness(4, F(1, 2), [F(1), F(2)])
         assert all(r.count == 0 for r in rows)
 
-    def test_monte_carlo_matches_exact_decision(self):
-        # Participating mass equals the threshold exactly, so the strict
-        # comparison declares nobody pivotal in either mode.
-        exact = majp_tightness(9, F(1, 4), [F(1, 8)])
-        mc = majp_tightness(9, F(1, 4), [F(1, 8)], samples=4000, seed=5)
-        assert exact[0].count == mc[0].count == 0
-        assert mc[0].mode == "monte-carlo"
-        assert mc[0].halfwidth is not None
-
     def test_monte_carlo_deviations_near_exact(self):
         from pivotal.theorems import estimate_majp_deviations
         from oracles import majp_conditional_oracle, majp_expectation_oracle
@@ -724,11 +716,6 @@ class TestMajpTightness:
             exact = majp_conditional_oracle(9, HALF, s) - base
             est, hw = devs[s]
             assert abs(float(est - exact)) <= hw
-
-    def test_monte_carlo_is_deterministic(self):
-        a = majp_tightness(7, F(1, 3), [F(1, 8)], samples=300, seed=9)
-        b = majp_tightness(7, F(1, 3), [F(1, 8)], samples=300, seed=9)
-        assert a == b
 
     def test_exact_mode_needs_small_n(self):
         # Exact mode answers at every n that majp_dist accepts, and n = 10,001
@@ -755,35 +742,36 @@ class TestMajpTightness:
         rows = majp_tightness(n, HALF, grid)
         for r in rows:
             past = sum((mass[s] for s in range(3) if abs(devs[s]) > r.alpha), F(0))
-            assert r.mode == "exact"
             assert r.count == (n if past > HALF else 0)
         # Every symbol deviates at the first threshold; past it, the
         # participating mass ties with p and the strict comparison fails.
         assert [r.count for r in rows] == [49, 0, 0, 0]
 
-    @pytest.mark.parametrize("grid,samples", [
-        ([F(0)], None), ([F(1, 8), F(-1, 4)], None), ([F(-1, 4)], 50),
-        ([], None), ([], 50),
-    ], ids=["zero-exact", "negative-exact", "negative-mc", "empty-exact", "empty-mc"])
-    def test_rejects_bad_alpha_grid(self, grid, samples):
+    @pytest.mark.parametrize("grid", [[F(0)], [F(1, 8), F(-1, 4)], []],
+                             ids=["zero", "negative", "empty"])
+    def test_rejects_bad_alpha_grid(self, grid):
         from pivotal import PivotalError
         with pytest.raises(PivotalError, match="alpha"):
-            majp_tightness(5, HALF, grid, samples=samples, seed=1)
+            majp_tightness(5, HALF, grid)
 
-    def test_monte_carlo_builds_one_n_player_space(self, monkeypatch):
-        # The estimate builds the space and its three conditioned copies; the
-        # marginal row is read from a one-player space.
-        arities = []
-        init = ProductDist.__init__
+    @pytest.mark.parametrize("n", [49, 1001])
+    def test_sweep_is_pivotal_players_verdict(self, n, capsys):
+        # The grid starts below the abstain symbol's deviation, so both n and
+        # 0 appear; each row's count is the one pivotal_player's verdict at
+        # that alpha implies, in the library and through the CLI.
+        from pivotal import pivotal_player
+        from pivotal.cli import main
+        from pivotal.serialize import rational_str
 
-        def counting_init(self, alphabet, n, marginals):
-            arities.append(n)
-            init(self, alphabet, n, marginals)
-
-        monkeypatch.setattr(ProductDist, "__init__", counting_init)
-        rows = majp_tightness(4, F(2, 5), [F(1, 50), F(1)], samples=100, seed="s")
-        assert arities == [4, 4, 4, 4, 1]
-        # Frozen; every player has the row (1/5, 1/5, 3/5), whichever space it is read from.
-        hw = 0.5432406062962478
-        assert rows == [TightnessRow(F(1, 50), F(4), F(50000), "monte-carlo", hw),
-                        TightnessRow(F(1), F(0), F(20), "monte-carlo", hw)]
+        d, f = majp_dist(n, HALF), MajPFn(n)
+        _, row = pivotal_player(f, d, 0, HALF, F(1))
+        abstain = abs(next(sd.deviation for sd in row.deviations if sd.symbol == 2))
+        grid = [abstain / 2, abstain, F(1, 64), F(1)]
+        expected = [n if pivotal_player(f, d, 0, HALF, alpha)[1].pivotal else 0
+                    for alpha in grid]
+        assert expected[0] == n and expected[-1] == 0
+        rows = majp_tightness(n, HALF, grid)
+        assert rows == [TightnessRow(a, c, 8 / (HALF * a ** 2)) for a, c in zip(grid, expected)]
+        assert main(["sweep", "--n", str(n), "--p", "1/2", "--format", "json",
+                     "--alpha-grid", ",".join(map(rational_str, grid))]) == 0
+        assert [r["count"] for r in json.loads(capsys.readouterr().out)] == expected
