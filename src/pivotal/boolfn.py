@@ -27,7 +27,9 @@ from .dist import (
     ZERO,
     ONE,
     _indicators,
+    _is_grid,
     _slot_codes,
+    _split_pairs,
     as_exact,
     as_int,
     first_bad_outcome,
@@ -125,32 +127,48 @@ class PartialTable(PlayerFunction):
     def _setup(self, alphabet: Alphabet, n: int,
                values: Mapping[Outcome, Fraction] | Iterable[tuple[Outcome, Fraction]]
                ) -> tuple[list[int], list[Fraction]]:
-        """Check and store the entries; each sorted entry's value code, and the distinct values."""
+        """Check and store the entries; each sorted entry's value code, and the distinct values.
+
+        Outcomes that are the grid in order (``_is_grid``) follow the rule,
+        are sorted and hold no duplicate, so they are stored as given and the
+        key dict waits for the first ``evaluate``. Any other input is checked
+        outcome by outcome, sorted, and put in the key dict, which finds an
+        outcome given twice.
+        """
         self.alphabet = alphabet
         self.n = as_int(n, "arity", PivotalError)
-        pairs = values.items() if isinstance(values, Mapping) else values
-        pairs = [(tuple(x), as_exact(v, "value", PivotalError)) for x, v in pairs]
-        bad = first_bad_outcome([x for x, _ in pairs], self.n, len(alphabet))
-        try:
-            self.entries = tuple(sorted(pairs))
-        except TypeError:  # only a symbol that is not an int fails to order, so bad is set
-            raise PivotalError(f"invalid outcome {bad} in table") from None
-        self._lookup = dict(self.entries)
-        if len(self._lookup) != len(self.entries):
-            raise PivotalError("outcome mapped twice in table")
+        m = len(alphabet)
+        keys, vals = _split_pairs(values.items() if isinstance(values, Mapping) else values,
+                                  "value", PivotalError)
+        bad = None
+        if _is_grid(keys, self.n, m):
+            self.entries = tuple(zip(keys, vals))
+            self._lookup = None
+        else:
+            bad = first_bad_outcome(keys, self.n, m)
+            try:
+                self.entries = tuple(sorted(zip(keys, vals)))
+            except TypeError:  # only a symbol that is not an int fails to order, so bad is set
+                raise PivotalError(f"invalid outcome {bad} in table") from None
+            self._lookup = dict(self.entries)
+            if len(self._lookup) != len(self.entries):
+                raise PivotalError("outcome mapped twice in table")
+            vals = self._lookup.values()
         # Values are checked once per distinct value; on a failure the sorted
         # entries are walked to name the first bad outcome or value.
         distinct: list[Fraction] = []
-        codes, _ = _slot_codes(list(self._lookup.values()), {}, distinct)
+        codes, _ = _slot_codes(list(vals), {}, distinct)
         if bad is not None or not all(map(_in_value_range, distinct)):
             for x, v in self.entries:
-                if first_bad_outcome((x,), self.n, len(alphabet)) is not None:
+                if first_bad_outcome((x,), self.n, m) is not None:
                     raise PivotalError(f"invalid outcome {x} in table")
                 _check_value_range(x, v)
         return codes, distinct
 
     def evaluate(self, x: Outcome) -> Fraction:
         self._check_arity(x)
+        if self._lookup is None:  # built once, by whichever call comes first
+            self._lookup = dict(self.entries)
         try:
             return self._lookup[tuple(x)]
         except KeyError:
@@ -170,6 +188,11 @@ class DenseTable(PartialTable):
     for position p) and one code byte per position. ``Distribution.sums``
     then reads a window that is a slice of the grid from these, with no
     ``evaluate`` call.
+
+    Entries given in grid order are checked in whole-list passes: equality
+    with the grid and one pass over the symbols' types. They are not
+    sorted, and the key dict that ``evaluate`` reads is built at its first
+    call. Entries in any other order are sorted and checked one by one.
     """
 
     __slots__ = ("_grid_values",)

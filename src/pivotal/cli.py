@@ -243,7 +243,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _require(args, "sweep", ("n", "p", "alpha_grid"))
     rows = [{"alpha": r.alpha, "count": r.count, "bound": r.bound}
-            for r in theorems.majp_tightness(args.n, args.p, args.alpha_grid)]
+            for r in theorems.majp_tightness(args.n, args.p, args.alpha_grid, args.p_prime)]
     _emit(_csv_text(rows) if args.format == "csv" else canonical_dumps(jsonable(rows)), None)
     return 0
 
@@ -293,6 +293,7 @@ def _sweep_options(add) -> None:
         help="accepted and ignored: majp tightness is the only sweep")
     add("--n", type=int)
     add("--p", type=_rational_arg)
+    add("--p-prime", type=_rational_arg, help="pivotality threshold p' (default: p)")
     add("--alpha-grid", type=_grid_arg)
     add("--format", choices=["csv", "json"], default="csv")
 

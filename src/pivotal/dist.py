@@ -13,6 +13,9 @@ tables and closures are checked through it at construction, and a
 ``weight`` or ``condition`` query applies it to its point or assignment,
 where a wrong length is an error and a value that is not a symbol has no
 mass. ``as_int`` applies the same test, and a range, to integer arguments.
+A table whose outcomes are the m^n grid in order is checked by
+``_is_grid`` instead: equality with the grid, one whole-list comparison,
+implies the rule but for the symbols' types, which one more pass checks.
 
 Every grouped sum over the support goes through one kernel,
 ``Distribution.sums``. Each distribution scales its weights once, at
@@ -88,10 +91,13 @@ the weights and the draw tables of ``sample`` (their running sums, and a
 product row's byte table and runs). Only
 an explicit support's bitsets wait for their first query: they cost about
 half as much as the construction itself, and a distribution that is
-only sampled never reads them. Values are immutable after construction and
-every operation is a pure function of its inputs, so concurrent use needs
-no coordination; whichever caller builds the bitsets builds the same
-ones. Sampling takes its seed and draw index explicitly.
+only sampled never reads them. In the same way a table given its grid in
+order builds the key dict of ``evaluate`` at its first call, which the
+kernel never makes on a window that is a slice of that grid. Values are
+immutable after construction and every operation is a pure function of
+its inputs, so concurrent use needs no coordination; whichever caller
+builds the bitsets, or a key dict, builds the same ones. Sampling takes
+its seed and draw index explicitly.
 """
 
 from __future__ import annotations
@@ -104,7 +110,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, eq, getitem, itemgetter
+from operator import attrgetter, countOf, eq, getitem, itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 Outcome = tuple[int, ...]
@@ -241,6 +247,49 @@ def _follows_rule(outcomes: Collection[Outcome], n: int, m: int) -> bool:
             and all(issubclass(t, int)
                     for t in set(map(type, itertools.chain.from_iterable(outcomes))))
             and all(0 <= s < m for s in set().union(*outcomes)))
+
+
+def _is_grid(outcomes: Sequence[Outcome], n: int, m: int) -> bool:
+    """Whether outcomes are the m^n grid in order, the last player fastest, in plain ints.
+
+    Equal to the grid, the outcomes have its lengths and range, hold no
+    duplicate and are sorted, and so follow the rule once every symbol is
+    an int (1.0 == 1). Symbols of an int subclass, such as bool, are left
+    to ``first_bad_outcome``.
+    """
+    return (0 <= n <= len(outcomes) == m ** n  # m ** n only once n is small
+            and all(map(eq, outcomes, itertools.product(range(m), repeat=n)))
+            and countOf(map(type, itertools.chain.from_iterable(outcomes)), int)
+            == n * len(outcomes))
+
+
+def _split_pairs(pairs: Iterable, what: str,
+                 error: type) -> tuple[Sequence[Outcome], Sequence[Fraction]]:
+    """The outcomes, as tuples, and the values, as Fractions, of (outcome, value) pairs.
+
+    A pair that is not two items, or whose outcome is not iterable, raises
+    error naming the pair; values go through ``as_exact(v, what, error)``.
+    The pairs are split in C-level passes, and only a type pass that finds
+    an outcome that is not a tuple, or a value that is not a Fraction,
+    leads to a conversion.
+    """
+    pairs = list(pairs)
+    try:  # strict: every pair has as many items as the first
+        xs, vs = zip(*pairs, strict=True) if pairs else ((), ())
+    except (TypeError, ValueError):
+        xs = None
+    if xs is None or countOf(map(type, xs), tuple) != len(xs):
+        xs, vs = [], []
+        for pair in pairs:
+            try:
+                x, v = pair
+                xs.append(tuple(x))
+            except (TypeError, ValueError):
+                raise error(f"{pair!r} is not an (outcome, {what}) pair") from None
+            vs.append(v)
+    if countOf(map(type, vs), Fraction) != len(vs):
+        vs = [as_exact(v, what, error) for v in vs]
+    return xs, vs
 
 
 def first_bad_outcome(outcomes: Collection[Outcome], n: int, m: int) -> Outcome | None:
@@ -793,17 +842,17 @@ class ExplicitDist(Distribution):
                  support: Sequence[tuple[Outcome, Fraction]]):
         self.alphabet = alphabet
         self.n = as_int(n, "arity")
-        support = [(tuple(x), as_exact(w, "weight")) for x, w in support]
+        points, weights = _split_pairs(support, "weight", DistributionError)
         as_int(self.n, "arity", DistributionError, 1)
-        if not support:
+        if not points:
             raise DistributionError("support is empty")
         # Checked before sorting: a symbol that is not an int may not order against one.
-        x = first_bad_outcome(list(map(itemgetter(0), support)), self.n, len(alphabet))
+        x = first_bad_outcome(points, self.n, len(alphabet))
         if x is not None:
             if len(x) != self.n:
                 raise DistributionError(f"outcome {x} has length {len(x)}, expected arity {self.n}")
             raise DistributionError(f"outcome {x} uses a symbol index outside the alphabet")
-        self.support = tuple(sorted(support))
+        self.support = tuple(sorted(zip(points, weights)))
         points = list(map(itemgetter(0), self.support))
         # Sorted, so equal outcomes sit next to each other.
         for x in itertools.compress(points, map(eq, points, points[1:])):

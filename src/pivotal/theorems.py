@@ -516,7 +516,7 @@ def verify_effect_identity(f: PlayerFunction, mu: Distribution) -> Verdict:
 
 @dataclass(frozen=True)
 class TightnessRow:
-    """One alpha of the exact sweep: the pivotal count (n or 0) and 8/(p alpha^2)."""
+    """One alpha of the exact sweep: the pivotal count (n or 0) and 8/(p' alpha^2)."""
     alpha: Fraction
     count: int
     bound: Fraction
@@ -541,17 +541,22 @@ def estimate_majp_deviations(n: int, p: Fraction, samples: int,
     return out
 
 
-def majp_tightness(n: int, p: Fraction, alpha_grid: Sequence[Fraction]) -> list[TightnessRow]:
-    """Exact pivotal count against the bound 8/(p alpha^2), per alpha.
+def majp_tightness(n: int, p: Fraction, alpha_grid: Sequence[Fraction],
+                   p_prime: Fraction | None = None) -> list[TightnessRow]:
+    """Exact (p', alpha)-pivotal count against the bound 8/(p' alpha^2), per alpha.
 
-    Players are exchangeable, so player 0 stands for all of them and the
-    count is n or 0. Player 0's row comes from one kernel pass over the law
-    of the vote total, so every n that majp_dist accepts is answered exactly.
+    p is the participation of ``majp_dist(n, p)`` and p' the pivotality
+    threshold, p by default. Players are exchangeable, so player 0 stands
+    for all of them and the count is n or 0. Player 0's row comes from one
+    kernel pass over the law of the vote total, so every n that majp_dist
+    accepts is answered exactly.
     """
     p = as_exact(p, "p", PreconditionError)
+    p_prime = p if p_prime is None else _positive("p'", p_prime)
     alphas = [_positive("alpha", a) for a in alpha_grid]
     if not alphas:
         raise PivotalError("alpha grid must be non-empty")
-    _, row = pivotal_player(MajPFn(n), majp_dist(n, p), 0, p, alphas[0])
-    return [TightnessRow(alpha, n if row.mass_past(alpha) > p else 0, 8 / (p * alpha ** 2))
+    _, row = pivotal_player(MajPFn(n), majp_dist(n, p), 0, p_prime, alphas[0])
+    return [TightnessRow(alpha, n if row.mass_past(alpha) > p_prime else 0,
+                         8 / (p_prime * alpha ** 2))
             for alpha in alphas]

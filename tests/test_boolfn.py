@@ -129,6 +129,108 @@ class TestEvaluate:
             pt.evaluate((1, 1))
 
 
+class _Index:
+    """A symbol that converts to an int by __index__ but is not one."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"_Index({self.value})"
+
+
+def _forms(pairs, dict_form=True):
+    """The same (outcome, value) pairs in grid order and in the other forms a table accepts."""
+    shuffled = list(pairs)
+    random.Random(len(pairs)).shuffle(shuffled)
+    forms = {"grid": list(pairs), "shuffled": shuffled, "reversed": pairs[::-1],
+             "generator": (pair for pair in pairs),
+             "int-values": [(x, int(v) if v.denominator == 1 else v) for x, v in pairs]}
+    if dict_form:  # a dict cannot hold an outcome twice
+        forms["dict"] = dict(pairs)
+    return forms
+
+
+def _build(cls, alphabet, n, values):
+    try:
+        return cls(alphabet, n, values)
+    except PivotalError as exc:
+        return type(exc), str(exc)
+
+
+def _first_symbol_one_as(symbol):
+    """The pairs with the first outcome that starts with 1 starting with symbol instead."""
+    def spoil(pairs):
+        j = next(j for j, (x, _) in enumerate(pairs) if x[0] == 1)
+        return pairs[:j] + [((symbol,) + pairs[j][0][1:], pairs[j][1])] + pairs[j + 1:]
+    return spoil
+
+
+# A fault put into grid-order pairs: (name, how the pairs change, whether a dict can hold them).
+_FAULTS = [
+    ("float-symbol", _first_symbol_one_as(1.0), True),
+    ("index-symbol", _first_symbol_one_as(_Index(1)), True),
+    ("out-of-range", lambda pairs: pairs + [((3,) + pairs[0][0][1:], F(0))], True),
+    ("three-halves", lambda pairs: pairs[:1] + [(pairs[1][0], F(3, 2))] + pairs[2:], True),
+    ("duplicate", lambda pairs: pairs + [pairs[0]], False),
+    ("missing", lambda pairs: pairs[1:], True),
+]
+
+
+class TestTableForms:
+    """A table given its grid in order is checked by whole-list passes; other forms agree."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([BINARY, PARTICIPATION]), st.integers(1, 4), st.data())
+    def test_grid_order_and_other_forms_build_one_table(self, alphabet, n, data):
+        grid = list(itertools.product(range(len(alphabet)), repeat=n))
+        values = st.sampled_from([F(-1), F(0), F(1), F(1, 2), F(-2, 3)])
+        pairs = [(x, data.draw(values)) for x in grid]
+        floated = tuple(map(float, grid[-1]))  # the key dict answers 1.0 as 1
+        for cls in (DenseTable, PartialTable):
+            want = cls(alphabet, n, pairs)
+            for name, form in _forms(pairs).items():
+                f = cls(alphabet, n, form)
+                assert f.entries == want.entries, name
+                assert getattr(f, "_grid_values", None) == getattr(want, "_grid_values", None)
+                if cls is DenseTable:
+                    assert f == want and hash(f) == hash(want), name
+                if name == "grid":  # no key dict until the first evaluate builds it
+                    assert f._lookup is None
+                assert [f.evaluate(x) for x in grid + [floated]] == [
+                    v for _, v in pairs] + [pairs[-1][1]], name
+                assert f._lookup is not None
+
+    def test_bool_symbols_stay_accepted(self):
+        pairs = [((bool(a), b), F(a ^ b)) for a in (0, 1) for b in (0, 1)]
+        for form in _forms(pairs).values():
+            f = DenseTable(BINARY, 2, form)
+            assert f.entries == tuple(pairs)
+            assert f.evaluate((1, 0)) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([BINARY, PARTICIPATION]), st.integers(1, 3),
+           st.sampled_from(_FAULTS))
+    def test_a_fault_is_named_alike_in_every_form(self, alphabet, n, fault):
+        # One fault in otherwise grid-order pairs: every form raises the same
+        # error with the same text (a missing point only fails a dense table).
+        name, spoil, dict_form = fault
+        grid = itertools.product(range(len(alphabet)), repeat=n)
+        pairs = spoil([(x, F(j % 3 - 1)) for j, x in enumerate(grid)])
+        for cls in (DenseTable, PartialTable):
+            results = {form: _build(cls, alphabet, n, values)
+                       for form, values in _forms(pairs, dict_form).items()}
+            want = results.pop("grid")
+            if cls is PartialTable and name == "missing":  # a valid partial table
+                assert all(f.entries == want.entries for f in results.values())
+                continue
+            assert isinstance(want, tuple) and want[0] is PivotalError, want
+            assert results == dict.fromkeys(results, want), name
+
+
 class TestMajP:
     def test_single_participant_wins(self):
         assert MajPFn(3).evaluate((1, 2, 2)) == 1

@@ -104,12 +104,13 @@ QUARTER = F(1, 4)
     (lambda: convex_decomposition_check(MajorityFn(3), uniform_product(3),
                                         uniform_product(3), 0.5, 0), PivotalError),
     (lambda: majp_tightness(5, 0.5, [F(1, 8)]), PivotalError),
+    (lambda: majp_tightness(5, HALF, [F(1, 8)], 0.25), PivotalError),
     (lambda: majp_dist(3, 0.5), DistributionError),
     (lambda: mixture(uniform_product(2), uniform_product(2), 0.5), DistributionError),
 ], ids=["explicit", "product", "product-equal-float-row", "dense", "partial", "constant",
         "pivotal_report", "pivotal_player", "pivotal_set", "count_effect", "positive",
         "verify_reduction", "verify_elimination", "convex_decomposition_check",
-        "majp_tightness", "majp_dist", "mixture"])
+        "majp_tightness", "majp_tightness-p-prime", "majp_dist", "mixture"])
 def test_constructors_reject_floats(build, error):
     """Only int and Fraction are exact; a float is refused, never converted.
 
@@ -213,6 +214,21 @@ class TestValidation:
         # before the outcomes are sorted, never left to a TypeError.
         with pytest.raises(error, match=text):
             build((symbol,))
+
+    @pytest.mark.parametrize("bad", [((0,),), ((0,), HALF, 5), 5, (5, HALF)],
+                             ids=["one-item", "three-items", "not-iterable", "outcome-not-iterable"])
+    @pytest.mark.parametrize("build, error, what", [
+        (lambda pairs: ExplicitDist(BINARY, 1, pairs), DistributionError, "weight"),
+        (lambda pairs: PartialTable(BINARY, 1, pairs), PivotalError, "value"),
+        (lambda pairs: DenseTable(BINARY, 1, pairs), PivotalError, "value"),
+    ], ids=["explicit", "partial", "dense"])
+    def test_malformed_pair_is_named(self, build, error, what, bad):
+        # The first pair that is not an (outcome, value) pair is named in the
+        # library's own error, never a bare ValueError or TypeError.
+        with pytest.raises(PivotalError) as info:
+            build([((1,), HALF), bad, ((0,), HALF, 6)])
+        assert type(info.value) is error
+        assert str(info.value) == f"{bad!r} is not an (outcome, {what}) pair"
 
 
 class TestMarginal:
@@ -1399,6 +1415,7 @@ def test_dense_tables_on_the_grid_are_read_without_evaluate(monkeypatch):
         assert effect_report(dense, d) == effect_report(partial, d)
         assert len(calls) == len(grid)  # the PartialTable's evaluations only
         calls.clear()
+    assert dense._lookup is None  # given in grid order and never evaluated: no key dict
 
 
 @pytest.mark.parametrize("alphabet, rows", [

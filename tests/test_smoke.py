@@ -62,12 +62,13 @@ def test_readme_command_lines_exit_0(tmp_path, monkeypatch, capsys):
     # The lines run in order: later ones read the files that earlier ones write.
     monkeypatch.chdir(tmp_path)
     commands = _readme_commands()
-    assert len(commands) == 13
+    assert len(commands) == 14
+    assert any(line.startswith("pivotal sweep ") and "--p-prime" in line for line in commands)
     for line in commands:
         assert main(shlex.split(line)[1:]) == 0, line
         out, err = capsys.readouterr()
         assert err == "", line
-        if line.startswith("pivotal sweep "):  # the example shows a nonzero count
+        if line.startswith("pivotal sweep "):  # each example shows a nonzero count
             rows = list(csv.DictReader(io.StringIO(out)))
             assert any(row["count"] != "0" for row in rows), out
 

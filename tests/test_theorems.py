@@ -754,24 +754,35 @@ class TestMajpTightness:
         with pytest.raises(PivotalError, match="alpha"):
             majp_tightness(5, HALF, grid)
 
+    def test_rejects_non_positive_p_prime(self):
+        with pytest.raises(PreconditionError, match="p' must be positive, got 0"):
+            majp_tightness(5, HALF, [F(1, 8)], F(0))
+
+    @pytest.mark.parametrize("p_prime", [None, HALF / 2], ids=["p", "half-p"])
     @pytest.mark.parametrize("n", [49, 1001])
-    def test_sweep_is_pivotal_players_verdict(self, n, capsys):
+    def test_sweep_is_pivotal_players_verdict(self, n, p_prime, capsys):
         # The grid starts below the abstain symbol's deviation, so both n and
         # 0 appear; each row's count is the one pivotal_player's verdict at
-        # that alpha implies, in the library and through the CLI.
+        # that alpha and threshold p' (p by default) implies, in the library
+        # and through the CLI.
         from pivotal import pivotal_player
         from pivotal.cli import main
         from pivotal.serialize import rational_str
 
         d, f = majp_dist(n, HALF), MajPFn(n)
+        threshold = HALF if p_prime is None else p_prime
         _, row = pivotal_player(f, d, 0, HALF, F(1))
         abstain = abs(next(sd.deviation for sd in row.deviations if sd.symbol == 2))
         grid = [abstain / 2, abstain, F(1, 64), F(1)]
-        expected = [n if pivotal_player(f, d, 0, HALF, alpha)[1].pivotal else 0
+        expected = [n if pivotal_player(f, d, 0, threshold, alpha)[1].pivotal else 0
                     for alpha in grid]
         assert expected[0] == n and expected[-1] == 0
-        rows = majp_tightness(n, HALF, grid)
-        assert rows == [TightnessRow(a, c, 8 / (HALF * a ** 2)) for a, c in zip(grid, expected)]
-        assert main(["sweep", "--n", str(n), "--p", "1/2", "--format", "json",
+        rows = majp_tightness(n, HALF, grid, p_prime)
+        assert rows == [TightnessRow(a, c, 8 / (threshold * a ** 2))
+                        for a, c in zip(grid, expected)]
+        option = [] if p_prime is None else ["--p-prime", rational_str(p_prime)]
+        assert main(["sweep", "--n", str(n), "--p", "1/2", "--format", "json", *option,
                      "--alpha-grid", ",".join(map(rational_str, grid))]) == 0
         assert [r["count"] for r in json.loads(capsys.readouterr().out)] == expected
+        if p_prime is not None:  # below p, the voting symbols' mass passes p'
+            assert expected == [n, n, n, 0]
