@@ -5,11 +5,12 @@ to stdout (JSON or CSV with paired exact/decimal columns), diagnostics to
 stderr. Exit codes: 0 success or verified, 1 verification failed, 2 usage
 or input error. Identical invocations produce byte-identical output.
 
-Each call builds one parser. When the first word of the command line names
-a subcommand, that parser is the subcommand's alone (``parse_argv``);
-any other command line, and one that leaves words the subcommand does not
-take, is parsed by the full tree (``build_parser``), which gives the
-top-level help and usage errors.
+Each subcommand's options are one table of (flag, add_argument keywords)
+in ``COMMANDS``. A command line that starts with a subcommand's name and
+holds only exact flags with well-formed values is parsed by one scan over
+that table (``_scan``), and no parser is built. Every other command line
+is parsed by the full argparse tree (``build_parser``), which gives help,
+usage errors and their exit codes.
 """
 
 from __future__ import annotations
@@ -251,103 +252,153 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _gen_options(add) -> None:
-    add("kind", choices=list(GENERATORS))
-    add("--k", type=int)
-    add("--n", type=int)
-    add("--p", type=_rational_arg)
-    add("--out")
+# Each command's options as (flag, add_argument keywords): build_parser adds
+# them to the full tree, and _scan reads them to parse a well-formed line.
+# _scan knows the keywords type, choices, required, default and
+# action="store_true"; an option that needs another must be taught to it.
+GEN_OPTIONS = (
+    ("kind", {"choices": list(GENERATORS)}),
+    ("--k", {"type": int}),
+    ("--n", {"type": int}),
+    ("--p", {"type": _rational_arg}),
+    ("--out", {}),
+)
+
+ANALYZE_OPTIONS = (
+    ("--dist", {"required": True}),
+    ("--fn", {"required": True, "help": f"function file or builtin spec ({BUILTIN_SPECS})"}),
+    ("--what", {"required": True, "choices": ["effects", "influences", "pivotal", "counts"]}),
+    ("--p", {"type": _rational_arg}),
+    ("--alpha", {"type": _rational_arg}),
+    ("--format", {"choices": ["json", "csv"], "default": "json"}),
+)
+
+VERIFY_OPTIONS = (
+    ("--which", {"required": True, "choices": list(VERIFIERS)}),
+    ("--dist", {"required": True}),
+    ("--dist2", {}),
+    ("--fn", {"required": True}),
+    ("--p", {"type": _rational_arg}),
+    ("--alpha", {"type": _rational_arg}),
+    ("--q", {"type": _rational_arg}),
+    ("--m", {"type": int}),
+    ("--player", {"type": int}),
+    ("--players", {"type": _players_arg}),
+)
+
+COUNTEREXAMPLE_OPTIONS = (
+    ("--which", {"required": True, "choices": ["effect", "influence"]}),
+    ("--k", {"type": int, "required": True}),
+    ("--out-fn", {}),
+    ("--out-dist", {}),
+)
+
+SWEEP_OPTIONS = (
+    ("--majp-tightness", {"action": "store_true",
+                          "help": "accepted and ignored: majp tightness is the only sweep"}),
+    ("--n", {"type": int}),
+    ("--p", {"type": _rational_arg}),
+    ("--p-prime", {"type": _rational_arg, "help": "pivotality threshold p' (default: p)"}),
+    ("--alpha-grid", {"type": _grid_arg}),
+    ("--format", {"choices": ["csv", "json"], "default": "csv"}),
+)
 
 
-def _analyze_options(add) -> None:
-    add("--dist", required=True)
-    add("--fn", required=True, help=f"function file or builtin spec ({BUILTIN_SPECS})")
-    add("--what", required=True, choices=["effects", "influences", "pivotal", "counts"])
-    add("--p", type=_rational_arg)
-    add("--alpha", type=_rational_arg)
-    add("--format", choices=["json", "csv"], default="json")
-
-
-def _verify_options(add) -> None:
-    add("--which", required=True, choices=list(VERIFIERS))
-    add("--dist", required=True)
-    add("--dist2")
-    add("--fn", required=True)
-    add("--p", type=_rational_arg)
-    add("--alpha", type=_rational_arg)
-    add("--q", type=_rational_arg)
-    add("--m", type=int)
-    add("--player", type=int)
-    add("--players", type=_players_arg)
-
-
-def _counterexample_options(add) -> None:
-    add("--which", required=True, choices=["effect", "influence"])
-    add("--k", type=int, required=True)
-    add("--out-fn")
-    add("--out-dist")
-
-
-def _sweep_options(add) -> None:
-    add("--majp-tightness", action="store_true",
-        help="accepted and ignored: majp tightness is the only sweep")
-    add("--n", type=int)
-    add("--p", type=_rational_arg)
-    add("--p-prime", type=_rational_arg, help="pivotality threshold p' (default: p)")
-    add("--alpha-grid", type=_grid_arg)
-    add("--format", choices=["csv", "json"], default="csv")
-
-
-# name -> (its line in the top-level help, how its options are added, how it runs)
+# name -> (its line in the top-level help, its options, how it runs)
 COMMANDS = {
-    "gen": ("generate a named distribution as JSON", _gen_options, _cmd_gen),
-    "analyze": ("per-player reports for a function and distribution", _analyze_options,
+    "gen": ("generate a named distribution as JSON", GEN_OPTIONS, _cmd_gen),
+    "analyze": ("per-player reports for a function and distribution", ANALYZE_OPTIONS,
                 _cmd_analyze),
-    "verify": ("check one statement on one instance", _verify_options, _cmd_verify),
+    "verify": ("check one statement on one instance", VERIFY_OPTIONS, _cmd_verify),
     "counterexample": ("build a certified zero-effect or zero-influence pair",
-                       _counterexample_options, _cmd_counterexample),
-    "sweep": ("tightness table over an alpha grid", _sweep_options, _cmd_sweep),
+                       COUNTEREXAMPLE_OPTIONS, _cmd_counterexample),
+    "sweep": ("tightness table over an alpha grid", SWEEP_OPTIONS, _cmd_sweep),
 }
-
-
-def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
-    """Give parser the options of command name and the defaults main reads."""
-    _, add_options, run = COMMANDS[name]
-    add_options(parser.add_argument)
-    parser.set_defaults(func=run, command=name)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The full argument parser: every subcommand with its help line and options.
 
-    ``parse_argv`` uses it for every command line that does not start with
-    a subcommand's name, and for one whose subcommand leaves words over, so
-    top-level help and usage errors come from this tree.
+    ``parse_argv`` uses it for every command line that ``_scan`` does not
+    accept, so help, usage errors and their exit codes come from this tree.
     """
     parser = argparse.ArgumentParser(
         prog="pivotal",
         description="Exact analysis of player effects, influence, and pivotality.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, options, run) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(func=run, command=name)
     return parser
+
+
+def _scan(name: str, words: list[str]) -> argparse.Namespace | None:
+    """The full tree's Namespace for command name and its words, or None.
+
+    One pass over the words accepts only: an exact flag and the next word as
+    its value, if that word does not start with "-"; an exact flag joined to
+    its value by "="; a store_true flag alone; and a command's positional
+    (gen's kind) once, anywhere. A value is not empty or "--", converts by
+    the option's type and is one of its choices; a flag given again keeps its
+    last value. Anything else (an abbreviated or unknown flag, -h, --, a
+    missing or failing value, a second positional, a required option left
+    out) gives None, and the full tree parses the line.
+    """
+    _, options, run = COMMANDS[name]
+    table = dict(options)
+    positional = next((flag for flag in table if not flag.startswith("-")), None)
+    given: dict[str, object] = {}
+    words = iter(words)
+    for word in words:
+        if word.startswith("-"):
+            flag, sep, text = word.partition("=")
+            if flag not in table:
+                return None
+            if table[flag].get("action") == "store_true":
+                if sep:
+                    return None
+                given[flag] = True
+                continue
+            if not sep:
+                text = next(words, "-")  # a missing value is refused with "-" ones
+                if text.startswith("-"):
+                    return None
+        elif positional is None or positional in given:
+            return None
+        else:
+            flag, text = positional, word
+        kwargs = table[flag]
+        if text in ("", "--"):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+    if any(flag not in given for flag, kwargs in options
+           if kwargs.get("required") or flag == positional):
+        return None
+    args = argparse.Namespace(func=run, command=name)
+    for flag, kwargs in options:
+        default = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        setattr(args, flag.lstrip("-").replace("-", "_"), given.get(flag, default))
+    return args
 
 
 def parse_argv(argv: list[str]) -> argparse.Namespace:
     """The Namespace ``build_parser().parse_args(argv)`` gives, or its SystemExit.
 
-    When argv[0] names a subcommand, the full tree would hand every later
-    word to that subcommand's parser, so one parser with the same prog,
-    options and defaults parses argv[1:] alone. Words it leaves over are a
-    top-level "unrecognized arguments" error, which the full tree reports.
+    When argv[0] names a subcommand, the full tree hands every later word to
+    that subcommand's parser, so a line that ``_scan`` accepts gets the same
+    Namespace from the scan, and no parser is built. Every other line, among
+    them help and every usage error, is parsed by the full tree.
     """
-    if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"pivotal {argv[0]}")
-        _add_command(parser, argv[0])
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+    args = _scan(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

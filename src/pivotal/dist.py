@@ -13,7 +13,7 @@ tables and closures are checked through it at construction, and a
 ``weight`` or ``condition`` query applies it to its point or assignment,
 where a wrong length is an error and a value that is not a symbol has no
 mass. ``as_int`` applies the same test, and a range, to integer arguments.
-A table whose outcomes are the m^n grid in order is checked by
+A support or table whose outcomes are the m^n grid in order is checked by
 ``_is_grid`` instead: equality with the grid, one whole-list comparison,
 implies the rule but for the symbols' types, which one more pass checks.
 
@@ -846,17 +846,21 @@ class ExplicitDist(Distribution):
         as_int(self.n, "arity", DistributionError, 1)
         if not points:
             raise DistributionError("support is empty")
-        # Checked before sorting: a symbol that is not an int may not order against one.
-        x = first_bad_outcome(points, self.n, len(alphabet))
-        if x is not None:
-            if len(x) != self.n:
-                raise DistributionError(f"outcome {x} has length {len(x)}, expected arity {self.n}")
-            raise DistributionError(f"outcome {x} uses a symbol index outside the alphabet")
-        self.support = tuple(sorted(zip(points, weights)))
-        points = list(map(itemgetter(0), self.support))
-        # Sorted, so equal outcomes sit next to each other.
-        for x in itertools.compress(points, map(eq, points, points[1:])):
-            raise DistributionError(f"duplicate outcome {x} in support")
+        if _is_grid(points, self.n, len(alphabet)):  # follows the rule, sorted, no duplicate
+            self.support = tuple(zip(points, weights))
+        else:
+            # Checked before sorting: a symbol that is not an int may not order against one.
+            x = first_bad_outcome(points, self.n, len(alphabet))
+            if x is not None:
+                if len(x) != self.n:
+                    raise DistributionError(
+                        f"outcome {x} has length {len(x)}, expected arity {self.n}")
+                raise DistributionError(f"outcome {x} uses a symbol index outside the alphabet")
+            self.support = tuple(sorted(zip(points, weights)))
+            points = list(map(itemgetter(0), self.support))
+            # Sorted, so equal outcomes sit next to each other.
+            for x in itertools.compress(points, map(eq, points, points[1:])):
+                raise DistributionError(f"duplicate outcome {x} in support")
         # The lcm denominator and the integer weights aligned with support.
         self._denom, self._ints = _scale([w for _, w in self.support])
         if min(self._ints) <= 0:

@@ -230,6 +230,52 @@ class TestValidation:
         assert type(info.value) is error
         assert str(info.value) == f"{bad!r} is not an (outcome, {what}) pair"
 
+    @staticmethod
+    def _first_bad_calls(monkeypatch) -> list:
+        """The calls ExplicitDist makes to first_bad_outcome from now on."""
+        calls, check = [], dist_module.first_bad_outcome
+        monkeypatch.setattr(dist_module, "first_bad_outcome",
+                            lambda *args: calls.append(args) or check(*args))
+        return calls
+
+    @pytest.mark.parametrize("alphabet, n", [*((BINARY, n) for n in range(1, 11)),
+                                             (PARTICIPATION, 1), (PARTICIPATION, 4)])
+    def test_grid_order_support_equals_shuffled(self, monkeypatch, alphabet, n):
+        # The grid in order skips the outcome walk, the sort and the
+        # duplicate scan, and keeps each weight with its outcome.
+        calls = self._first_bad_calls(monkeypatch)
+        rng = random.Random(n)
+        raw = [rng.randint(1, 5) for _ in range(len(alphabet) ** n)]
+        pairs = [(x, F(r, sum(raw)))
+                 for x, r in zip(itertools.product(range(len(alphabet)), repeat=n), raw)]
+        grid = ExplicitDist(alphabet, n, pairs)
+        assert calls == []
+        shuffled = ExplicitDist(alphabet, n, rng.sample(pairs[1:], len(pairs) - 1) + pairs[:1])
+        assert calls != []
+        assert grid.support == shuffled.support == tuple(pairs)
+        denom, ints = grid.scaled_items()
+        assert (denom, list(ints)) == (shuffled.scaled_items()[0],
+                                       list(shuffled.scaled_items()[1]))
+
+    @pytest.mark.parametrize("points, text", [
+        ([(0, 0), (0, 1), (True, 0), (1, 1)], None),
+        ([(0, 0), (0, 1), (1.0, 0), (1, 1)],
+         "outcome (1.0, 0) uses a symbol index outside the alphabet"),
+        ([(0, 0), (0, 1), (True, 0), (1, 0)], "duplicate outcome (True, 0) in support"),
+    ], ids=["bool", "float", "bool-duplicate"])
+    def test_grid_order_with_other_symbol_types_is_checked_by_outcome(
+            self, monkeypatch, points, text):
+        # Equal to the grid, but a bool or float symbol is left to first_bad_outcome.
+        calls = self._first_bad_calls(monkeypatch)
+        pairs = [(x, QUARTER) for x in points]
+        if text is None:
+            assert ExplicitDist(BINARY, 2, pairs) == uniform_product(2).to_explicit()
+        else:
+            with pytest.raises(DistributionError) as err:
+                ExplicitDist(BINARY, 2, pairs)
+            assert str(err.value) == text
+        assert calls != []
+
 
 class TestMarginal:
     def test_even_parity_single_is_uniform(self, even_parity3):

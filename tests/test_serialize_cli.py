@@ -1,14 +1,20 @@
 """File formats, canonical round-trips, and the command-line surface."""
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
+import os
 import re
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from pivotal import (
     BINARY,
@@ -750,28 +756,56 @@ PARSE_CORPUS = [
     # The sweep's removed Monte Carlo options are leftover words on either path.
     [*VALID["sweep"], "--samples", "10"],
     [*VALID["sweep"], "--seed=3"],
+    # Lines the scan leaves to the full tree, whatever argparse makes of them:
+    # "--dist=--" reads as an empty list on some versions.
+    ["analyze", "--dist=--", "--fn", "majp", "--what", "effects"],
+    ["analyze", "--dist=", "--fn", "majp", "--what", "effects"],
+    ["analyze", "--dist", "", "--fn", "majp", "--what", "effects"],
+    ["verify", "--which", "sum-bound", "--dist", "mu.json", "--fn", "majp", "--players", "-1"],
+    ["analyze", "--dist", "mu.json", "--fn", "majp", "--what", "pivotal", "--alpha", "-1/4"],
+    ["sweep", "--majp-tightness=x", "--n", "5"],
+    ["gen", "--n", "3"], ["gen", "--n", "3", "majp"], ["gen", "majp", "--n", "3", "majp"],
+    # The command line shapes the cli-batch benchmark runs.
+    *(["analyze", "--dist", "d.json", "--fn", spec, "--what", what, "--format", fmt]
+      for spec, what, fmt in [("parity", "effects", "json"), ("f.json", "influences", "csv")]),
+    ["analyze", "--dist", "d.json", "--fn", "majp", "--what", "pivotal", "--p", "1/8",
+     "--alpha", "1/3", "--format", "json"],
+    ["analyze", "--dist", "d.json", "--fn", "dictator:2", "--what", "counts", "--alpha", "1/40"],
+    ["analyze", "--dist", "d.json", "--fn", "majority", "--what", "counts", "--alpha", "1/5",
+     "--p", "1/2"],
+    *(["verify", "--which", which, "--dist", "d.json", "--fn", "parity", *extra]
+      for which, extra in [("thm1", ["--p", "1/4", "--alpha", "1/20"]),
+                           ("warmup", ["--alpha", "1/8"]), ("sum-bound", ["--players", "0,2,3"]),
+                           ("binary-bound", ["--alpha", "1/10"]),
+                           ("reduction", ["--p", "1/2", "--alpha", "1/3"]),
+                           ("convex", ["--q", "1/7", "--player", "2", "--dist2", "d2.json"]),
+                           ("effect-identity", [])]),
+    ["gen", "hadamard-mu", "--k", "3"], ["gen", "mixture-d", "--k", "2"],
+    ["gen", "uniform-product", "--n", "5"], ["gen", "majp", "--n", "3", "--p", "2/5"],
+    ["counterexample", "--which", "effect", "--k", "3", "--out-fn", "f.json",
+     "--out-dist", "d.json"],
 ]
 
 
-def _parse(parse, capsys):
-    """The Namespace parse() returns, or its exit code and captured output."""
-    capsys.readouterr()
-    try:
-        return parse()
-    except SystemExit as exc:
-        return exc.code, capsys.readouterr()
+def _outcome(parse):
+    """The Namespace parse() returns, or its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse()
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
-def test_parser_of_the_invoked_command_parses_like_the_full_tree(monkeypatch, capsys, argv):
+def test_parse_step_parses_like_the_full_tree(monkeypatch, argv):
     """main's parse step gives the full tree's Namespace, or its exit code and output."""
     monkeypatch.setenv("COLUMNS", "80")
-    assert _parse(lambda: parse_argv(argv), capsys) == _parse(
-        lambda: build_parser().parse_args(argv), capsys)
+    assert _outcome(lambda: parse_argv(argv)) == _outcome(lambda: build_parser().parse_args(argv))
 
 
-def test_main_builds_one_parser_per_call(monkeypatch):
-    """A command line that starts with a subcommand costs one ArgumentParser, not the tree."""
+def test_valid_command_line_builds_no_parser(monkeypatch, capsys):
+    """A well-formed command line is scanned; help and a stray word build the full tree."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -780,9 +814,73 @@ def test_main_builds_one_parser_per_call(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    for name, (help_text, add_options, _) in COMMANDS.items():  # parse, but run nothing
-        monkeypatch.setitem(COMMANDS, name, (help_text, add_options, lambda args: 0))
+    for name, (help_text, options, _) in COMMANDS.items():  # parse, but run nothing
+        monkeypatch.setitem(COMMANDS, name, (help_text, options, lambda args: 0))
+    tree = ["pivotal", *(f"pivotal {name}" for name in COMMANDS)]
     for name, argv in VALID.items():
         built.clear()
         assert main(argv) == 0
-        assert built == [f"pivotal {name}"]
+        assert built == []
+        for other in ([name, "-h"], [*argv, "stray"]):
+            built.clear()
+            with pytest.raises(SystemExit):
+                main(other)
+            assert built == tree
+
+
+# Option values for the property below: good ones for some type, ones that
+# start with "-", and ones that no type or choice takes.
+TEXTS = ["3", "1/2", "0,2", "1/8,1/4", "mu.json", "-1", "-1/4", "-x", "x", "0.5", "", "--"]
+EXTRAS = ["-h", "--", "stray", "--bogus", "-1"]
+FAULTS = ["value", "bare", "abbreviated", "missing", "extra"]
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    """A command line of one command, drawn from its option table.
+
+    Each option is given zero to two times (a required one and the
+    positional at least once), with a good value in the space or "=" form,
+    in any order. Five lines in six then take one fault: a value from
+    TEXTS, a flag's value left out, an abbreviated flag, an option left
+    out, or a word from EXTRAS.
+    """
+    name = draw(st.sampled_from(list(COMMANDS)))
+    chunks = []  # [flag as spelled, value text, form]
+    for flag, kwargs in COMMANDS[name][1]:
+        needed = kwargs.get("required") or not flag.startswith("-")
+        for _ in range(draw(st.sampled_from([1, 1, 2] if needed else [0, 0, 1, 1, 2]))):
+            form = ("bare" if kwargs.get("action") == "store_true" or not flag.startswith("-")
+                    else draw(st.sampled_from(["space", "equals"])))
+            text = draw(st.sampled_from(kwargs.get("choices", ["3"])))  # "3" fits every type
+            chunks.append([flag, text, form])
+    chunks = draw(st.permutations(chunks))
+    fault = draw(st.sampled_from([None, *FAULTS]))
+    if fault in ("value", "bare", "abbreviated", "missing") and chunks:
+        i = draw(st.integers(0, len(chunks) - 1))
+        flag, _, form = chunks[i]
+        if fault == "missing":
+            del chunks[i]
+        elif fault == "abbreviated" and flag.startswith("-"):
+            chunks[i][0] = flag[:-1]
+        elif fault == "bare" and form != "bare":
+            chunks[i][2] = "bare"
+        else:  # a value from TEXTS, after "=" for a store_true flag
+            chunks[i][1:] = [draw(st.sampled_from(TEXTS)), "equals" if form == "bare" else form]
+    words = [*itertools.chain.from_iterable(
+        [text] if not flag.startswith("-") else
+        {"space": [flag, text], "equals": [f"{flag}={text}"], "bare": [flag]}[form]
+        for flag, text, form in chunks)]
+    if fault == "extra":
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(EXTRAS)))
+    return [name, *words]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_command_lines())
+def test_scan_parses_like_the_full_tree(argv):
+    """Forms, repeats, "-"-values, bad values, missing options, stray words: one outcome."""
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        scanned = _outcome(lambda: parse_argv(argv))
+        event("scanned" if isinstance(scanned, argparse.Namespace) else "full tree")
+        assert scanned == _outcome(lambda: build_parser().parse_args(argv)), argv
