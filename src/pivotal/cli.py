@@ -404,6 +404,12 @@ def parse_argv(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = parse_argv(argv)
+    # "--" is never a value: argparse reads "--dist --" as a missing one, and
+    # stores "--dist=--" as "--" or, on some versions, as the empty list.
+    for flag, _ in COMMANDS[args.command][1]:
+        if getattr(args, flag.lstrip("-").replace("-", "_")) in ([], "--"):
+            print(f"pivotal: error: argument {flag}: expected one argument", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except (PivotalError, OSError) as exc:

@@ -50,14 +50,13 @@ O(|supp|) per key. Each ``Fraction`` is built once, after the pass.
 An explicit support builds its bitsets at the first query that reads
 them, with each player's symbol masses, and keeps them: ``sums``, exact
 k-wise checks and single marginals share them, and ``sums`` cuts them
-into windows. A product form keeps the statistic path's law by total
-for the last function it read (``_totals``) and the bitsets of the
-sub-grid of its last players, at most ``_WINDOW`` points, built at the
-first query that reads them. Each window fixes the other players'
-symbols and reuses those bitsets, so memory does not grow with the
-grid. The joint mass of an assignment in a k-wise check is
-the AND of its players' bitsets, and factorization is decided in
-integers over the lcm denominator.
+into windows. A product form keeps the bitsets of the sub-grid of its
+last players, at most ``_WINDOW`` points, built at the first query that
+reads them, and the statistic path's ``_ScoreLaw`` for the last function
+it read. Each window fixes the other players' symbols and reuses those
+bitsets, so memory does not grow with the grid. The joint mass of an
+assignment in a k-wise check is the AND of its players' bitsets, and
+factorization is decided in integers over the lcm denominator.
 
 A product form whose rows are all equal has a statistic path. When f is
 None or a function of one integer statistic, the total of per-symbol
@@ -69,11 +68,11 @@ from Q^(n - k), shifted by the group's own score and weighed by its
 symbols' weights. Neither depends on the symbols' order, so the groups
 of one size share one table. Each entry is the bitset kernel's integer
 sum, grouped by total, so both paths return equal ``GroupedSums``. Any
-other input goes through the bitset kernel. On the statistic path the
-reduction's sums per indicator vector of k players depend only on how
-many of them deviate (``_class_sums``): k + 1 classes, each derived from
-the last by one product and one exact division of polynomials, not |S|^k
-joint symbols. Elsewhere ``_pattern_sums`` folds the players' table.
+other input goes through the bitset kernel. One ``_ScoreLaw`` per f
+answers the tables and the reduction's sums per indicator vector of k
+players, which depend only on how many of them deviate: k + 1 classes,
+each derived from the last by one product and one exact division of
+polynomials, not |S|^k joint symbols. Elsewhere ``_pattern_sums`` folds.
 
 Sampling follows one stream contract: ``sample(seed, index)`` seeds one
 generator and makes one ``_draw`` per player, in player order (one for
@@ -970,6 +969,92 @@ class ExplicitDist(Distribution):
         return self.support[_draw(_rng_for(seed, index), self._cum)][0]
 
 
+class _ScoreLaw:
+    """The statistic path: f's law by score total over n players on one row.
+
+    f is None or has ``of_total``. Weights are integers over row.den ** n,
+    without the row's zero-weight symbols. q is the row polynomial by
+    score - lo, lo the least score, so _power(q, r)[i] is the weight of r
+    players reaching the total r * lo + i. den is every f-weighted sum's
+    denominator.
+    """
+
+    __slots__ = ("f", "n", "row", "law", "mean", "den", "score", "lo", "q", "by_total", "rests")
+
+    def __init__(self, n: int, row: _Row, f: Evaluable | None):
+        if f is not None:
+            f._check_arity((row.symbols[0],) * n)  # as the kernel's first evaluation would
+        score = {s: 0 if f is None else f.scores.get(s, 0) for s in row.symbols}
+        lo = min(score.values())
+        q = [0] * (max(score.values()) - lo + 1)
+        for s in row.symbols:
+            q[score[s] - lo] += row.ints[s]
+        everyone = _power(q, n)
+        # f's value at each total the n players reach, slotted by object id.
+        reached = [i for i, w in enumerate(everyone) if w]
+        slots: dict[Fraction, int] = {}
+        codes, _ = _slot_codes([ONE] * len(reached) if f is None else
+                               [f.of_total(n * lo + i) for i in reached], slots, [])
+        masses = [0] * len(slots)
+        for c, i in zip(codes, reached):
+            masses[c] += everyone[i]
+        self.law, self.mean, vden, scaled = _law_and_mean(slots, masses, row.den ** n)
+        self.by_total = [0] * len(everyone)  # vden * f at each total, 0 where none is reached
+        for c, i in zip(codes, reached):
+            self.by_total[i] = scaled[c]
+        self.f, self.n, self.row, self.score, self.lo, self.q = f, n, row, score, lo, q
+        self.den, self.rests = row.den ** n * vden, {}
+
+    def rest(self, k: int) -> list[int]:
+        """k players of weight w scoring k * lo + i have f-weighted sum w * rest(k)[i] over den."""
+        if k not in self.rests:  # built once per k, for the tables and the classes
+            q, by_total = self.q, self.by_total
+            others = _power(q, self.n - k)  # others[u]: the others' weight at total index u
+            self.rests[k] = [sum(map(int.__mul__, others, by_total[i:]))
+                             for i in range(k * (len(q) - 1) + 1)]
+        return self.rests[k]
+
+    def table(self, k: int) -> dict[Outcome, tuple[Fraction, Fraction]]:
+        """The one table of all groups of k distinct players.
+
+        Joint symbols a weigh w = prod r_(a_i) and score sigma, so the entry
+        has mass w / row.den^k and f-weighted sum w * rest(k)[sigma - k * lo]
+        over den. Both w and sigma are symmetric in a.
+        """
+        ints, score, den, rest = self.row.ints, self.score, self.den, self.rest(k)
+        row_den, shift, entries, table = self.row.den ** k, k * self.lo, {}, {}
+        for a in itertools.product(self.row.symbols, repeat=k):
+            w, sigma = math.prod(map(ints.__getitem__, a)), sum(map(score.get, a))
+            if (w, sigma) not in entries:
+                entries[w, sigma] = Fraction(w, row_den), Fraction(w * rest[sigma - shift], den)
+            table[a] = entries[w, sigma]
+        return table
+
+    def classes(self, k: int, side: Collection[int]) -> tuple[int, list[int], list[int], dict]:
+        """``Distribution._pattern_sums`` of k players that all deviate on one side D.
+
+        A vector with c clear bits weighs A_c = Q_D^c Q_N^(k - c) by score,
+        Q_D and Q_N being q's parts over D and the others, so its sums are
+        read per c = 0..k (``_by_deviation_count``).
+        """
+        q, score, lo, ints, den = self.q, self.score, self.lo, self.row.ints, self.den
+        length = k * (len(q) - 1) + 1
+        if (k + 1) * length > _CLASS_FOLD_LIMIT:
+            raise PivotalError(f"reduction would fold {k + 1} classes of {length} coefficients")
+        q_dev, q_other = [0] * len(q), [0] * len(q)
+        for s in self.row.symbols:
+            (q_dev if s in side else q_other)[score[s] - lo] += ints[s]
+        scale = den // self.row.den ** k  # row.den^(n - k) * vden
+        by_total = self.rest(k)
+        # Divide by a one-term polynomial where one side has one term and the other more.
+        up = sum(map(bool, q_other)) == 1 < sum(map(bool, q_dev))
+        masses, wsums = [0] * (k + 1), [0] * (k + 1)
+        for c, a in _by_deviation_count(q_dev, q_other, k, length, up):
+            masses[c] = sum(a) * scale
+            wsums[c] = sum(map(int.__mul__, a, by_total))
+        return den, masses, wsums, self.law
+
+
 class ProductDist(Distribution):
     """Fully independent players, one marginal vector per player.
 
@@ -1014,7 +1099,7 @@ class ProductDist(Distribution):
         # sample()'s walk: each run of consecutive players on one row, with its length.
         self._runs = [(self._entries[j], len(list(players)))
                       for j, players in itertools.groupby(self._index)]
-        self._last: tuple | None = None  # (f, _totals(f)) for the last f on the statistic path
+        self._last: _ScoreLaw | None = None  # the last f's, built by _score_law()
         self._tail: tuple | None = None  # built by _tail_bitsets()
 
     def __eq__(self, other: object) -> bool:
@@ -1082,127 +1167,32 @@ class ProductDist(Distribution):
         return self._tail
 
     def _sums(self, groups: list[tuple[int, ...]], f: Evaluable | None) -> GroupedSums:
-        """``Distribution.sums``, over the law of f's statistic when that is exact.
+        """``Distribution.sums``: the groups of one size share ``_score_law``'s table, if any."""
+        score_law = self._score_law(groups, f)
+        if score_law is None:
+            return super()._sums(groups, f)
+        tables = {k: score_law.table(k) for k in set(map(len, groups))}
+        return GroupedSums(score_law.law, score_law.mean, tuple(tables[len(T)] for T in groups))
 
-        When every row is equal, f is None or a function of a score total
-        (it has ``of_total``), and no group names a player twice, the
-        statistic path sums over the law of that total. Otherwise the
-        bitset kernel runs over the grid, as for any distribution.
+    def _score_law(self, groups: list[tuple[int, ...]], f: Evaluable | None) -> _ScoreLaw | None:
+        """The statistic path's law for f, or None, which leaves the groups to the bitset kernel.
+
+        The path takes equal rows, f None or with ``of_total``, and groups
+        that name no player twice. The last f's law is kept for the next call.
         """
-        if self._on_statistic_path(groups, f):
-            return self._statistic_sums(groups, f)
-        return super()._sums(groups, f)
-
-    def _on_statistic_path(self, groups: list[tuple[int, ...]], f: Evaluable | None) -> bool:
-        return ((f is None or hasattr(f, "of_total"))
-                and len(self._entries) == 1
-                and all(len(set(T)) == len(T) for T in groups))
-
-    def _totals(self, f: Evaluable | None) -> tuple:
-        """f's law and mean, the denominator den of every f-weighted sum, score, lo, q and rest.
-
-        Weights stay integers over row_den ** n, and the row's zero-weight
-        symbols are left out, as the grid leaves them out. q holds the row
-        polynomial by score - lo, lo the least score, so _power(q, r)[i] is
-        the weight of r players reaching the total r * lo + i. k players of
-        weight w scoring k * lo + i have f-weighted sum w * rest(k)[i] over den.
-        The last f's result is kept, so a reduction builds it once.
-        """
-        last = self._last  # read once: another thread may replace it
-        if last is not None and last[0] is f:
-            return last[1]
-        n = self.n
-        row_den, row_ints, symbols, *_ = self._entries[0]
-        if f is not None:
-            f._check_arity((symbols[0],) * n)  # as the kernel's first evaluation would
-        score = {s: 0 if f is None else f.scores.get(s, 0) for s in symbols}
-        lo = min(score.values())
-        q = [0] * (max(score.values()) - lo + 1)
-        for s in symbols:
-            q[score[s] - lo] += row_ints[s]
-        everyone = _power(q, n)
-        # f's value at each total the n players reach, slotted by object id.
-        reached = [i for i, w in enumerate(everyone) if w]
-        slots: dict[Fraction, int] = {}
-        codes, _ = _slot_codes([ONE] * len(reached) if f is None else
-                               [f.of_total(n * lo + i) for i in reached], slots, [])
-        masses = [0] * len(slots)
-        for c, i in zip(codes, reached):
-            masses[c] += everyone[i]
-        law, mean, vden, scaled = _law_and_mean(slots, masses, row_den ** n)
-        by_total = [0] * len(everyone)  # vden * f at each total, 0 where none is reached
-        for c, i in zip(codes, reached):
-            by_total[i] = scaled[c]
-
-        @functools.cache
-        def rest(k: int) -> list[int]:
-            others = _power(q, n - k)  # others[u]: the others' weight at total index u
-            return [sum(map(int.__mul__, others, by_total[i:]))
-                    for i in range(k * (len(q) - 1) + 1)]
-
-        totals = law, mean, row_den ** n * vden, score, lo, q, rest
-        self._last = f, totals
-        return totals
-
-    def _statistic_sums(self, groups: list[tuple[int, ...]],
-                        f: Evaluable | None) -> GroupedSums:
-        # Joint symbols a of k distinct players weigh w = prod r_(a_i) and
-        # score sigma, so the entry's mass is w / row_den^k and its f-weighted
-        # sum w * rest(k)[sigma - k * lo] over den: it depends only on
-        # (k, w, sigma). Both w and sigma are symmetric in a, so all groups of
-        # k players share one table, whatever their players' order.
-        row_den, row_ints, symbols, *_ = self._entries[0]
-        law, mean, den, score, lo, _, rest = self._totals(f)
-        by_size: dict[int, dict[Outcome, tuple[Fraction, Fraction]]] = {}
-        for k in set(map(len, groups)):
-            entries: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-            table = by_size[k] = {}
-            for a in itertools.product(symbols, repeat=k):
-                w, sigma = math.prod(map(row_ints.__getitem__, a)), sum(map(score.get, a))
-                if (w, sigma) not in entries:
-                    entries[w, sigma] = (Fraction(w, row_den ** k),
-                                         Fraction(w * rest(k)[sigma - k * lo], den))
-                table[a] = entries[w, sigma]
-        return GroupedSums(law, mean, tuple(by_size[len(T)] for T in groups))
-
-    def _class_sums(self, players: tuple[int, ...], f: Evaluable,
-                    sides: Sequence[Collection[int]]) -> tuple[int, list[int], list[int],
-                                                               dict[Fraction, Fraction]] | None:
-        """Mass and f-weighted mass of one indicator vector with c clear bits, per c = 0..k.
-
-        On the statistic path, with one side D for every player, the joint
-        symbols of a vector with c deviating players weigh A_c = Q_D^c
-        Q_N^(k - c) by score, Q_D and Q_N being the row polynomial's parts
-        over D and the others (``_by_deviation_count``). Both lists hold
-        integers over one denominator, returned first, with f's law. None
-        off that path.
-        """
-        if not (self._on_statistic_path([players], f)
-                and all(side == sides[0] for side in sides)):
+        if not ((f is None or hasattr(f, "of_total")) and len(self._entries) == 1
+                and all(len(set(T)) == len(T) for T in groups)):
             return None
-        k = len(players)
-        row_den, row_ints, symbols, *_ = self._entries[0]
-        law, _, den, score, lo, q, rest = self._totals(f)
-        length = k * (len(q) - 1) + 1
-        if (k + 1) * length > _CLASS_FOLD_LIMIT:
-            raise PivotalError(f"reduction would fold {k + 1} classes of {length} coefficients")
-        q_dev, q_other = [0] * len(q), [0] * len(q)
-        for s in symbols:
-            (q_dev if s in sides[0] else q_other)[score[s] - lo] += row_ints[s]
-        scale = den // row_den ** k  # row_den^(n - k) * vden
-        by_total = rest(k)
-        # Divide by a one-term polynomial where one side has one term and the other more.
-        up = sum(map(bool, q_other)) == 1 < sum(map(bool, q_dev))
-        masses, wsums = [0] * (k + 1), [0] * (k + 1)
-        for c, a in _by_deviation_count(q_dev, q_other, k, length, up):
-            masses[c] = sum(a) * scale
-            wsums[c] = sum(map(int.__mul__, a, by_total))
-        return den, masses, wsums, law
+        last = self._last  # read once: another thread may replace it
+        if last is None or last.f is not f:
+            last = self._last = _ScoreLaw(self.n, self._entries[0], f)
+        return last
 
     def weight(self, x: Outcome) -> Fraction:
+        x = tuple(x)
         if len(x) != self.n:
             raise DistributionError(f"outcome {x} has wrong arity")
-        if not self._symbols(tuple(x)):
+        if not self._symbols(x):
             return ZERO
         return math.prod(map(getitem, self.marginals, x), start=ONE)
 

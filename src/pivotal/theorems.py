@@ -277,9 +277,9 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
     ``Distribution._pattern_sums``: one kernel pass over the selected
     players, folded key by key, and the coins are applied once per
     coordinate. On a product whose rows are all equal, with f a function of
-    a score total, ``_class_sums`` gives them by deviation count instead,
-    k + 1 classes, and the coins thin the classes. On a product Y is a
-    product, and on the class path g depends only on the number of zeros.
+    a score total, ``_ScoreLaw.classes`` gives them by deviation count
+    instead, k + 1 classes, and the coins thin the classes. On a product Y
+    is a product, and on the class path g depends only on the zero count.
 
     A 0/1-valued function is flipped as 1 - f, anything else as -f, so the
     reduced function stays inside [-1, 1] either way.
@@ -304,8 +304,9 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
     dev_syms = [syms for _, _, syms in chosen]
     k = len(selected)
 
-    # Masses and f-weighted sums are integers over one denominator.
-    classes = d._class_sums(selected, f, dev_syms) if isinstance(d, ProductDist) else None
+    # Sums are integers over one denominator. Players on one row deviate alike.
+    score_law = d._score_law([selected], f) if isinstance(d, ProductDist) else None
+    classes = score_law and score_law.classes(k, dev_syms[0])
     if classes is None:
         if k > _REDUCTION_ARITY_LIMIT:
             raise PivotalError(f"reduction would enumerate 2^{k} indicator vectors")

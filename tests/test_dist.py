@@ -356,6 +356,16 @@ class TestCondition:
         with pytest.raises(DistributionError, match="wrong arity"):
             d.weight((0, 0))
 
+    @pytest.mark.parametrize("explicit", [False, True], ids=["product", "explicit"])
+    @pytest.mark.parametrize("kind", [tuple, list, iter])
+    def test_weight_takes_any_iterable(self, explicit, kind):
+        d = uniform_product(2)
+        if explicit:
+            d = d.to_explicit()
+        assert d.weight(kind([0, 1])) == F(1, 4)
+        with pytest.raises(DistributionError, match=r"outcome \(0, 1, 0\) has wrong arity"):
+            d.weight(kind([0, 1, 0]))
+
 
 @pytest.mark.parametrize("d", [
     majp_dist(3, HALF).to_explicit(),
@@ -1123,7 +1133,7 @@ def test_symmetric_sums_match_grid_walk(drawn, data):
             assert got.tables[g][key] == (mass, mass * brute_conditional(value, d, assignment))
 
 
-def _grid_walk_only(self, groups, f):
+def _grid_walk_only(*args):
     raise AssertionError("the statistic path was taken")
 
 
@@ -1135,7 +1145,7 @@ def _grid_walk_only(self, groups, f):
 ], ids=["unequal-rows", "repeated-player", "dictator"])
 def test_sums_falls_through_to_grid_walk(d, groups, f, monkeypatch):
     want = Distribution.sums(d, groups, f)
-    monkeypatch.setattr(ProductDist, "_statistic_sums", _grid_walk_only)
+    monkeypatch.setattr(dist_module._ScoreLaw, "__init__", _grid_walk_only)
     got = d.sums(groups, f)
     _assert_same_sums(got, want)
     _assert_same_sums(got, d.to_explicit().sums(groups, f))

@@ -828,6 +828,21 @@ def test_valid_command_line_builds_no_parser(monkeypatch, capsys):
             assert built == tree
 
 
+@pytest.mark.parametrize("name, flag", [(name, flag) for name, (_, options, _) in COMMANDS.items()
+                                        for flag, _ in options if flag.startswith("-")])
+def test_double_dash_value_is_a_usage_error(tmp_path, monkeypatch, capsys, name, flag):
+    """FLAG=-- after a valid line exits 2 with a usage error, whatever argparse stores for it."""
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main([*VALID[name], f"{flag}=--"])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert f"error: argument {flag}: " in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # Option values for the property below: good ones for some type, ones that
 # start with "-", and ones that no type or choice takes.
 TEXTS = ["3", "1/2", "0,2", "1/8,1/4", "mu.json", "-1", "-1/4", "-x", "x", "0.5", "", "--"]

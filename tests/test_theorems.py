@@ -514,6 +514,34 @@ def test_reduction_builds_the_law_by_total_once(monkeypatch):
     assert calls.count(([1, 2, 1], 9)) == 1
 
 
+def _no_classes(self, k, side):
+    raise AssertionError("the class path was taken")
+
+
+@pytest.mark.parametrize("f, d, p", [
+    (MajPFn(4), ProductDist(PARTICIPATION, 4, [(F(1, 4), F(1, 4), HALF), (F(1, 3),) * 3] * 2),
+     HALF),  # flipped, and the sides differ by row
+    (DictatorFn(4, 1), ProductDist(BINARY, 4, [(F(1, 3), F(2, 3))] * 4), F(1, 4)),
+    (DenseTable(BINARY, 3, {x: F(int(sum(x) >= 2)) for x in itertools.product((0, 1), repeat=3)}),
+     uniform_product(3), F(1, 4)),
+], ids=["unequal-rows", "dictator", "dense-table"])
+def test_reduction_off_the_statistic_path_folds_patterns(f, d, p, monkeypatch):
+    # Only equal rows with a function of a score total reach the class step;
+    # these inputs fold the players' table, as their explicit expansion does.
+    from pivotal import dist
+    alpha = F(1, 1000)
+    walk = reduce_to_binary(f, d.to_explicit(), p, alpha)
+    monkeypatch.setattr(dist._ScoreLaw, "classes", _no_classes)
+    result = reduce_to_binary(f, d, p, alpha)
+    assert not result.is_empty
+    assert ((result.i_plus, result.flipped, result.p_values, result.expectation,
+             result.count_pivotal) == (walk.i_plus, walk.flipped, walk.p_values,
+                                       walk.expectation, walk.count_pivotal))
+    _assert_law_and_g(result, walk.y_dist.support, walk.g.entries)
+    with pytest.raises(AssertionError, match="the class path was taken"):
+        reduce_to_binary(MajPFn(4), majp_dist(4, HALF), F(1, 4), alpha)
+
+
 def test_class_reduction_reads_singletons_only(monkeypatch):
     # 3^12 joint symbols of the 12 selected players: the class path never
     # asks the kernel for their table, only for the pivotal report's singletons.
