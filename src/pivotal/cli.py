@@ -334,6 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dest(flag: str) -> str:
+    """The Namespace attribute argparse gives an option of the tables."""
+    return flag.lstrip("-").replace("-", "_")
+
+
 def _scan(name: str, words: list[str]) -> argparse.Namespace | None:
     """The full tree's Namespace for command name and its words, or None.
 
@@ -385,7 +390,7 @@ def _scan(name: str, words: list[str]) -> argparse.Namespace | None:
     args = argparse.Namespace(func=run, command=name)
     for flag, kwargs in options:
         default = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
-        setattr(args, flag.lstrip("-").replace("-", "_"), given.get(flag, default))
+        setattr(args, _dest(flag), given.get(flag, default))
     return args
 
 
@@ -407,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     # "--" is never a value: argparse reads "--dist --" as a missing one, and
     # stores "--dist=--" as "--" or, on some versions, as the empty list.
     for flag, _ in COMMANDS[args.command][1]:
-        if getattr(args, flag.lstrip("-").replace("-", "_")) in ([], "--"):
+        if getattr(args, _dest(flag)) in ([], "--"):
             print(f"pivotal: error: argument {flag}: expected one argument", file=sys.stderr)
             return 2
     try:

@@ -1030,8 +1030,8 @@ class _ScoreLaw:
             table[a] = entries[w, sigma]
         return table
 
-    def classes(self, k: int, side: Collection[int]) -> tuple[int, list[int], list[int], dict]:
-        """``Distribution._pattern_sums`` of k players that all deviate on one side D.
+    def classes(self, k: int, side: Collection[int]) -> tuple[list[int], list[int]]:
+        """The masses and f-weighted sums over den of k players deviating on one side D.
 
         A vector with c clear bits weighs A_c = Q_D^c Q_N^(k - c) by score,
         Q_D and Q_N being q's parts over D and the others, so its sums are
@@ -1052,7 +1052,7 @@ class _ScoreLaw:
         for c, a in _by_deviation_count(q_dev, q_other, k, length, up):
             masses[c] = sum(a) * scale
             wsums[c] = sum(map(int.__mul__, a, by_total))
-        return den, masses, wsums, self.law
+        return masses, wsums
 
 
 class ProductDist(Distribution):

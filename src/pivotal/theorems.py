@@ -306,18 +306,19 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
 
     # Sums are integers over one denominator. Players on one row deviate alike.
     score_law = d._score_law([selected], f) if isinstance(d, ProductDist) else None
-    classes = score_law and score_law.classes(k, dev_syms[0])
-    if classes is None:
+    if score_law is None:
         if k > _REDUCTION_ARITY_LIMIT:
             raise PivotalError(f"reduction would enumerate 2^{k} indicator vectors")
         if len(d.alphabet) ** k > 2 ** _REDUCTION_ARITY_LIMIT:  # the joint table has |S|^k keys
             raise PivotalError(f"reduction would read {len(d.alphabet)}^{k} joint symbols")
-    denom, mass, wsum, law = classes or d._pattern_sums(selected, f, dev_syms)
+        denom, mass, wsum, law = d._pattern_sums(selected, f, dev_syms)
+    else:
+        denom, law, (mass, wsum) = score_law.den, score_law.law, score_law.classes(k, dev_syms[0])
     if flipped:  # linear, so it commutes with the coins
         zero_one = all(v in (0, 1) for v in law)
         wsum = [m - s if zero_one else -s for m, s in zip(mass, wsum)]
         total = 1 - total if zero_one else -total
-    if classes is None:
+    if score_law is None:
         keeps = [_coin_rate(p, pj) for pj in p_values]
         y_dist, g = _fold_vectors(d, k, denom, mass, wsum, keeps, total)
     else:  # one row, so one coin rate
