@@ -69,13 +69,12 @@ def _deviates(dev: Fraction, alpha: Fraction, sign: int = 0) -> bool:
     return (sign * dev if sign else abs(dev)) > alpha
 
 
-def _mass_past(pairs: Iterable[tuple[Fraction, Fraction]], alpha: Fraction,
-               sign: int = 0) -> Fraction:
+def _mass_past(pairs: Iterable[tuple[Fraction, Fraction]], alpha: Fraction) -> Fraction:
     """Mass of the (mass, deviation) pairs whose deviation strays past alpha.
 
     The (p, alpha) rule compares this mass strictly with p.
     """
-    return sum((m for m, dev in pairs if _deviates(dev, alpha, sign)), ZERO)
+    return sum((m for m, dev in pairs if _deviates(dev, alpha)), ZERO)
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,8 @@ class PivotalRow:
     deviating_mass: Fraction
     pivotal: bool
 
-    def mass_past(self, alpha: Fraction, sign: int = 0) -> Fraction:
-        return _mass_past(((sd.mass, sd.deviation) for sd in self.deviations), alpha, sign)
+    def mass_past(self, alpha: Fraction) -> Fraction:
+        return _mass_past(((sd.mass, sd.deviation) for sd in self.deviations), alpha)
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,10 @@ ONE = Fraction(1)
 # we refuse rather than exhaust memory (streaming queries stay lazy).
 _EXPANSION_LIMIT = 1 << 21
 
+# The reduction's sums per deviation pattern, off the class path, fold a
+# table of |S|^k joint symbols for k players; past this many we refuse.
+_JOINT_SYMBOL_LIMIT = 1 << 20
+
 # The reduction's class sums on equal rows cost O(classes * coefficients)
 # integer steps, k + 1 classes of k d + 1 coefficients; past this we refuse.
 _CLASS_FOLD_LIMIT = 1 << 21
@@ -795,6 +799,9 @@ class Distribution(ABC):
         ``sums`` pass gives the players' table, and each key is folded
         into its vector.
         """
+        if len(self.alphabet) ** len(players) > _JOINT_SYMBOL_LIMIT:
+            raise PivotalError(
+                f"reduction would read {len(self.alphabet)}^{len(players)} joint symbols")
         sums = self.sums([players], f)
         table = sums.tables[0]
         denom, ints = _scale([x for pair in table.values() for x in pair])

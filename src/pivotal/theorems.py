@@ -47,7 +47,6 @@ from .generators import majp_dist
 
 HALF = Fraction(1, 2)
 
-_REDUCTION_ARITY_LIMIT = 20
 _ELIMINATION_N_LIMIT = 16
 _ELIMINATION_M_LIMIT = 3
 
@@ -71,20 +70,20 @@ def _positive(name: str, value: Fraction) -> Fraction:
     return value
 
 
+def _count_verdict(which: str, inputs: dict, name: str, count: int,
+                   bound: Fraction) -> Verdict:
+    """A count of players with large effect, which each bound requires strictly below it."""
+    return Verdict(which=which, inputs=inputs, computed={name: count}, bound=bound,
+                   ok=count < bound)
+
+
 def verify_thm1(f: PlayerFunction, d: Distribution,
                 p: Fraction, alpha: Fraction) -> Verdict:
     """Pivotal-player count against 8 / (p * alpha^2) under pairwise independence."""
     p, alpha = _positive("p", p), _positive("alpha", alpha)
     _require_pairwise(d)
-    count = count_pivotal(f, d, p, alpha)
-    bound = 8 / (p * alpha ** 2)
-    return Verdict(
-        which="thm1",
-        inputs={"p": p, "alpha": alpha, "n": d.n},
-        computed={"count_pivotal": count},
-        bound=bound,
-        ok=count < bound,
-    )
+    return _count_verdict("thm1", {"p": p, "alpha": alpha, "n": d.n}, "count_pivotal",
+                          count_pivotal(f, d, p, alpha), 8 / (p * alpha ** 2))
 
 
 def _is_uniform_product(d: Distribution) -> bool:
@@ -98,19 +97,15 @@ def verify_warmup(f: PlayerFunction, d: Distribution, alpha: Fraction) -> Verdic
     if not _is_uniform_product(d):
         raise DistributionError(
             "warm-up bound applies to independent fair bits only")
-    count = count_effect(f, d, alpha)
-    bound = 4 / alpha ** 2
-    return Verdict(
-        which="warmup",
-        inputs={"alpha": alpha, "n": d.n},
-        computed={"count_effect": count},
-        bound=bound,
-        ok=count < bound,
-    )
+    return _count_verdict("warmup", {"alpha": alpha, "n": d.n}, "count_effect",
+                          count_effect(f, d, alpha), 4 / alpha ** 2)
 
 
-def _equal_binary_marginals(d: Distribution) -> Fraction:
-    """Shared Pr[X_i = 0], required strictly inside (0, 1)."""
+def _skewed_bits(d: Distribution) -> tuple[Fraction, Fraction]:
+    """Shared Pr[X_i = 0] = q, required strictly inside (0, 1), and p = min(q, 1 - q).
+
+    The players must also be pairwise independent.
+    """
     if d.alphabet != BINARY:
         raise DistributionError("bound applies to the binary alphabet only")
     q = d.single_marginal(0)[0]
@@ -119,16 +114,15 @@ def _equal_binary_marginals(d: Distribution) -> Fraction:
             raise DistributionError(f"marginals differ: player 0 has Pr[0]={q}, player {i} has {qi}")
     if not 0 < q < 1:
         raise DistributionError(f"degenerate shared marginal Pr[0]={q}")
-    return q
+    _require_pairwise(d)
+    return q, min(q, 1 - q)
 
 
 def verify_sum_bound(f: PlayerFunction, d: Distribution,
                      players: Sequence[int]) -> Verdict:
     """Sum of effects over a player subset against sqrt(2k / p), compared in squares."""
     T = d._player_set(players)
-    q = _equal_binary_marginals(d)
-    _require_pairwise(d)
-    p = min(q, 1 - q)
+    q, p = _skewed_bits(d)
     report = effect_report(f, d)
     total = sum((report.rows[i].effect for i in T), ZERO)
     bound_sq = Fraction(2 * len(T)) / p
@@ -145,18 +139,9 @@ def verify_binary_bound(f: PlayerFunction, d: Distribution,
                         alpha: Fraction) -> Verdict:
     """Effect count against 2 / (p * alpha^2) for equal skewed binary marginals."""
     alpha = _positive("alpha", alpha)
-    q = _equal_binary_marginals(d)
-    _require_pairwise(d)
-    p = min(q, 1 - q)
-    count = count_effect(f, d, alpha)
-    bound = 2 / (p * alpha ** 2)
-    return Verdict(
-        which="binary-bound",
-        inputs={"alpha": alpha, "q": q, "p": p},
-        computed={"count_effect": count},
-        bound=bound,
-        ok=count < bound,
-    )
+    q, p = _skewed_bits(d)
+    return _count_verdict("binary-bound", {"alpha": alpha, "q": q, "p": p}, "count_effect",
+                          count_effect(f, d, alpha), 2 / (p * alpha ** 2))
 
 
 # ----------------------------------------------------------------------
@@ -307,10 +292,6 @@ def reduce_to_binary(f: PlayerFunction, d: Distribution,
     # Sums are integers over one denominator. Players on one row deviate alike.
     score_law = d._score_law([selected], f) if isinstance(d, ProductDist) else None
     if score_law is None:
-        if k > _REDUCTION_ARITY_LIMIT:
-            raise PivotalError(f"reduction would enumerate 2^{k} indicator vectors")
-        if len(d.alphabet) ** k > 2 ** _REDUCTION_ARITY_LIMIT:  # the joint table has |S|^k keys
-            raise PivotalError(f"reduction would read {len(d.alphabet)}^{k} joint symbols")
         denom, mass, wsum, law = d._pattern_sums(selected, f, dev_syms)
     else:
         denom, law, (mass, wsum) = score_law.den, score_law.law, score_law.classes(k, dev_syms[0])

@@ -45,9 +45,9 @@ from pivotal.boolfn import (
     CertificateError,
 )
 from pivotal.cli import main
-from pivotal.dist import _CLASS_FOLD_LIMIT, _EXPANSION_LIMIT
+from pivotal.dist import _CLASS_FOLD_LIMIT, _EXPANSION_LIMIT, _JOINT_SYMBOL_LIMIT
 from pivotal.generators import _HADAMARD_K_LIMIT, _PRODUCT_N_LIMIT
-from pivotal.theorems import _ELIMINATION_M_LIMIT, _ELIMINATION_N_LIMIT, _REDUCTION_ARITY_LIMIT
+from pivotal.theorems import _ELIMINATION_M_LIMIT, _ELIMINATION_N_LIMIT
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -140,8 +140,7 @@ def test_readme_tightness_table_lists_every_size():
 HALF = Fraction(1, 2)
 _K, _N = _HADAMARD_K_LIMIT + 1, _PRODUCT_N_LIMIT + 1
 _GRID = next(n for n in range(1, 64) if 3 ** n > _EXPANSION_LIMIT)  # majp_dist has 3 symbols
-_ARITY = _REDUCTION_ARITY_LIMIT + 1
-_TERNARY_ARITY = next(k for k in range(1, 64) if 3 ** k > 2 ** _REDUCTION_ARITY_LIMIT)
+_TERNARY_ARITY = next(k for k in range(1, 64) if 3 ** k > _JOINT_SYMBOL_LIMIT)
 # MajP's row polynomial has degree 2: k + 1 classes of 2k + 1 coefficients.
 _CLASSES = next(k for k in range(1, 1 << 11) if (k + 1) * (2 * k + 1) > _CLASS_FOLD_LIMIT)
 
@@ -168,12 +167,9 @@ SIZE_LIMIT_CALLS = {
     "the same, coalition size": [
         lambda: elimination_set(MajorityFn(8), uniform_product(8), _ELIMINATION_M_LIMIT + 1,
                                 HALF, HALF)],
-    # Every player is pivotal at a small alpha, so all are selected. An
-    # explicit support and a product whose rows differ fold vector by vector.
+    # Every player is pivotal at a small alpha, so all are selected. A
+    # product whose rows differ folds vector by vector.
     "`reduce_to_binary`, `verify --which reduction`": [
-        lambda: reduce_to_binary(MajorityFn(_ARITY), hadamard_mu(5).marginal(range(_ARITY)),
-                                 Fraction(1, 4), Fraction(1, 1000))],
-    "the same, joint symbols": [
         lambda: reduce_to_binary(MajPFn(_TERNARY_ARITY), _unequal_votes(_TERNARY_ARITY),
                                  Fraction(1, 4), Fraction(1, 1000))],
     # Equal rows fold by deviation count.

@@ -573,6 +573,32 @@ def test_class_reduction_past_the_walk_limits(f, d):
     assert verify_reduction(f, d, p, alpha).ok
 
 
+def _unequal_votes(n: int) -> ProductDist:
+    """n voters on the participation alphabet who never abstain, each with its own row."""
+    return ProductDist(PARTICIPATION, n, [(HALF - F(1, 100 + i), HALF + F(1, 100 + i), F(0))
+                                          for i in range(n)])
+
+
+@pytest.mark.parametrize("f, d, text", [
+    (MajorityFn(21), hadamard_mu(5).marginal(range(21)), "reduction would read 2^21 joint symbols"),
+    (MajPFn(13), _unequal_votes(13), "reduction would read 3^13 joint symbols"),
+], ids=["binary-explicit", "ternary-unequal-rows"])
+def test_off_path_refusal_reads_singletons_only(monkeypatch, f, d, text):
+    # Past the joint-symbol limit, off the class path: the one kernel pass is
+    # the pivotal report's singletons, and the k-player table is never started.
+    passes = []
+    real = Distribution._sums
+
+    def recording(self, groups, fn):
+        passes.append(tuple(map(tuple, groups)))
+        return real(self, groups, fn)
+
+    monkeypatch.setattr(Distribution, "_sums", recording)
+    with pytest.raises(PivotalError, match=re.escape(text)):
+        reduce_to_binary(f, d, F(1, 4), F(1, 1000))
+    assert passes == [tuple((i,) for i in range(d.n))]
+
+
 class TestElimination:
     def test_constant_empty_family(self):
         res = elimination_set(ConstantFn(4, F(1)), uniform_product(4), 2, F(1, 4), F(1, 4))
@@ -645,10 +671,8 @@ class TestElimination:
 @pytest.mark.parametrize("call, error, text", [
     (lambda: reduce_to_binary(MajorityFn(21), hadamard_mu(5).marginal(range(21)), F(1, 4),
                               F(1, 1000)),
-     PivotalError, "reduction would enumerate 2^21 indicator vectors"),
-    (lambda: reduce_to_binary(MajPFn(13), ProductDist(PARTICIPATION, 13, [
-        (HALF - F(1, 100 + i), HALF + F(1, 100 + i), F(0)) for i in range(13)]),
-        F(1, 4), F(1, 1000)),
+     PivotalError, "reduction would read 2^21 joint symbols"),
+    (lambda: reduce_to_binary(MajPFn(13), _unequal_votes(13), F(1, 4), F(1, 1000)),
      PivotalError, "reduction would read 3^13 joint symbols"),
     (lambda: reduce_to_binary(MajPFn(1024), majp_dist(1024, HALF), F(1, 4), F(1, 1000)),
      PivotalError, "reduction would fold 1025 classes of 2049 coefficients"),
