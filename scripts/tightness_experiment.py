@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Tightness experiment for the participation-majority space.
 
-Exact mode derives the per-symbol deviations for a representative player
-(the kernel sums over the law of the vote total, not the 3^n grid) and
-tabulates pivotal counts against the 8/(p a^2) bound over an alpha grid
-anchored at the derived deviations. With --sizes it also prints, per
-larger n, the exact deviation of the vote-1 symbol, 1/sqrt(pn) and their
-product, which tracks a constant.
+Prints the exact per-symbol deviations of a representative player (the
+kernel sums over the law of the vote total, not the 3^n grid), then the
+majp_tightness rows that `pivotal sweep --p-prime` prints, at p' = p/2 on
+an alpha grid anchored at the derived deviations. With --sizes it also
+prints, per larger n, the exact deviation of the vote-1 symbol,
+1/sqrt(pn) and their product, which tracks a constant.
 
 Example:
     python scripts/tightness_experiment.py --n 9 --p 1/2 --sizes 25,49,1000
@@ -17,7 +17,7 @@ import math
 import sys
 from fractions import Fraction
 
-from pivotal import MajPFn, majp_dist, pivotal_player, pivotal_report
+from pivotal import MajPFn, majp_dist, majp_tightness, pivotal_player, pivotal_report
 from pivotal.serialize import parse_rational, rational_str
 
 
@@ -47,12 +47,10 @@ def main() -> int:
           f"p' = {rational_str(p_prime)}")
 
     print("alpha,alpha_dec,count,bound,bound_dec")
-    for alpha in (alpha_star / 4, alpha_star / 2, alpha_star,
-                  2 * alpha_star, Fraction(1, 2), Fraction(1)):
-        count = report.count(p_prime, alpha)
-        bound = 8 / (p_prime * alpha ** 2)
-        print(f"{rational_str(alpha)},{float(alpha)},{count},"
-              f"{rational_str(bound)},{float(bound)}")
+    grid = (alpha_star / 4, alpha_star / 2, alpha_star, 2 * alpha_star, Fraction(1, 2), 1)
+    for r in majp_tightness(n, p, grid, p_prime=p_prime):
+        print(f"{rational_str(r.alpha)},{float(r.alpha)},{r.count},"
+              f"{rational_str(r.bound)},{float(r.bound)}")
 
     if args.sizes:
         print()

@@ -95,10 +95,6 @@ class PivotalReport:
     alpha: Fraction
     rows: tuple[PivotalRow, ...]
 
-    def count(self, p: Fraction, alpha: Fraction) -> int:
-        """Number of (p, alpha)-pivotal players; deviations do not depend on alpha."""
-        return sum(1 for r in self.rows if r.mass_past(alpha) > p)
-
 
 def _singletons(n: int) -> list[tuple[int]]:
     return [(i,) for i in range(n)]
@@ -213,14 +209,13 @@ def count_pivotal(f: PlayerFunction, d: Distribution,
 
 @dataclass(frozen=True)
 class FourierTable:
-    """Character coefficients over a support of size n + 1 = 2^k.
+    """Character coefficients over a support of size n + 1.
 
     ``support`` fixes the bijection between character inputs and support
     points (lexicographic order); ``coeffs[0]`` is the expectation and
     ``coeffs[y]`` for y >= 1 belongs to player y - 1.
     """
 
-    k: int
     support: tuple[Outcome, ...]
     coeffs: tuple[Fraction, ...]
 
@@ -236,16 +231,14 @@ def _require_pairwise(d: Distribution) -> None:
                                 witness=res.witness)
 
 
-def _require_minimal_space(d: Distribution) -> tuple[int, ExplicitDist]:
-    """Check the minimal-support preconditions, returning k and the support."""
+def _require_minimal_space(d: Distribution) -> ExplicitDist:
+    """The support, once it is uniform on n + 1 points with fair, pairwise independent bits."""
     mu = d.to_explicit()
     if mu.alphabet != BINARY:
         raise PreconditionError("Fourier engine needs the binary alphabet")
     size = len(mu.support)
-    if size != mu.n + 1 or size & (size - 1):
-        raise PreconditionError(
-            f"support size {size} is not n + 1 = 2^k (n = {mu.n})")
-    k = size.bit_length() - 1
+    if size != mu.n + 1:
+        raise PreconditionError(f"support size {size} is not n + 1 (n = {mu.n})")
     w = Fraction(1, size)
     if any(weight != w for _, weight in mu.support):
         raise PreconditionError(f"support is not uniform (expected weight {w})")
@@ -257,21 +250,21 @@ def _require_minimal_space(d: Distribution) -> tuple[int, ExplicitDist]:
     # The characters chi_y(x) = 1 - 2 x_y are then orthonormal under the
     # uniform weights: fair marginals give E[chi_y] = 0, and pairwise
     # independence gives E[chi_a chi_b] = -1 + 4 * 1/4 = 0 for a != b.
-    return k, mu
+    return mu
 
 
 def fourier(f: PlayerFunction, mu: Distribution) -> FourierTable:
     """Exact character coefficients of f over a minimal-support space."""
-    k, mu = _require_minimal_space(mu)
+    mu = _require_minimal_space(mu)
     sums = mu.sums(_singletons(mu.n), f)
     # E[f chi_y] is the f-weighted sum on x_y = 0 minus that on x_y = 1.
     coeffs = [sums.mean] + [t[(0,)][1] - t[(1,)][1] for t in sums.tables]
-    return FourierTable(k, tuple(x for x, _ in mu.support), tuple(coeffs))
+    return FourierTable(tuple(x for x, _ in mu.support), tuple(coeffs))
 
 
 # Ratio of the squared-effect sum to the variance on minimal-support
 # pairwise independent spaces. Pinned by the 2-point brute-force oracle
-# (see the acceptance suite); it is the same constant at every k.
+# (see the acceptance suite); it is the same constant on every such space.
 EFFECT_VARIANCE_RATIO = Fraction(4)
 
 
@@ -289,7 +282,7 @@ def effect_identity(f: PlayerFunction, mu: Distribution) -> EffectIdentity:
     effects, direct expectations for the variance), independently of the
     character table.
     """
-    _, mu = _require_minimal_space(mu)
+    mu = _require_minimal_space(mu)
     sums = mu.sums(_singletons(mu.n), f)
     variance = sum((v * v * m for v, m in sums.law.items()), ZERO) - sums.mean ** 2
     ssq = sum((_signed(i, t) ** 2 for i, t in enumerate(sums.tables)), ZERO)

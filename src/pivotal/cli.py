@@ -254,8 +254,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 # Each command's options as (flag, add_argument keywords): build_parser adds
 # them to the full tree, and _scan reads them to parse a well-formed line.
-# _scan knows the keywords type, choices, required, default and
-# action="store_true"; an option that needs another must be taught to it.
+# Every option takes one value; _scan knows type, choices, required, default
+# and help, and an option that needs another keyword must be taught to it.
 GEN_OPTIONS = (
     ("kind", {"choices": list(GENERATORS)}),
     ("--k", {"type": int}),
@@ -294,8 +294,6 @@ COUNTEREXAMPLE_OPTIONS = (
 )
 
 SWEEP_OPTIONS = (
-    ("--majp-tightness", {"action": "store_true",
-                          "help": "accepted and ignored: majp tightness is the only sweep"}),
     ("--n", {"type": int}),
     ("--p", {"type": _rational_arg}),
     ("--p-prime", {"type": _rational_arg, "help": "pivotality threshold p' (default: p)"}),
@@ -344,12 +342,12 @@ def _scan(name: str, words: list[str]) -> argparse.Namespace | None:
 
     One pass over the words accepts only: an exact flag and the next word as
     its value, if that word does not start with "-"; an exact flag joined to
-    its value by "="; a store_true flag alone; and a command's positional
-    (gen's kind) once, anywhere. A value is not empty or "--", converts by
-    the option's type and is one of its choices; a flag given again keeps its
-    last value. Anything else (an abbreviated or unknown flag, -h, --, a
-    missing or failing value, a second positional, a required option left
-    out) gives None, and the full tree parses the line.
+    its value by "="; and a command's positional (gen's kind) once, anywhere.
+    A value is not empty or "--", converts by the option's type and is one
+    of its choices; a flag given again keeps its last value, and one left
+    out takes its default. Anything else (an abbreviated or unknown flag,
+    -h, --, a missing or failing value, a second positional, a required
+    option left out) gives None, and the full tree parses the line.
     """
     _, options, run = COMMANDS[name]
     table = dict(options)
@@ -361,11 +359,6 @@ def _scan(name: str, words: list[str]) -> argparse.Namespace | None:
             flag, sep, text = word.partition("=")
             if flag not in table:
                 return None
-            if table[flag].get("action") == "store_true":
-                if sep:
-                    return None
-                given[flag] = True
-                continue
             if not sep:
                 text = next(words, "-")  # a missing value is refused with "-" ones
                 if text.startswith("-"):
@@ -389,8 +382,7 @@ def _scan(name: str, words: list[str]) -> argparse.Namespace | None:
         return None
     args = argparse.Namespace(func=run, command=name)
     for flag, kwargs in options:
-        default = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
-        setattr(args, _dest(flag), given.get(flag, default))
+        setattr(args, _dest(flag), given.get(flag, kwargs.get("default")))
     return args
 
 

@@ -1,6 +1,7 @@
 """Effects, influence, pivotality, Fourier coefficients, estimation."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -38,11 +39,14 @@ from pivotal import (
     reduce_to_binary,
     signed_effect,
     uniform_product,
+    verify_effect_identity,
     verify_elimination,
 )
 from pivotal.analysis import EFFECT_VARIANCE_RATIO, _deviates
 from pivotal.boolfn import PreconditionError
+from pivotal.cli import main
 from pivotal.dist import GroupedSums
+from pivotal.serialize import save_dist
 
 from oracles import (
     brute_deviating_mass,
@@ -265,18 +269,6 @@ class TestCounts:
         effect_counts = [count_effect(f2, d2, a) for a in alphas]
         assert effect_counts == sorted(effect_counts, reverse=True)
 
-    @pytest.mark.parametrize("f, d", [
-        (MajPFn(7), majp_dist(7, HALF)),
-        (DenseTable(BINARY, 8, random_table(8, random.Random(5), (-1, 0, F(1, 2), 1))),
-         uniform_product(8)),
-    ], ids=["majp-7", "dense-8"])
-    def test_report_count_matches_count_pivotal(self, f, d):
-        # PivotalReport.count recounts one report at other thresholds.
-        report = pivotal_report(f, d, HALF, F(1, 8))
-        for p in (F(0), F(1, 8), F(1, 4), HALF, F(3, 4)):
-            for alpha in (F(0), F(1, 64), F(1, 16), F(1, 8), F(1, 4)):
-                assert report.count(p, alpha) == count_pivotal(f, d, p, alpha), (p, alpha)
-
 
 class TestFourier:
     def test_constant_function(self):
@@ -319,8 +311,30 @@ class TestFourier:
         # 0 only on the all-zeros point: E[f] = 255/256, and every player's
         # signed effect is 1 - 127/128, so each coefficient is -1/256.
         table = fourier(MajorityFn(255), hadamard_mu(8))
-        assert (table.k, len(table.support)) == (8, 256)
+        assert len(table.support) == 256
         assert table.coeffs == (F(255, 256),) + (F(-1, 256),) * 255
+
+    def test_paley_space_of_12_points(self, tmp_path, capsys):
+        # A minimal space whose size is no power of 2: the all-zeros point
+        # and the 11 cyclic shifts of the indicator of {0} and the quadratic
+        # residues mod 11, uniform. Each bit is 1 on 6 of the 12 points, and
+        # {0} with the residues is an (11, 6, 3) difference set, so every
+        # pair of bits is 1 together on 3 of them: pairwise independent.
+        ones = {0} | {i * i % 11 for i in range(1, 11)}
+        points = [(0,) * 11] + [tuple(int((i - t) % 11 in ones) for i in range(11))
+                                for t in range(11)]
+        mu = ExplicitDist(BINARY, 11, [(x, F(1, 12)) for x in points])
+        rng = random.Random(11)
+        for _ in range(10):
+            f = PartialTable(BINARY, 11, {x: F(rng.randint(-3, 3), 3) for x in points})
+            assert sum(c * c for c in fourier(f, mu).coeffs) == brute_expectation(_Squared(f), mu)
+        v = verify_effect_identity(MajorityFn(11), mu)
+        assert v.ok and v.computed["ratio"] == 4
+        path = tmp_path / "paley11.json"
+        save_dist(path, mu)
+        assert main(["verify", "--which", "effect-identity", "--dist", str(path),
+                     "--fn", "majority"]) == 0
+        assert json.loads(capsys.readouterr().out)["computed"]["ratio"] == "4"
 
     def test_precondition_failures_are_named(self):
         with pytest.raises(PreconditionError, match="support size"):

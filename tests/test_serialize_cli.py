@@ -487,8 +487,7 @@ class TestCliCounterexample:
 
 class TestCliSweep:
     def test_exact_csv(self, capsys):
-        assert main(["sweep", "--majp-tightness", "--n", "5", "--p", "1/2",
-                     "--alpha-grid", "7/1024,1"]) == 0
+        assert main(["sweep", "--n", "5", "--p", "1/2", "--alpha-grid", "7/1024,1"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["alpha,alpha_dec,count,bound,bound_dec",
                          "7/1024,0.0068359375,5,16777216/49,342392.1632653061",
@@ -501,19 +500,14 @@ class TestCliSweep:
             {"alpha": "7/1024", "count": 5, "bound": "16777216/49"},
             {"alpha": "1", "count": 0, "bound": "16"}]
 
-    @pytest.mark.parametrize("option", ["--samples", "--seed"])
+    # The Monte Carlo mode's options and its mode flag, all removed.
+    @pytest.mark.parametrize("option", [["--samples", "10"], ["--seed", "10"],
+                                        ["--majp-tightness"]], ids=lambda o: o[0])
     def test_monte_carlo_options_are_gone(self, capsys, option):
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--n", "5", "--p", "1/2", "--alpha-grid", "1/8", option, "10"])
+            main(["sweep", "--n", "5", "--p", "1/2", "--alpha-grid", "1/8", *option])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_mode_flag_is_optional(self, capsys):
-        argv = ["--n", "5", "--p", "1/2", "--alpha-grid", "1/8,1/4"]
-        assert main(["sweep", "--majp-tightness"] + argv) == 0
-        with_flag = capsys.readouterr().out
-        assert main(["sweep"] + argv) == 0
-        assert capsys.readouterr().out == with_flag
 
 
 DIRECTORY = object()  # the input path names a directory
@@ -658,14 +652,14 @@ N_PAST = str(_PRODUCT_N_LIMIT + 1)
 @pytest.mark.parametrize("argv", [
     ["verify", "--which", "sum-bound", "--dist", "MU", "--fn", "majority", "--players", "7"],
     ["verify", "--which", "sum-bound", "--dist", "MU", "--fn", "majority", "--players", "-1"],
-    ["sweep", "--majp-tightness", "--n", "5", "--p", "1/2", "--alpha-grid", "0"],
-    ["sweep", "--majp-tightness", "--n", "5", "--p", "1/2", "--alpha-grid=1/8,-1/4"],
+    ["sweep", "--n", "5", "--p", "1/2", "--alpha-grid", "0"],
+    ["sweep", "--n", "5", "--p", "1/2", "--alpha-grid=1/8,-1/4"],
     ["gen", "hadamard-mu", "--k", K_PAST],
     ["gen", "complement-mu", "--k", K_PAST],
     ["gen", "mixture-d", "--k", K_PAST],
     ["counterexample", "--which", "effect", "--k", K_PAST],
     ["counterexample", "--which", "influence", "--k", K_PAST],
-    ["sweep", "--majp-tightness", "--n", N_PAST, "--p", "1/2", "--alpha-grid", "1/8"],
+    ["sweep", "--n", N_PAST, "--p", "1/2", "--alpha-grid", "1/8"],
     ["gen", "uniform-product", "--n", N_PAST],
     ["gen", "majp", "--n", N_PAST, "--p", "1/2"],
 ], ids=["players-past-n", "players-negative", "alpha-zero", "alpha-negative",
@@ -728,8 +722,7 @@ VALID = {
                "--player", "1", "--players", "0,2"],
     "counterexample": ["counterexample", "--which", "influence", "--k", "4",
                        "--out-fn", "f.json", "--out-dist", "d.json"],
-    "sweep": ["sweep", "--majp-tightness", "--n", "5", "--p", "1/2", "--alpha-grid", "1/8,1/4",
-              "--format", "json"],
+    "sweep": ["sweep", "--n", "5", "--p", "1/2", "--alpha-grid", "1/8,1/4", "--format", "json"],
 }
 PARSE_CORPUS = [
     *VALID.values(),
@@ -753,9 +746,11 @@ PARSE_CORPUS = [
     ["counterexample", "--which=effect", "--k=3"],
     ["verify", "--which", "thm1", "--dist", "mu.json", "-h"],
     ["analyze", "--dist", "mu.json", "--fn", "majp", "--what"],
-    # The sweep's removed Monte Carlo options are leftover words on either path.
+    # The sweep's removed Monte Carlo options and mode flag are leftover
+    # words on either path.
     [*VALID["sweep"], "--samples", "10"],
     [*VALID["sweep"], "--seed=3"],
+    ["sweep", "--majp-tightness", *VALID["sweep"][1:]],
     # Lines the scan leaves to the full tree, whatever argparse makes of them:
     # "--dist=--" reads as an empty list on some versions.
     ["analyze", "--dist=--", "--fn", "majp", "--what", "effects"],
@@ -843,6 +838,13 @@ def test_double_dash_value_is_a_usage_error(tmp_path, monkeypatch, capsys, name,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_options_take_only_keywords_the_scan_reads():
+    """An option with another keyword (an action, nargs) would be mis-scanned."""
+    for name, (_, options, _) in COMMANDS.items():
+        for flag, kwargs in options:
+            assert set(kwargs) <= {"type", "choices", "required", "default", "help"}, (name, flag)
+
+
 # Option values for the property below: good ones for some type, ones that
 # start with "-", and ones that no type or choice takes.
 TEXTS = ["3", "1/2", "0,2", "1/8,1/4", "mu.json", "-1", "-1/4", "-x", "x", "0.5", "", "--"]
@@ -865,7 +867,7 @@ def _command_lines(draw) -> list[str]:
     for flag, kwargs in COMMANDS[name][1]:
         needed = kwargs.get("required") or not flag.startswith("-")
         for _ in range(draw(st.sampled_from([1, 1, 2] if needed else [0, 0, 1, 1, 2]))):
-            form = ("bare" if kwargs.get("action") == "store_true" or not flag.startswith("-")
+            form = ("bare" if not flag.startswith("-")
                     else draw(st.sampled_from(["space", "equals"])))
             text = draw(st.sampled_from(kwargs.get("choices", ["3"])))  # "3" fits every type
             chunks.append([flag, text, form])
@@ -880,8 +882,8 @@ def _command_lines(draw) -> list[str]:
             chunks[i][0] = flag[:-1]
         elif fault == "bare" and form != "bare":
             chunks[i][2] = "bare"
-        else:  # a value from TEXTS, after "=" for a store_true flag
-            chunks[i][1:] = [draw(st.sampled_from(TEXTS)), "equals" if form == "bare" else form]
+        else:  # a value from TEXTS
+            chunks[i][1] = draw(st.sampled_from(TEXTS))
     words = [*itertools.chain.from_iterable(
         [text] if not flag.startswith("-") else
         {"space": [flag, text], "equals": [f"{flag}={text}"], "bare": [flag]}[form]
